@@ -278,7 +278,7 @@ type Stats struct {
 	QuorumStalls uint64
 
 	// Tracer counters: provenance events captured, events dropped at a full
-	// ring buffer, and batches flushed to the provenance database.
+	// buffer (MaxBuffered), and batches flushed to the provenance database.
 	TracerEvents  uint64
 	TracerDrops   uint64
 	TracerFlushes uint64

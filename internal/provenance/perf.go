@@ -137,7 +137,6 @@ func (w *Writer) CheckDataQuality(appTable string, test func(appRow value.Row) s
 	if evTable == "" {
 		return nil, fmt.Errorf("provenance: table %q is not traced", appTable)
 	}
-	nHeader := 5 // EvId, TxnId, Seq, Type, Query
 	res, err := w.prov.Query(fmt.Sprintf(
 		`SELECT E.ReqId, E.HandlerName, E.Timestamp, F.* FROM %s as F, Executions as E
 		 ON E.TxnId = F.TxnId
@@ -148,7 +147,7 @@ func (w *Writer) CheckDataQuality(appTable string, test func(appRow value.Row) s
 	var out []QualityViolation
 	for _, r := range res.Rows {
 		evRow := r[3:]
-		appRow := evRow[nHeader:]
+		appRow := evRow[eventHeaderCols:]
 		if reason := test(appRow); reason != "" {
 			out = append(out, QualityViolation{
 				ReqID:     textOrEmpty(r[0]),

@@ -44,36 +44,45 @@ func (m TableMap) normalize() TableMap {
 }
 
 // Event is one provenance record buffered by the tracer and applied by the
-// Writer. Exactly one of the payload groups is set, per Kind.
+// Writer. Kind says which payload is set. The tracer queues these by value,
+// so the three payloads the runtime reports share one pointer instead of
+// each widening every queued event.
 type Event struct {
 	Kind Kind
+	// Logical is the tracer-assigned total-order timestamp.
+	Logical uint64
 
-	// Txn events (KindTxn): the finished transaction with read provenance.
+	// KindTxn: the finished transaction with read provenance.
 	Txn db.TxnTrace
 
-	// Write events (KindWrite): one CDC change.
+	// KindWrite: one CDC change.
 	Seq    uint64
 	TxnID  uint64
 	Change storage.Change
 
-	// Request events (KindRequest).
-	ReqID      string
-	Handler    string
+	// KindRequest, KindEdge, KindExternal.
+	Call *Call
+}
+
+// Call is what the application runtime reports: a finished request, an
+// invocation edge of the workflow graph, or an external-service call.
+type Call struct {
+	ReqID   string
+	Handler string // KindRequest, KindEdge
+
+	// KindRequest.
 	ArgsText   string
 	ResultText string
 	LatencyUs  int64
 	Status     string
 
-	// RPC edge events (KindEdge).
+	// KindEdge.
 	Parent string
 	Child  string
 
-	// External call events (KindExternal).
+	// KindExternal.
 	Service string
 	Payload string
-
-	// Logical is the tracer-assigned total-order timestamp.
-	Logical uint64
 }
 
 // Kind discriminates Event payloads.
@@ -102,21 +111,36 @@ type Writer struct {
 	// evTables caches resolved schema.Table handles per destination.
 	evTables map[string]*schema.Table // lowercased app table -> event table schema
 	// dests memoizes destination lookups per exact table-name spelling so the
-	// per-event hot path (appendTxn/appendWrite) avoids strings.ToLower; a nil
+	// per-event hot path (render/renderTxn) avoids strings.ToLower; a nil
 	// entry marks an untraced table. Guarded by mu (ApplyBatch holds it).
 	dests   map[string]*dest
 	execTbl *schema.Table
 	reqTbl  *schema.Table
 	edgeTbl *schema.Table
 	extTbl  *schema.Table
-	// mu serialises ApplyBatch: the tracer's background flusher and an
-	// explicit Flush may drain concurrently, and the synthetic-ID counters
-	// plus the single-writer commit assumption require exclusion.
+	// mu serialises ApplyBatch: the synthetic-ID counters, the batch buffers
+	// below and the single-writer commit assumption require exclusion.
 	mu      sync.Mutex
 	evSeq   uint64
 	edgeSeq uint64
 	extSeq  uint64
+
+	// One batch's working memory. changes, keyBuf and keyEnd are reused from
+	// batch to batch; vals is what is left of the latest block of stored
+	// values, which the rows rendered next are cut from.
+	changes []storage.Change
+	keyBuf  []byte // the batch's encoded primary keys, end to end
+	keyEnd  []int  // keyEnd[i] is where changes[i]'s key ends in keyBuf
+	vals    []value.Value
 }
+
+// eventHeaderCols is how many provenance columns (EvId, TxnId, Seq, Type,
+// Query) precede the traced table's own in an event table.
+const eventHeaderCols = 5
+
+// valueBlock is how many values one block of stored rows holds. Rows cut
+// from a block stay reachable as long as any one of them is stored.
+const valueBlock = 4096
 
 // Setup creates the provenance schema inside prov for the given application
 // database and table map, returning a Writer. Event tables get the traced
@@ -183,7 +207,20 @@ func Setup(prov *db.DB, appDB *db.DB, tables TableMap) (*Writer, error) {
 		}
 	}
 	for appTable, evTable := range w.tables {
-		w.evTables[appTable] = prov.Store().Table(evTable)
+		// ApplyBatch writes event rows without a per-row schema check, so the
+		// event table must be the one this Writer would have created.
+		evTbl, cols := prov.Store().Table(evTable), w.appCols[appTable]
+		if len(evTbl.Columns) != eventHeaderCols+len(cols) {
+			return nil, fmt.Errorf("provenance: event table %s has %d columns, traced table %q needs %d",
+				evTable, len(evTbl.Columns), appTable, eventHeaderCols+len(cols))
+		}
+		for i, c := range cols {
+			if got := evTbl.Columns[eventHeaderCols+i].Type; sqlTypeName(got) != sqlTypeName(c.Type) {
+				return nil, fmt.Errorf("provenance: event table %s column %s is %s, traced table %q has %s",
+					evTable, c.Name, got, appTable, c.Type)
+			}
+		}
+		w.evTables[appTable] = evTbl
 	}
 	w.execTbl = prov.Store().Table("Executions")
 	w.reqTbl = prov.Store().Table("trod_requests")
@@ -263,141 +300,146 @@ func (w *Writer) EventTable(appTable string) string {
 }
 
 // ApplyBatch writes a batch of events as one storage commit against the
-// provenance store.
+// provenance store. Every stored row is rendered once, straight into the
+// memory the store keeps: the Writer owns the provenance schema (Setup
+// checked it), so there is no per-row validation pass to copy it again.
 func (w *Writer) ApplyBatch(events []Event) error {
 	if len(events) == 0 {
 		return nil
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	changes := make([]storage.Change, 0, len(events)*2)
-	var err error
+	rows := 0
 	for i := range events {
-		changes, err = w.appendChanges(changes, &events[i])
-		if err != nil {
+		rows += events[i].maxRows()
+	}
+	if cap(w.changes) < rows {
+		w.changes = make([]storage.Change, 0, rows)
+	}
+	defer func() {
+		clear(w.changes) // the store has the rows now; keep no second reference
+		w.changes, w.keyBuf, w.keyEnd = w.changes[:0], w.keyBuf[:0], w.keyEnd[:0]
+	}()
+	for i := range events {
+		if err := w.render(&events[i]); err != nil {
 			return err
 		}
 	}
-	if len(changes) == 0 {
+	if len(w.changes) == 0 {
 		return nil
+	}
+	keys, start := string(w.keyBuf), 0
+	for i, end := range w.keyEnd {
+		w.changes[i].Key = keys[start:end]
+		start = end
 	}
 	store := w.prov.Store()
 	// Commit through the facade so a disk-backed provenance database gets
 	// the full durability path: group-commit waiting and automatic
 	// checkpoint triggers (batches bypass the SQL layer but not the WAL).
-	seq, err := w.prov.ApplyCommit(storage.CommitRequest{TxnID: store.NextTxnID(), Snapshot: store.CurrentSeq(), Changes: changes})
-	if err != nil {
-		return err
+	// Unlogged: the provenance database needs no CDC history of its own
+	// (replay and retro consume the PRODUCTION commit log), so the always-on
+	// tracer's memory footprint is just the provenance rows.
+	_, err := w.prov.ApplyCommit(storage.CommitRequest{
+		TxnID: store.NextTxnID(), Snapshot: store.CurrentSeq(), Changes: w.changes, Unlogged: true,
+	})
+	return err
+}
+
+// maxRows bounds the rows the event is stored as: one, plus for a
+// transaction one per read (reads of untraced tables store nothing).
+func (ev *Event) maxRows() int {
+	n := 1
+	if ev.Kind == KindTxn {
+		for i := range ev.Txn.Stmts {
+			n += len(ev.Txn.Stmts[i].Reads)
+		}
 	}
-	// The provenance database needs no CDC history of its own (replay and
-	// retro consume the PRODUCTION commit log); drop it eagerly so the
-	// always-on tracer's memory footprint is just the provenance rows.
-	store.TruncateLog(seq)
+	return n
+}
+
+// newRow cuts a row of n values from the current block.
+func (w *Writer) newRow(n int) value.Row {
+	if len(w.vals) < n {
+		w.vals = make([]value.Value, max(valueBlock, n))
+	}
+	row := w.vals[:n:n]
+	w.vals = w.vals[n:]
+	return row
+}
+
+// store adds the insert of row into tbl to the batch.
+func (w *Writer) store(tbl *schema.Table, row value.Row) {
+	w.keyBuf = tbl.AppendPrimaryKey(w.keyBuf, row)
+	w.keyEnd = append(w.keyEnd, len(w.keyBuf))
+	w.changes = append(w.changes, storage.Change{Table: tbl.Name, Op: storage.OpInsert, After: row})
+}
+
+// render turns one event into the rows it is stored as.
+func (w *Writer) render(ev *Event) error {
+	switch ev.Kind {
+	case KindTxn:
+		w.renderTxn(ev)
+	case KindWrite:
+		if d := w.dest(ev.Change.Table); d != nil {
+			row := ev.Change.After
+			if ev.Change.Op == storage.OpDelete {
+				row = ev.Change.Before
+			}
+			w.renderEvent(d, int64(ev.TxnID), int64(ev.Seq), ev.Change.Op.String(), "", row)
+		}
+	case KindRequest:
+		c, row := ev.Call, w.newRow(7)
+		row[0], row[1], row[2], row[3] = value.Text(c.ReqID), value.Text(c.Handler), value.Text(c.ArgsText), value.Text(c.ResultText)
+		row[4], row[5], row[6] = value.Int(int64(ev.Logical)), value.Int(c.LatencyUs), value.Text(c.Status)
+		w.store(w.reqTbl, row)
+	case KindEdge:
+		w.edgeSeq++
+		c, row := ev.Call, w.newRow(6)
+		row[0], row[1], row[2] = value.Int(int64(w.edgeSeq)), value.Text(c.ReqID), value.Text(c.Parent)
+		row[3], row[4], row[5] = value.Text(c.Child), value.Text(c.Handler), value.Int(int64(ev.Logical))
+		w.store(w.edgeTbl, row)
+	case KindExternal:
+		w.extSeq++
+		c, row := ev.Call, w.newRow(5)
+		row[0], row[1], row[2] = value.Int(int64(w.extSeq)), value.Text(c.ReqID), value.Text(c.Service)
+		row[3], row[4] = value.Text(c.Payload), value.Int(int64(ev.Logical))
+		w.store(w.extTbl, row)
+	default:
+		return fmt.Errorf("provenance: unknown event kind %d", ev.Kind)
+	}
 	return nil
 }
 
-// appendChanges renders one event into storage changes.
-func (w *Writer) appendChanges(changes []storage.Change, ev *Event) ([]storage.Change, error) {
-	switch ev.Kind {
-	case KindTxn:
-		return w.appendTxn(changes, ev)
-	case KindWrite:
-		return w.appendWrite(changes, ev)
-	case KindRequest:
-		row := value.Row{
-			value.Text(ev.ReqID), value.Text(ev.Handler), value.Text(ev.ArgsText),
-			value.Text(ev.ResultText), value.Int(int64(ev.Logical)), value.Int(ev.LatencyUs),
-			value.Text(ev.Status),
-		}
-		return w.appendRow(changes, w.reqTbl, row)
-	case KindEdge:
-		w.edgeSeq++
-		row := value.Row{
-			value.Int(int64(w.edgeSeq)), value.Text(ev.ReqID), value.Text(ev.Parent),
-			value.Text(ev.Child), value.Text(ev.Handler), value.Int(int64(ev.Logical)),
-		}
-		return w.appendRow(changes, w.edgeTbl, row)
-	case KindExternal:
-		w.extSeq++
-		row := value.Row{
-			value.Int(int64(w.extSeq)), value.Text(ev.ReqID), value.Text(ev.Service),
-			value.Text(ev.Payload), value.Int(int64(ev.Logical)),
-		}
-		return w.appendRow(changes, w.extTbl, row)
-	default:
-		return nil, fmt.Errorf("provenance: unknown event kind %d", ev.Kind)
-	}
-}
-
-func (w *Writer) appendRow(changes []storage.Change, tbl *schema.Table, row value.Row) ([]storage.Change, error) {
-	checked, err := tbl.CheckRow(row)
-	if err != nil {
-		return nil, fmt.Errorf("provenance: %s: %w", tbl.Name, err)
-	}
-	return append(changes, storage.Change{
-		Table: tbl.Name,
-		Key:   tbl.EncodePrimaryKey(checked),
-		Op:    storage.OpInsert,
-		After: checked,
-	}), nil
-}
-
-func (w *Writer) appendTxn(changes []storage.Change, ev *Event) ([]storage.Change, error) {
+func (w *Writer) renderTxn(ev *Event) {
 	tr := &ev.Txn
-	latency := tr.End.Sub(tr.Start).Microseconds()
-	row := value.Row{
-		value.Int(int64(tr.TxnID)), value.Int(int64(ev.Logical)), value.Text(tr.Meta.Handler),
-		value.Text(tr.Meta.ReqID), value.Text(tr.Meta.Func), value.Text(tr.Meta.Workflow),
-		value.Int(int64(tr.CommitSeq)), value.Int(int64(tr.Snapshot)),
-		value.Bool(tr.Committed), value.Int(latency),
-	}
-	changes, err := w.appendRow(changes, w.execTbl, row)
-	if err != nil {
-		return nil, err
-	}
+	row := w.newRow(10)
+	row[0], row[1], row[2] = value.Int(int64(tr.TxnID)), value.Int(int64(ev.Logical)), value.Text(tr.Meta.Handler)
+	row[3], row[4], row[5] = value.Text(tr.Meta.ReqID), value.Text(tr.Meta.Func), value.Text(tr.Meta.Workflow)
+	row[6], row[7] = value.Int(int64(tr.CommitSeq)), value.Int(int64(tr.Snapshot))
+	row[8], row[9] = value.Bool(tr.Committed), value.Int(tr.End.Sub(tr.Start).Microseconds())
+	w.store(w.execTbl, row)
 	// Read provenance rows into the per-table event tables.
 	for si := range tr.Stmts {
 		st := &tr.Stmts[si]
 		for ri := range st.Reads {
 			rd := &st.Reads[ri]
-			d := w.dest(rd.Table)
-			if d == nil {
-				continue
-			}
-			changes, err = w.appendEvent(changes, d, int64(tr.TxnID), int64(tr.Snapshot), "Read", st.Query, rd.Row)
-			if err != nil {
-				return nil, err
+			if d := w.dest(rd.Table); d != nil {
+				w.renderEvent(d, int64(tr.TxnID), int64(tr.Snapshot), "Read", st.Query, rd.Row)
 			}
 		}
 	}
-	return changes, nil
 }
 
-func (w *Writer) appendWrite(changes []storage.Change, ev *Event) ([]storage.Change, error) {
-	d := w.dest(ev.Change.Table)
-	if d == nil {
-		return changes, nil
-	}
-	row := ev.Change.After
-	if ev.Change.Op == storage.OpDelete {
-		row = ev.Change.Before
-	}
-	return w.appendEvent(changes, d, int64(ev.TxnID), int64(ev.Seq), ev.Change.Op.String(), "", row)
-}
-
-func (w *Writer) appendEvent(changes []storage.Change, d *dest, txnID, seq int64, typ, query string, row value.Row) ([]storage.Change, error) {
-	cols := d.appCols
+// renderEvent stores one event-table row: the provenance header, then the
+// traced table's columns as observed (NULL where the row has none).
+func (w *Writer) renderEvent(d *dest, txnID, seq int64, typ, query string, row value.Row) {
 	w.evSeq++
-	out := make(value.Row, 0, 5+len(cols))
-	out = append(out, value.Int(int64(w.evSeq)), value.Int(txnID), value.Int(seq), value.Text(typ), value.Text(query))
-	for i := range cols {
-		if row == nil || i >= len(row) {
-			out = append(out, value.Null)
-		} else {
-			out = append(out, row[i])
-		}
-	}
-	return w.appendRow(changes, d.evTbl, out)
+	out := w.newRow(eventHeaderCols + len(d.appCols))
+	out[0], out[1], out[2] = value.Int(int64(w.evSeq)), value.Int(txnID), value.Int(seq)
+	out[3], out[4] = value.Text(typ), value.Text(query)
+	copy(out[eventHeaderCols:], row)
+	w.store(d.evTbl, out)
 }
 
 // --- query helpers -------------------------------------------------------------

@@ -61,8 +61,8 @@ func writeEvent(txnID, logical uint64, id int64, name string, price int64) Event
 
 func requestEvent(reqID, handler string, logical uint64, latUs int64, status string) Event {
 	return Event{
-		Kind: KindRequest, ReqID: reqID, Handler: handler, ArgsText: "{}",
-		ResultText: "null", LatencyUs: latUs, Status: status, Logical: logical,
+		Kind: KindRequest, Logical: logical,
+		Call: &Call{ReqID: reqID, Handler: handler, ArgsText: "{}", ResultText: "null", LatencyUs: latUs, Status: status},
 	}
 }
 
@@ -90,8 +90,8 @@ func TestApplyBatchRoundTrip(t *testing.T) {
 		txnEvent(1, 10, "R1", "addItem", "DB.insert", true, 120),
 		writeEvent(1, 11, 1, "widget", 999),
 		requestEvent("R1", "addItem", 12, 300, "ok"),
-		{Kind: KindEdge, ReqID: "R1", Parent: "", Child: "R1/0", Handler: "addItem", Logical: 13},
-		{Kind: KindExternal, ReqID: "R1", Service: "smtp", Payload: "x", Logical: 14},
+		{Kind: KindEdge, Call: &Call{ReqID: "R1", Parent: "", Child: "R1/0", Handler: "addItem"}, Logical: 13},
+		{Kind: KindExternal, Call: &Call{ReqID: "R1", Service: "smtp", Payload: "x"}, Logical: 14},
 	}
 	if err := w.ApplyBatch(batch); err != nil {
 		t.Fatal(err)

@@ -102,9 +102,17 @@ func (t *Table) PrimaryKey(row value.Row) value.Row {
 	return key
 }
 
+// AppendPrimaryKey appends the order-preserving key bytes for a row to dst.
+func (t *Table) AppendPrimaryKey(dst []byte, row value.Row) []byte {
+	for _, c := range t.PKCols {
+		dst = value.EncodeKey(dst, row[c])
+	}
+	return dst
+}
+
 // EncodePrimaryKey returns the order-preserving key bytes for a row.
 func (t *Table) EncodePrimaryKey(row value.Row) string {
-	return string(value.EncodeKeyRow(nil, t.PrimaryKey(row)))
+	return string(t.AppendPrimaryKey(nil, row))
 }
 
 // EncodeKeyTuple encodes an already-extracted key tuple.
@@ -216,18 +224,22 @@ type Index struct {
 	Unique  bool
 }
 
-// EncodeIndexKey builds the index key for a row: the indexed column values
-// (order-preserving) followed, for non-unique indexes, by the primary key to
-// disambiguate duplicates.
-func (ix *Index) EncodeIndexKey(t *Table, row value.Row) string {
-	var buf []byte
+// AppendIndexKey appends the index key for a row to dst: the indexed column
+// values (order-preserving) followed, for non-unique indexes, by the primary
+// key to disambiguate duplicates.
+func (ix *Index) AppendIndexKey(dst []byte, t *Table, row value.Row) []byte {
 	for _, c := range ix.Columns {
-		buf = value.EncodeKey(buf, row[c])
+		dst = value.EncodeKey(dst, row[c])
 	}
 	if !ix.Unique {
-		buf = value.EncodeKeyRow(buf, t.PrimaryKey(row))
+		dst = t.AppendPrimaryKey(dst, row)
 	}
-	return string(buf)
+	return dst
+}
+
+// EncodeIndexKey returns the index key AppendIndexKey builds.
+func (ix *Index) EncodeIndexKey(t *Table, row value.Row) string {
+	return string(ix.AppendIndexKey(nil, t, row))
 }
 
 // EncodeIndexPrefix encodes a prefix of the indexed columns for range scans.

@@ -55,6 +55,19 @@ func memServer(t *testing.T, cfg Config) (*Server, string) {
 	return startServer(t, d, cfg)
 }
 
+// settle returns once the server has published everything about the requests
+// cl was answered before the call. A session records a request's latency,
+// completes its trace and writes its slow-log line after sending the reply
+// but before reading its next frame, and a client used from one goroutine
+// stays on one connection, so one more round trip on it happens after all of
+// that. The ping's own records are not covered.
+func settle(t *testing.T, cl *client.Client) {
+	t.Helper()
+	if err := cl.Ping(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // waitFor polls until cond holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()

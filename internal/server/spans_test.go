@@ -141,6 +141,7 @@ func TestSpanStageCoverage(t *testing.T) {
 	if _, err := c.Exec(`INSERT INTO t VALUES (1, 0)`); err != nil {
 		t.Fatal(err)
 	}
+	settle(t, c)
 
 	var ins *span.Trace
 	for _, tr := range col.Traces() {

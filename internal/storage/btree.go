@@ -5,7 +5,10 @@
 // commit log that the TROD tracer and replay engine consume.
 package storage
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // btree is an in-memory B-tree mapping string keys to values of type V. It
 // supports insert/replace, point lookup, ordered range scans, and key
@@ -14,15 +17,24 @@ import "sort"
 // whole chain fell below the history horizon.
 //
 // The tree uses preemptive splitting: full nodes are split on the way down,
-// so inserts never backtrack.
+// so one descent both finds a key and, when it is absent, makes room for it.
 type btree[V any] struct {
 	root *btreeNode[V]
 	size int
+	// finger is the rightmost leaf, or nil when not known. Every key at or
+	// after its first key belongs in it, so ascending inserts (auto-increment
+	// ids, sequence-ordered provenance) and look-ups of recent keys skip the
+	// descent. Only mutating calls read or write it: readers that share the
+	// tree under a read lock never touch it.
+	finger *btreeNode[V]
 }
 
-// btreeDegree is the maximum number of keys per node; chosen so a node fills
-// roughly one cache line's worth of string headers.
-const btreeDegree = 32
+// btreeDegree is the minimum degree; a node holds at most maxKeys keys,
+// chosen so a node fills roughly one cache line's worth of string headers.
+const (
+	btreeDegree = 32
+	maxKeys     = 2*btreeDegree - 1
+)
 
 type btreeNode[V any] struct {
 	keys     []string
@@ -67,71 +79,95 @@ func (t *btree[V]) Get(key string) (V, bool) {
 // Set inserts or replaces the value at key, reporting whether the key was
 // newly inserted.
 func (t *btree[V]) Set(key string, val V) bool {
-	if len(t.root.keys) == 2*btreeDegree-1 {
-		old := t.root
-		t.root = &btreeNode[V]{children: []*btreeNode[V]{old}}
-		t.root.splitChild(0)
-	}
-	inserted := t.root.insert(key, val)
-	if inserted {
-		t.size++
-	}
+	p, inserted := t.slot(key)
+	*p = val
 	return inserted
 }
 
 // GetOrSet returns the existing value at key, or stores and returns mk()'s
 // result when absent. loaded reports whether the value pre-existed.
 func (t *btree[V]) GetOrSet(key string, mk func() V) (v V, loaded bool) {
-	if existing, ok := t.Get(key); ok {
-		return existing, true
+	p, inserted := t.slot(key)
+	if inserted {
+		*p = mk()
 	}
-	val := mk()
-	t.Set(key, val)
-	return val, false
+	return *p, !inserted
 }
 
-func (n *btreeNode[V]) insert(key string, val V) bool {
+// slot reaches key in one descent and returns where its value lives,
+// inserting the key with a zero value when it is absent. The pointer is
+// valid until the tree is next modified.
+func (t *btree[V]) slot(key string) (p *V, inserted bool) {
+	if f := t.finger; f != nil && len(f.keys) > 0 && key >= f.keys[0] {
+		i, ok := f.find(key)
+		if ok {
+			return &f.vals[i], false
+		}
+		if len(f.keys) < maxKeys {
+			f.insertAt(i, key)
+			t.size++
+			return &f.vals[i], true
+		}
+	}
+	if len(t.root.keys) == maxKeys {
+		t.root = &btreeNode[V]{children: []*btreeNode[V]{t.root}}
+		t.splitChild(t.root, 0, btreeDegree-1)
+	}
+	n, rightmost := t.root, true
 	for {
 		i, ok := n.find(key)
 		if ok {
-			n.vals[i] = val
-			return false
+			return &n.vals[i], false
 		}
 		if n.leaf() {
-			n.keys = append(n.keys, "")
-			copy(n.keys[i+1:], n.keys[i:])
-			n.keys[i] = key
-			var zero V
-			n.vals = append(n.vals, zero)
-			copy(n.vals[i+1:], n.vals[i:])
-			n.vals[i] = val
-			return true
+			n.insertAt(i, key)
+			t.size++
+			if rightmost {
+				t.finger = n
+			}
+			return &n.vals[i], true
 		}
-		child := n.children[i]
-		if len(child.keys) == 2*btreeDegree-1 {
-			n.splitChild(i)
+		if child := n.children[i]; len(child.keys) == maxKeys {
+			mid := btreeDegree - 1
+			if child.leaf() && key > child.keys[maxKeys-1] {
+				// The key extends this leaf's run: an ascending sequence is
+				// being appended here. Splitting at the edge leaves the old
+				// leaf full and gives the run a leaf of its own to grow
+				// into; splitting at the median would leave every leaf the
+				// run passes through half empty for good.
+				mid = maxKeys - 1
+			}
+			t.splitChild(n, i, mid)
 			// The separator promoted from the child may equal or precede key.
 			if key == n.keys[i] {
-				n.vals[i] = val
-				return false
+				return &n.vals[i], false
 			}
 			if key > n.keys[i] {
 				i++
 			}
 		}
+		rightmost = rightmost && i == len(n.keys)
 		n = n.children[i]
 	}
 }
 
-// splitChild splits the full child at index i, promoting its median into n.
-func (n *btreeNode[V]) splitChild(i int) {
+// insertAt opens position i of a leaf for key, with a zero value.
+func (n *btreeNode[V]) insertAt(i int, key string) {
+	var zero V
+	n.keys = slices.Insert(n.keys, i, key)
+	n.vals = slices.Insert(n.vals, i, zero)
+}
+
+// splitChild splits n's full child at index i around its key at mid, which
+// is promoted into n. The new right sibling is given room for a full node,
+// so it does not regrow on its way there.
+func (t *btree[V]) splitChild(n *btreeNode[V], i, mid int) {
 	child := n.children[i]
-	mid := btreeDegree - 1
 	medianKey, medianVal := child.keys[mid], child.vals[mid]
 
 	right := &btreeNode[V]{
-		keys: append([]string(nil), child.keys[mid+1:]...),
-		vals: append([]V(nil), child.vals[mid+1:]...),
+		keys: append(make([]string, 0, maxKeys), child.keys[mid+1:]...),
+		vals: append(make([]V, 0, maxKeys), child.vals[mid+1:]...),
 	}
 	if !child.leaf() {
 		right.children = append([]*btreeNode[V](nil), child.children[mid+1:]...)
@@ -139,17 +175,13 @@ func (n *btreeNode[V]) splitChild(i int) {
 	}
 	child.keys = child.keys[:mid]
 	child.vals = child.vals[:mid]
+	if child == t.finger {
+		t.finger = right
+	}
 
-	n.keys = append(n.keys, "")
-	copy(n.keys[i+1:], n.keys[i:])
-	n.keys[i] = medianKey
-	var zero V
-	n.vals = append(n.vals, zero)
-	copy(n.vals[i+1:], n.vals[i:])
-	n.vals[i] = medianVal
-	n.children = append(n.children, nil)
-	copy(n.children[i+2:], n.children[i+1:])
-	n.children[i+1] = right
+	n.keys = slices.Insert(n.keys, i, medianKey)
+	n.vals = slices.Insert(n.vals, i, medianVal)
+	n.children = slices.Insert(n.children, i+1, right)
 }
 
 // Delete removes key, reporting whether it was present. Removal does not
@@ -159,6 +191,7 @@ func (n *btreeNode[V]) splitChild(i int) {
 // balance invariant degrades gracefully instead of buying rotation/merge
 // complexity the workload never needs.
 func (t *btree[V]) Delete(key string) bool {
+	t.finger = nil // removal may empty or unlink the leaf it points at
 	if !t.root.remove(key) {
 		return false
 	}

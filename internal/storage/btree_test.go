@@ -165,3 +165,110 @@ func TestBTreePropertyAgainstMap(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestBTreeSingleDescentAgainstSortedMap drives GetOrSet — the one-descent
+// upsert the commit path uses, with its right-edge finger and edge splits —
+// against a sorted-map oracle. Ascending and descending runs, random keys
+// and re-inserted duplicates are interleaved with Delete, which drops the
+// finger. A finger left on a leaf that a split made second-to-last files
+// keys in the wrong leaf, which shows up here as a key found twice.
+func TestBTreeSingleDescentAgainstSortedMap(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr := newBTree[*int]()
+		ref := map[string]*int{}
+		hi, lo := 500_000, 500_000 // next ascending / descending key
+		key := func(i int) string { return fmt.Sprintf("%07d", i) }
+		upsert := func(k string) {
+			fresh := new(int)
+			got, loaded := tr.GetOrSet(k, func() *int { return fresh })
+			want, had := ref[k]
+			if loaded != had {
+				t.Fatalf("seed %d: GetOrSet(%s) loaded=%v, oracle has it: %v", seed, k, loaded, had)
+			}
+			if had && got != want {
+				t.Fatalf("seed %d: GetOrSet(%s) returned another key's value", seed, k)
+			}
+			if !had {
+				if got != fresh {
+					t.Fatalf("seed %d: GetOrSet(%s) did not store the made value", seed, k)
+				}
+				ref[k] = fresh
+			}
+		}
+		for step := 0; step < 6000; step++ {
+			switch op := rng.Intn(100); {
+			case op < 45: // ascending run: the finger's case
+				hi++
+				upsert(key(hi))
+			case op < 60: // descending run
+				lo--
+				upsert(key(lo))
+			case op < 75: // anywhere, often a duplicate
+				upsert(key(lo + rng.Intn(hi-lo+1)))
+			case op < 85: // the newest keys again: finger look-ups
+				upsert(key(hi - rng.Intn(3)))
+			default: // vacuum: remove a key, often the largest
+				k := key(lo + rng.Intn(hi-lo+1))
+				if rng.Intn(3) == 0 && hi > lo {
+					k = key(hi)
+					hi--
+				}
+				_, had := ref[k]
+				if tr.Delete(k) != had {
+					t.Fatalf("seed %d: Delete(%s) = %v, oracle has it: %v", seed, k, !had, had)
+				}
+				delete(ref, k)
+			}
+		}
+		keys := make([]string, 0, len(ref))
+		for k := range ref {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if tr.Len() != len(keys) {
+			t.Fatalf("seed %d: Len = %d, oracle holds %d", seed, tr.Len(), len(keys))
+		}
+		i := 0
+		tr.Ascend(func(k string, v *int) bool {
+			if i >= len(keys) || k != keys[i] || v != ref[k] {
+				t.Fatalf("seed %d: position %d holds %s, oracle says %s", seed, i, k, keys[min(i, len(keys)-1)])
+			}
+			i++
+			return true
+		})
+		if i != len(keys) {
+			t.Fatalf("seed %d: Ascend visited %d keys, oracle holds %d", seed, i, len(keys))
+		}
+		for _, k := range keys {
+			if v, ok := tr.Get(k); !ok || v != ref[k] {
+				t.Fatalf("seed %d: Get(%s) = %v, %v", seed, k, v, ok)
+			}
+		}
+	}
+}
+
+// TestBTreeAscendingRunFillsLeaves: keys appended in ascending order must
+// leave the leaves they pass through full, not half empty.
+func TestBTreeAscendingRunFillsLeaves(t *testing.T) {
+	tr := newBTree[int]()
+	const n = 20000
+	for i := 0; i < n; i++ {
+		tr.Set(fmt.Sprintf("%06d", i), i)
+	}
+	leaves := 0
+	var walk func(nd *btreeNode[int])
+	walk = func(nd *btreeNode[int]) {
+		if nd.leaf() {
+			leaves++
+			return
+		}
+		for _, c := range nd.children {
+			walk(c)
+		}
+	}
+	walk(tr.root)
+	if fill := float64(n) / float64(leaves*maxKeys); fill < 0.9 {
+		t.Errorf("an ascending run left leaves %.0f%% full (%d leaves for %d keys)", 100*fill, leaves, n)
+	}
+}

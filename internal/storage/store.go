@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -235,6 +236,8 @@ type Store struct {
 
 	// vac accumulates Vacuum run counters for Stats.
 	vac VacuumStats
+
+	scratch commitScratch
 }
 
 // NewStore returns an empty store.
@@ -549,6 +552,13 @@ type CommitRequest struct {
 	Snapshot uint64
 	Reads    *ReadSet
 	Changes  []Change // in execution order; at most one change per key
+	// Unlogged marks a commit nobody will read back from the CDC log — a
+	// provenance batch: replay and retro consume the production log. The
+	// store keeps its record out of the log when no subscriber and no pinned
+	// snapshot can need it, and otherwise releases the log up to it as
+	// TruncateLog would. Either way the Changes slice stays the caller's to
+	// reuse once Commit returns.
+	Unlogged bool
 }
 
 // Commit validates the read set against everything committed after the
@@ -579,64 +589,221 @@ func (s *Store) Commit(req CommitRequest) (uint64, error) {
 		}
 	}
 
-	// Re-check uniqueness and write-write sanity against the latest state,
-	// then apply.
+	defer s.scratch.release()
+	if err := s.locate(req.Changes, true); err != nil {
+		return 0, err
+	}
 	newSeq := s.seq + 1
-	for i := range req.Changes {
-		ch := &req.Changes[i]
-		tkey := strings.ToLower(ch.Table)
-		td, ok := s.data[tkey]
-		if !ok {
-			return 0, fmt.Errorf("storage: commit touches unknown table %q", ch.Table)
+	s.apply(req.Changes, newSeq)
+
+	s.seq = newSeq
+	if req.Unlogged && len(s.log) == 0 && len(s.cdcSubs) == 0 && len(s.pins) == 0 {
+		// Nobody can ask for this record: every pin is older than the commit,
+		// so none means no transaction's validation window reaches it.
+		s.logBase = newSeq
+		return newSeq, nil
+	}
+	rec := CommitRecord{Seq: newSeq, TxnID: req.TxnID, Changes: req.Changes}
+	if req.Unlogged {
+		rec.Changes = slices.Clone(req.Changes)
+	}
+	s.log = append(s.log, rec)
+	for _, sub := range s.cdcSubs {
+		sub(rec)
+	}
+	if req.Unlogged {
+		s.truncateLog(newSeq)
+	}
+	return newSeq, nil
+}
+
+// commitTable is one table as a commit sees it, resolved once per commit so
+// that the per-change work folds no names and looks nothing up in a map.
+type commitTable struct {
+	name  string // as the changes spell it
+	td    *tableData
+	tbl   *schema.Table
+	defs  []*schema.Index
+	trees []*btree[*indexEntry] // trees[k] is the tree of defs[k]
+}
+
+// located is where one change lands: its table and its row's version chain.
+type located struct {
+	t     int // index into commitScratch.tables
+	e     *entry
+	fresh bool // this commit put e in the tree
+}
+
+// commitScratch is the working memory of Commit and ApplyCommitted. It lives
+// on the Store and is used only under s.mu, so that a commit allocates what
+// it stores and nothing else.
+type commitScratch struct {
+	tables []commitTable
+	at     []located // one per change
+	fresh  int       // how many of at are fresh
+	keyBuf []byte
+	keyEnd []int
+}
+
+// release drops every reference the scratch holds into the store's data.
+func (c *commitScratch) release() {
+	for i := range c.tables {
+		t := &c.tables[i]
+		clear(t.trees)
+		*t = commitTable{trees: t.trees[:0]}
+	}
+	c.tables = c.tables[:0]
+	clear(c.at)
+	c.at = c.at[:0]
+	c.fresh = 0
+}
+
+// commitTable resolves a table name to its place in s.scratch.tables. A
+// commit touches a handful of tables, so the search is a short scan.
+func (s *Store) commitTable(name string) (int, bool) {
+	c := &s.scratch
+	for i := range c.tables {
+		if c.tables[i].name == name {
+			return i, true
 		}
-		cur, _ := td.rows.Get(ch.Key)
+	}
+	tkey := strings.ToLower(name)
+	td, ok := s.data[tkey]
+	if !ok {
+		return 0, false
+	}
+	n := len(c.tables)
+	if n < cap(c.tables) {
+		c.tables = c.tables[:n+1]
+	} else {
+		c.tables = append(c.tables, commitTable{})
+	}
+	t := &c.tables[n]
+	t.name, t.td, t.tbl, t.defs = name, td, s.catalog[tkey], s.indexDef[tkey]
+	for _, ix := range t.defs {
+		t.trees = append(t.trees, td.indexes[strings.ToLower(ix.Name)])
+	}
+	return n, true
+}
+
+// slab hands out the elements of one allocation one at a time, each as a
+// slice of capacity one: appending to it copies instead of running into its
+// neighbour, so what it is stored in behaves exactly as if it had been
+// allocated alone. The allocation is made on first use, for as many
+// elements as the caller says may still be asked for.
+type slab[T any] struct{ buf []T }
+
+func (s *slab[T]) one(remaining int) []T {
+	if len(s.buf) == 0 {
+		s.buf = make([]T, max(remaining, 1))
+	}
+	p := s.buf[0:1:1]
+	s.buf = s.buf[1:]
+	return p
+}
+
+// locate reaches every change's row in one B-tree descent and leaves its
+// version chain in s.scratch.at for apply. A key that is absent gets an
+// empty chain, which reads as absent, put in the tree on the way.
+//
+// With validate set it also re-checks uniqueness and write-write sanity
+// against the latest committed state and refreshes Before images; on
+// failure it takes the empty chains out again, so a refused commit leaves
+// the store as it found it.
+func (s *Store) locate(changes []Change, validate bool) error {
+	c := &s.scratch
+	inserts := 0
+	for i := range changes {
+		if changes[i].Op == OpInsert {
+			inserts++
+		}
+	}
+	var ents slab[entry]
+	fail := func(err error) error {
+		for i, at := range c.at {
+			if at.fresh {
+				c.tables[at.t].td.rows.Delete(changes[i].Key)
+			}
+		}
+		return err
+	}
+	for i := range changes {
+		ch := &changes[i]
+		t, ok := s.commitTable(ch.Table)
+		if !ok {
+			return fail(fmt.Errorf("storage: commit touches unknown table %q", ch.Table))
+		}
+		rows := c.tables[t].td.rows
+		at := located{t: t}
+		if ch.Op == OpInsert || !validate {
+			var loaded bool
+			at.e, loaded = rows.GetOrSet(ch.Key, func() *entry { return &ents.one(inserts)[0] })
+			if !loaded {
+				at.fresh = true
+				c.fresh++
+			}
+			if ch.Op == OpInsert {
+				inserts--
+			}
+		} else {
+			at.e, _ = rows.Get(ch.Key)
+		}
+		c.at = append(c.at, at)
+		if !validate {
+			continue
+		}
 		var curRow value.Row
-		if cur != nil {
-			curRow = cur.visible(s.seq)
+		if at.e != nil {
+			curRow = at.e.visible(s.seq)
 		}
 		switch ch.Op {
 		case OpInsert:
 			if curRow != nil {
-				return 0, &ConflictError{Table: ch.Table, Key: ch.Key, Seq: cur.latestSeq()}
+				return fail(&ConflictError{Table: ch.Table, Key: ch.Key, Seq: at.e.latestSeq()})
 			}
 		case OpUpdate, OpDelete:
 			if curRow == nil {
 				// The row vanished after our snapshot — a conflicting commit.
 				latest := uint64(0)
-				if cur != nil {
-					latest = cur.latestSeq()
+				if at.e != nil {
+					latest = at.e.latestSeq()
 				}
-				return 0, &ConflictError{Table: ch.Table, Key: ch.Key, Seq: latest}
+				return fail(&ConflictError{Table: ch.Table, Key: ch.Key, Seq: latest})
 			}
 			// Refresh the before image to the committed truth so CDC is exact.
 			ch.Before = curRow
 		}
 	}
-	if err := s.validateUnique(req.Changes); err != nil {
-		return 0, err
-	}
-
-	// Apply.
-	for i := range req.Changes {
-		ch := req.Changes[i]
-		tkey := strings.ToLower(ch.Table)
-		td := s.data[tkey]
-		e, _ := td.rows.GetOrSet(ch.Key, func() *entry { return &entry{} })
-		var newRow value.Row
-		if ch.Op != OpDelete {
-			newRow = ch.After
+	if validate {
+		if err := s.validateUnique(changes); err != nil {
+			return fail(err)
 		}
-		e.versions = append(e.versions, version{seq: newSeq, row: newRow})
 	}
-	s.applyIndexChanges(req.Changes, newSeq)
+	return nil
+}
 
-	s.seq = newSeq
-	rec := CommitRecord{Seq: newSeq, TxnID: req.TxnID, Changes: req.Changes}
-	s.log = append(s.log, rec)
-	for _, sub := range s.cdcSubs {
-		sub(rec)
+// apply appends one version at seq to every located chain and updates the
+// indexes. A chain that starts here takes its first version from a slab
+// shared by the whole commit.
+func (s *Store) apply(changes []Change, seq uint64) {
+	c := &s.scratch
+	var vers slab[version]
+	fresh := c.fresh
+	for i := range changes {
+		v := version{seq: seq}
+		if changes[i].Op != OpDelete {
+			v.row = changes[i].After
+		}
+		e := c.at[i].e
+		if e.versions == nil {
+			e.versions = vers.one(fresh)
+			e.versions[0] = v
+			fresh--
+		} else {
+			e.versions = append(e.versions, v)
+		}
 	}
-	return newSeq, nil
+	s.applyIndexChanges(changes, seq)
 }
 
 // applyIndexChanges appends index versions for one commit's changes at seq,
@@ -645,36 +812,60 @@ func (s *Store) Commit(req CommitRequest) (uint64, error) {
 // re-claim the same (unique) index key across two changes, and version
 // chains resolve equal-seq entries last-writer-wins — interleaving per
 // change would let a tombstone land on top of the new posting whenever the
-// claiming change sorts before the freeing one. Called under s.mu.
+// claiming change sorts before the freeing one. Called under s.mu, after
+// locate.
 func (s *Store) applyIndexChanges(changes []Change, seq uint64) {
+	c := &s.scratch
 	for i := range changes {
 		ch := &changes[i]
 		if ch.Before == nil {
 			continue
 		}
-		tkey := strings.ToLower(ch.Table)
-		td := s.data[tkey]
-		tbl := s.catalog[tkey]
-		for _, ix := range s.indexDef[tkey] {
-			tree := td.indexes[strings.ToLower(ix.Name)]
-			oldK := ix.EncodeIndexKey(tbl, ch.Before)
-			ie, _ := tree.GetOrSet(oldK, func() *indexEntry { return &indexEntry{} })
+		t := &c.tables[c.at[i].t]
+		for k, ix := range t.defs {
+			c.keyBuf = ix.AppendIndexKey(c.keyBuf[:0], t.tbl, ch.Before)
+			ie, _ := t.trees[k].GetOrSet(string(c.keyBuf), func() *indexEntry { return &indexEntry{} })
 			ie.versions = append(ie.versions, indexVersion{seq: seq, present: false})
 		}
 	}
+	// The new-image keys of the whole commit are encoded into one buffer and
+	// become one string that the postings share.
+	c.keyBuf, c.keyEnd = c.keyBuf[:0], c.keyEnd[:0]
 	for i := range changes {
 		ch := &changes[i]
 		if ch.After == nil {
 			continue
 		}
-		tkey := strings.ToLower(ch.Table)
-		td := s.data[tkey]
-		tbl := s.catalog[tkey]
-		for _, ix := range s.indexDef[tkey] {
-			tree := td.indexes[strings.ToLower(ix.Name)]
-			newK := ix.EncodeIndexKey(tbl, ch.After)
-			ie, _ := tree.GetOrSet(newK, func() *indexEntry { return &indexEntry{} })
-			ie.versions = append(ie.versions, indexVersion{seq: seq, present: true, pk: ch.Key})
+		t := &c.tables[c.at[i].t]
+		for _, ix := range t.defs {
+			c.keyBuf = ix.AppendIndexKey(c.keyBuf, t.tbl, ch.After)
+			c.keyEnd = append(c.keyEnd, len(c.keyBuf))
+		}
+	}
+	if len(c.keyEnd) == 0 {
+		return
+	}
+	keys := string(c.keyBuf)
+	var ents slab[indexEntry]
+	var vers slab[indexVersion]
+	n, start := 0, 0
+	for i := range changes {
+		ch := &changes[i]
+		if ch.After == nil {
+			continue
+		}
+		for _, tree := range c.tables[c.at[i].t].trees {
+			key, remaining := keys[start:c.keyEnd[n]], len(c.keyEnd)-n
+			start = c.keyEnd[n]
+			n++
+			ie, _ := tree.GetOrSet(key, func() *indexEntry { return &ents.one(remaining)[0] })
+			v := indexVersion{seq: seq, present: true, pk: ch.Key}
+			if ie.versions == nil {
+				ie.versions = vers.one(remaining)
+				ie.versions[0] = v
+			} else {
+				ie.versions = append(ie.versions, v)
+			}
 		}
 	}
 }
@@ -731,27 +922,30 @@ func (s *Store) indexRangeConflict(rs *ReadSet, ch *Change) bool {
 // per-change Before images must already be refreshed to committed truth.
 // Called under s.mu.
 func (s *Store) validateUnique(changes []Change) error {
+	c := &s.scratch
+	uniqueID := func(t *commitTable, ix *schema.Index) string {
+		return strings.ToLower(t.tbl.Name) + "\x00" + strings.ToLower(ix.Name) + "\x00"
+	}
 	var freed map[string]struct{} // table \x00 index \x00 old index key
 	var claims map[string]string  // table \x00 index \x00 new index key -> claiming pk
 	for i := range changes {
 		ch := &changes[i]
-		tkey := strings.ToLower(ch.Table)
-		tbl := s.catalog[tkey]
-		for _, ix := range s.indexDef[tkey] {
+		t := &c.tables[c.at[i].t]
+		for _, ix := range t.defs {
 			if !ix.Unique {
 				continue
 			}
-			id := tkey + "\x00" + strings.ToLower(ix.Name) + "\x00"
+			id := uniqueID(t, ix)
 			if ch.Before != nil {
 				if freed == nil {
 					freed = make(map[string]struct{})
 				}
-				freed[id+ix.EncodeIndexKey(tbl, ch.Before)] = struct{}{}
+				freed[id+ix.EncodeIndexKey(t.tbl, ch.Before)] = struct{}{}
 			}
 			if ch.Op == OpDelete {
 				continue
 			}
-			k := id + ix.EncodeIndexKey(tbl, ch.After)
+			k := id + ix.EncodeIndexKey(t.tbl, ch.After)
 			if claims == nil {
 				claims = make(map[string]string)
 			}
@@ -771,19 +965,16 @@ func (s *Store) validateUnique(changes []Change) error {
 		if ch.Op == OpDelete {
 			continue
 		}
-		tkey := strings.ToLower(ch.Table)
-		tbl := s.catalog[tkey]
-		td := s.data[tkey]
-		for _, ix := range s.indexDef[tkey] {
+		t := &c.tables[c.at[i].t]
+		for k, ix := range t.defs {
 			if !ix.Unique {
 				continue
 			}
-			ikey := ix.EncodeIndexKey(tbl, ch.After)
-			if _, ok := freed[tkey+"\x00"+strings.ToLower(ix.Name)+"\x00"+ikey]; ok {
+			ikey := ix.EncodeIndexKey(t.tbl, ch.After)
+			if _, ok := freed[uniqueID(t, ix)+ikey]; ok {
 				continue
 			}
-			tree := td.indexes[strings.ToLower(ix.Name)]
-			if e, found := tree.Get(ikey); found {
+			if e, found := t.trees[k].Get(ikey); found {
 				if pk, present := e.visible(s.seq); present && pk != ch.Key {
 					return fmt.Errorf("storage: unique index %q violation on table %q", ix.Name, ch.Table)
 				}
@@ -916,6 +1107,10 @@ func (s *Store) HistoryRetainedFrom() uint64 {
 func (s *Store) TruncateLog(upTo uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.truncateLog(upTo)
+}
+
+func (s *Store) truncateLog(upTo uint64) {
 	for seq := range s.pins {
 		if seq < upTo {
 			upTo = seq
@@ -941,20 +1136,11 @@ func (s *Store) ApplyCommitted(rec CommitRecord) error {
 	if rec.Seq != s.seq+1 {
 		return fmt.Errorf("storage: out-of-order recovery commit %d (have %d)", rec.Seq, s.seq)
 	}
-	for _, ch := range rec.Changes {
-		tkey := strings.ToLower(ch.Table)
-		td, ok := s.data[tkey]
-		if !ok {
-			return fmt.Errorf("storage: recovery touches unknown table %q", ch.Table)
-		}
-		e, _ := td.rows.GetOrSet(ch.Key, func() *entry { return &entry{} })
-		var newRow value.Row
-		if ch.Op != OpDelete {
-			newRow = ch.After
-		}
-		e.versions = append(e.versions, version{seq: rec.Seq, row: newRow})
+	defer s.scratch.release()
+	if err := s.locate(rec.Changes, false); err != nil {
+		return err
 	}
-	s.applyIndexChanges(rec.Changes, rec.Seq)
+	s.apply(rec.Changes, rec.Seq)
 	s.seq = rec.Seq
 	if rec.TxnID > s.nextTxn {
 		s.nextTxn = rec.TxnID

@@ -2,13 +2,20 @@
 // §3.4): it hooks the application runtime (requests, handler invocations,
 // external calls), the database facade (per-transaction read provenance and
 // metadata), and the storage engine's change-data-capture feed (write
-// provenance), buffers events in a fast in-memory ring, and flushes them in
-// batches to the provenance database on a background goroutine.
+// provenance), buffers events in memory, and flushes them in batches to the
+// provenance database on a background goroutine.
 //
-// The fast path — what runs inside a handler's request — is a mutex-guarded
-// slice append (sub-microsecond), which is how the paper's prototype keeps
-// tracing overhead under 100µs per request. The Sync configuration flushes
-// inline instead, which ablation A1 uses to show why the buffer matters.
+// The buffer is a queue of fixed-size chunks, FlushBatch events each. The
+// fast path — what runs inside a handler's request — copies one event into
+// the chunk being filled, under a mutex held for nothing else
+// (sub-microsecond), which is how the paper's prototype keeps tracing
+// overhead under 100µs per request. A filled chunk is handed to the flusher
+// whole and applied as one batch; emptied chunks are reused. A flusher that
+// falls behind therefore costs one more chunk, never a copy of the backlog.
+// Chunks are applied in the order they were filled, and Flush returns only
+// once every event pushed before the call is in the provenance database.
+// The Sync configuration flushes inline instead, which ablation A1 uses to
+// show why the buffer matters.
 package trace
 
 import (
@@ -42,7 +49,7 @@ type Config struct {
 	// statements otherwise make tracing cost proportional to rows scanned —
 	// the granularity/overhead balance §5 discusses.
 	MaxReadsPerStmt int
-	// MaxBuffered bounds the in-memory event ring (0 = unbounded, the
+	// MaxBuffered bounds the events waiting in memory (0 = unbounded, the
 	// historical behavior). When the flusher cannot keep up and the buffer
 	// is full, new events are dropped and counted (trod_tracer_drops_total)
 	// instead of growing the heap without limit — under an adversarial
@@ -55,29 +62,42 @@ type Tracer struct {
 	writer *provenance.Writer
 	cfg    Config
 
-	mu      sync.Mutex
-	buf     []provenance.Event
-	err     error // first flush error, surfaced on Flush/Close
-	logical uint64
+	// mu guards the chunk queue. push holds it for one append and nothing
+	// else: the CDC callback runs under the application store's lock and
+	// must never wait for the flusher.
+	mu       sync.Mutex
+	tail     []provenance.Event   // the chunk being filled; cap FlushBatch
+	full     [][]provenance.Event // filled chunks, oldest first
+	free     [][]provenance.Event // emptied chunks kept for reuse
+	buffered int                  // events in tail and full
+	err      error                // first flush error, surfaced on Flush/Close
+	closed   bool
 
-	// pool recycles drained event buffers so steady-state tracing allocates
-	// no per-batch slices; buffers are cleared before pooling so they do not
-	// pin row data between flushes.
-	pool sync.Pool
+	// drainMu serialises applying. Whoever holds it pops chunks oldest first
+	// and applies each before popping the next, so batches reach the
+	// provenance database in push order, and a Flush that has acquired it
+	// knows no earlier batch is still on its way.
+	drainMu sync.Mutex
+
+	logical uint64
 
 	wake   chan struct{}
 	done   chan struct{}
-	closed bool
+	exited chan struct{} // closed when flushLoop, if started, returns
 
 	// stats
 	events  uint64
 	flushes uint64
 	drops   uint64
 
-	// flushHist times writer.ApplyBatch per drain — scrape-visible as
+	// flushHist times writer.ApplyBatch per batch — scrape-visible as
 	// trod_tracer_flush_seconds once RegisterMetrics wires it up.
 	flushHist *metrics.Histogram
 }
+
+// maxFreeChunks is how many emptied chunks are kept for reuse; the chunks of
+// a backlog beyond that go back to the collector once applied.
+const maxFreeChunks = 4
 
 // Attach wires a tracer between an application (runtime + production DB)
 // and a provenance database. It installs the runtime observer, the db
@@ -108,25 +128,26 @@ func Attach(app *runtime.App, prov *db.DB, cfg Config) (*Tracer, error) {
 		cfg:    cfg,
 		wake:   make(chan struct{}, 1),
 		done:   make(chan struct{}),
+		exited: make(chan struct{}),
 		flushHist: metrics.NewHistogram("trod_tracer_flush_seconds",
 			"Latency of flushing one buffered event batch to the provenance database.", nil),
 	}
 
 	app.DB().SetHooks(db.Hooks{
 		OnCommit: func(tr db.TxnTrace) {
-			t.push(provenance.Event{Kind: provenance.KindTxn, Txn: tr, Logical: t.nextLogical()})
+			t.push(&provenance.Event{Kind: provenance.KindTxn, Txn: tr, Logical: t.nextLogical()})
 		},
 		OnAbort: func(tr db.TxnTrace) {
 			// Aborted transactions are recorded too (Committed = false);
 			// they carry read provenance that can matter for debugging.
-			t.push(provenance.Event{Kind: provenance.KindTxn, Txn: tr, Logical: t.nextLogical()})
+			t.push(&provenance.Event{Kind: provenance.KindTxn, Txn: tr, Logical: t.nextLogical()})
 		},
 	})
 	app.DB().Store().SubscribeCDC(func(rec storage.CommitRecord) {
 		// Runs under the store lock: append only, no I/O.
 		logical := t.nextLogical()
 		for _, ch := range rec.Changes {
-			t.push(provenance.Event{
+			t.push(&provenance.Event{
 				Kind:    provenance.KindWrite,
 				Seq:     rec.Seq,
 				TxnID:   rec.TxnID,
@@ -151,12 +172,13 @@ func (t *Tracer) Prov() *db.DB { return t.writer.DB() }
 
 func (t *Tracer) nextLogical() uint64 { return atomic.AddUint64(&t.logical, 1) }
 
-// push appends an event to the ring buffer — the request-path fast path.
-func (t *Tracer) push(ev provenance.Event) {
+// push copies an event into the chunk being filled — the request-path fast
+// path.
+func (t *Tracer) push(ev *provenance.Event) {
 	if t.cfg.Sync {
 		atomic.AddUint64(&t.events, 1)
 		t.mu.Lock()
-		err := t.writer.ApplyBatch([]provenance.Event{ev})
+		err := t.writer.ApplyBatch([]provenance.Event{*ev})
 		if err != nil && t.err == nil {
 			t.err = err
 		}
@@ -164,34 +186,46 @@ func (t *Tracer) push(ev provenance.Event) {
 		return
 	}
 	t.mu.Lock()
-	if t.cfg.MaxBuffered > 0 && len(t.buf) >= t.cfg.MaxBuffered {
-		// Ring full: the flusher is behind. Dropping here keeps the CDC
+	if t.cfg.MaxBuffered > 0 && t.buffered >= t.cfg.MaxBuffered {
+		// Buffer full: the flusher is behind. Dropping here keeps the CDC
 		// callback (which runs under the store lock) append-or-nothing.
 		t.mu.Unlock()
 		atomic.AddUint64(&t.drops, 1)
-		select {
-		case t.wake <- struct{}{}:
-		default:
-		}
+		t.wakeFlusher()
 		return
 	}
-	if t.buf == nil {
-		t.buf = t.getBuf()
+	if t.tail == nil {
+		if n := len(t.free); n > 0 {
+			t.tail, t.free = t.free[n-1], t.free[:n-1]
+		} else {
+			t.tail = make([]provenance.Event, 0, t.cfg.FlushBatch)
+		}
 	}
-	t.buf = append(t.buf, ev)
-	n := len(t.buf)
+	t.tail = append(t.tail, *ev)
+	t.buffered++
+	filled := len(t.tail) == cap(t.tail)
+	if filled {
+		t.full = append(t.full, t.tail)
+		t.tail = nil
+	}
 	t.mu.Unlock()
 	atomic.AddUint64(&t.events, 1)
-	if n >= t.cfg.FlushBatch {
-		select {
-		case t.wake <- struct{}{}:
-		default:
-		}
+	if filled {
+		t.wakeFlusher()
 	}
 }
 
-// flushLoop drains the buffer on batch-size wakeups and a periodic timer.
+func (t *Tracer) wakeFlusher() {
+	select {
+	case t.wake <- struct{}{}:
+	default:
+	}
+}
+
+// flushLoop drains the queue when a chunk fills and on a periodic timer,
+// which bounds how long an event waits in a chunk that is slow to fill.
 func (t *Tracer) flushLoop() {
+	defer close(t.exited)
 	ticker := time.NewTicker(t.cfg.FlushInterval)
 	defer ticker.Stop()
 	for {
@@ -207,54 +241,47 @@ func (t *Tracer) flushLoop() {
 	}
 }
 
-// drain writes out everything currently buffered, returning the drained
-// buffer to the pool afterwards.
+// drain applies everything buffered when it starts, oldest chunk first and
+// the partly filled one last, one batch per chunk. Events pushed while it
+// runs are left for the next drain, so a steady producer cannot keep one
+// going forever.
 func (t *Tracer) drain() {
+	t.drainMu.Lock()
+	defer t.drainMu.Unlock()
 	t.mu.Lock()
-	batch := t.buf
-	t.buf = nil
-	t.mu.Unlock()
-	if batch == nil {
-		return
-	}
-	if len(batch) > 0 {
+	defer t.mu.Unlock()
+	for n := t.buffered; n > 0; {
+		var chunk []provenance.Event
+		if len(t.full) > 0 {
+			chunk, t.full[0] = t.full[0], nil
+			t.full = t.full[1:]
+		} else {
+			chunk, t.tail = t.tail, nil
+		}
+		t.buffered -= len(chunk)
+		n -= len(chunk)
+		t.mu.Unlock()
+
 		atomic.AddUint64(&t.flushes, 1)
 		start := time.Now()
-		err := t.writer.ApplyBatch(batch)
+		err := t.writer.ApplyBatch(chunk)
 		t.flushHist.ObserveSince(start)
-		if err != nil {
-			t.mu.Lock()
-			if t.err == nil {
-				t.err = err
-			}
-			t.mu.Unlock()
+		clear(chunk) // an idle chunk must not pin row data
+
+		t.mu.Lock()
+		if err != nil && t.err == nil {
+			t.err = err
+		}
+		if len(t.free) < maxFreeChunks {
+			t.free = append(t.free, chunk[:0])
 		}
 	}
-	t.putBuf(batch)
 }
 
-// getBuf returns a pooled (or fresh) event buffer.
-func (t *Tracer) getBuf() []provenance.Event {
-	if v := t.pool.Get(); v != nil {
-		return *(v.(*[]provenance.Event))
-	}
-	return make([]provenance.Event, 0, t.cfg.FlushBatch)
-}
-
-// putBuf clears and recycles a drained buffer. Buffers inflated far past the
-// flush batch size by a burst are dropped instead of pooled, so a one-time
-// spike does not pin its worst-case capacity across future flushes.
-func (t *Tracer) putBuf(buf []provenance.Event) {
-	if cap(buf) > 4*t.cfg.FlushBatch {
-		return
-	}
-	clear(buf)
-	buf = buf[:0]
-	t.pool.Put(&buf)
-}
-
-// Flush synchronously drains all buffered events and reports any flush
-// error so far. Call before querying the provenance database.
+// Flush applies every event pushed before the call and reports the first
+// flush error so far. When it returns, that provenance is queryable: a
+// batch the background flusher had already taken is waited for, not
+// skipped. Call before querying the provenance database.
 func (t *Tracer) Flush() error {
 	t.drain()
 	t.mu.Lock()
@@ -266,13 +293,15 @@ func (t *Tracer) Flush() error {
 func (t *Tracer) Close() error {
 	t.mu.Lock()
 	if t.closed {
+		err := t.err
 		t.mu.Unlock()
-		return t.err
+		return err
 	}
 	t.closed = true
 	t.mu.Unlock()
 	if !t.cfg.Sync {
 		close(t.done)
+		<-t.exited
 	}
 	return t.Flush()
 }
@@ -283,7 +312,7 @@ func (t *Tracer) Stats() (events, flushes uint64) {
 }
 
 // Counters reports the full counter set: events captured, events dropped at
-// a full ring (Config.MaxBuffered), and batch flushes. This is the shape
+// a full buffer (Config.MaxBuffered), and batch flushes. This is the shape
 // protocol.Stats and the metrics endpoint both consume, so the one-shot
 // -stats path and the scrape path cannot disagree.
 func (t *Tracer) Counters() (events, drops, flushes uint64) {
@@ -297,7 +326,7 @@ func (t *Tracer) RegisterMetrics(reg *metrics.Registry) {
 		"Provenance events captured by the interposition layer.",
 		func() uint64 { return atomic.LoadUint64(&t.events) })
 	reg.CounterFunc("trod_tracer_drops_total",
-		"Provenance events dropped because the ring buffer was full (MaxBuffered).",
+		"Provenance events dropped because the buffer was full (MaxBuffered).",
 		func() uint64 { return atomic.LoadUint64(&t.drops) })
 	reg.CounterFunc("trod_tracer_flushes_total",
 		"Batches flushed to the provenance database.",
@@ -322,37 +351,34 @@ func (t *Tracer) RequestEnd(info runtime.RequestInfo) {
 	if err != nil {
 		argsText = "<unrepresentable>"
 	}
-	t.push(provenance.Event{
-		Kind:       provenance.KindRequest,
-		ReqID:      info.ReqID,
-		Handler:    info.Handler,
-		ArgsText:   argsText,
-		ResultText: runtime.ResultJSON(info.Result),
-		LatencyUs:  info.End.Sub(info.Start).Microseconds(),
-		Status:     status,
-		Logical:    t.nextLogical(),
+	t.push(&provenance.Event{
+		Kind: provenance.KindRequest,
+		Call: &provenance.Call{
+			ReqID:      info.ReqID,
+			Handler:    info.Handler,
+			ArgsText:   argsText,
+			ResultText: runtime.ResultJSON(info.Result),
+			LatencyUs:  info.End.Sub(info.Start).Microseconds(),
+			Status:     status,
+		},
+		Logical: t.nextLogical(),
 	})
 }
 
 // Invocation records a handler invocation edge in the workflow graph.
 func (t *Tracer) Invocation(info runtime.InvocationInfo) {
-	t.push(provenance.Event{
+	t.push(&provenance.Event{
 		Kind:    provenance.KindEdge,
-		ReqID:   info.ReqID,
-		Parent:  info.Parent,
-		Child:   info.InvocationID,
-		Handler: info.Handler,
+		Call:    &provenance.Call{ReqID: info.ReqID, Parent: info.Parent, Child: info.InvocationID, Handler: info.Handler},
 		Logical: t.nextLogical(),
 	})
 }
 
 // External records an external-service call.
 func (t *Tracer) External(call runtime.ExternalCall) {
-	t.push(provenance.Event{
+	t.push(&provenance.Event{
 		Kind:    provenance.KindExternal,
-		ReqID:   call.ReqID,
-		Service: call.Service,
-		Payload: call.Payload,
+		Call:    &provenance.Call{ReqID: call.ReqID, Service: call.Service, Payload: call.Payload},
 		Logical: t.nextLogical(),
 	})
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -433,5 +434,137 @@ func TestProvenanceQueryHelpers(t *testing.T) {
 	}
 	if w.EventTable("forum_sub") != "ForumEvents" || w.EventTable("nope") != "" {
 		t.Error("EventTable mapping wrong")
+	}
+}
+
+// externals counts the rows of trod_externals.
+func externals(t *testing.T, tr *Tracer) int64 {
+	t.Helper()
+	res, err := tr.Prov().Query(`SELECT COUNT(*) FROM trod_externals`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Rows[0][0].AsInt()
+}
+
+// TestFlushWaitsForBatchInFlight pins Flush's contract: everything pushed
+// before the call is queryable when it returns. With a four-event batch the
+// background flusher takes each batch as soon as it fills; Flush must then
+// wait for that batch to be applied, not return because the buffer it looks
+// at is empty. (Before the chunk queue it returned at once in that case.)
+func TestFlushWaitsForBatchInFlight(t *testing.T) {
+	_, tr := moodleApp(t, Config{FlushBatch: 4, FlushInterval: time.Hour})
+	const rounds = 5000
+	for i := 1; i <= rounds; i++ {
+		for k := 0; k < 4; k++ {
+			tr.External(runtime.ExternalCall{ReqID: "R", Service: "svc", Payload: "p"})
+		}
+		goruntime.Gosched() // let the flusher take the batch first
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		// Batches are applied in push order, so the round's last event
+		// being stored means all of them are.
+		res, err := tr.Prov().Query(`SELECT CallId FROM trod_externals WHERE CallId = ?`, 4*i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 {
+			t.Fatalf("round %d: Flush returned before event %d was queryable", i, 4*i)
+		}
+	}
+}
+
+// TestConcurrentPushFlushClose: pushers, Flush callers and the background
+// flusher all drain the same queue; every pushed event must be stored
+// exactly once, in push order per pusher, also across Close.
+func TestConcurrentPushFlushClose(t *testing.T) {
+	_, tr := moodleApp(t, Config{FlushBatch: 8, FlushInterval: time.Millisecond})
+	const pushers, each = 4, 2000
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	flushed := make(chan struct{})
+	go func() {
+		defer close(flushed)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if err := tr.Flush(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	for p := 0; p < pushers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				tr.External(runtime.ExternalCall{ReqID: fmt.Sprintf("P%d", p), Service: "svc", Payload: fmt.Sprint(i)})
+			}
+		}(p)
+	}
+	wg.Wait()
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	<-flushed
+	// Pushes after Close are still applied by an explicit Flush.
+	tr.External(runtime.ExternalCall{ReqID: "late", Service: "svc", Payload: "0"})
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := tr.Prov().Query(`SELECT ReqId, Payload FROM trod_externals ORDER BY CallId`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != pushers*each+1 {
+		t.Fatalf("stored %d events, pushed %d", len(res.Rows), pushers*each+1)
+	}
+	next := map[string]int{}
+	for _, r := range res.Rows {
+		req := r[0].AsText()
+		if got, want := r[1].AsText(), fmt.Sprint(next[req]); got != want {
+			t.Fatalf("pusher %s: stored payload %s where %s was pushed next", req, got, want)
+		}
+		next[req]++
+	}
+	events, drops, _ := tr.Counters()
+	if events != pushers*each+1 || drops != 0 {
+		t.Errorf("counters: %d events, %d drops", events, drops)
+	}
+}
+
+// TestMaxBufferedDropsAndCounts: with the flusher held up, pushes beyond the
+// bound are dropped and counted, never queued; what was accepted is stored.
+func TestMaxBufferedDropsAndCounts(t *testing.T) {
+	_, tr := moodleApp(t, Config{FlushBatch: 1 << 10, FlushInterval: time.Hour, MaxBuffered: 10})
+	tr.drainMu.Lock() // a drop wakes the flusher; keep it from making room
+	for i := 0; i < 25; i++ {
+		tr.External(runtime.ExternalCall{ReqID: "R", Service: "svc", Payload: fmt.Sprint(i)})
+	}
+	tr.drainMu.Unlock()
+	events, drops, _ := tr.Counters()
+	if events != 10 || drops != 15 {
+		t.Fatalf("accepted %d, dropped %d; want 10 and 15", events, drops)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := externals(t, tr); got != 10 {
+		t.Fatalf("stored %d events, want the 10 accepted", got)
+	}
+	// Flushing made room again.
+	tr.External(runtime.ExternalCall{ReqID: "R", Service: "svc", Payload: "again"})
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := externals(t, tr); got != 11 {
+		t.Fatalf("stored %d events after the buffer drained, want 11", got)
 	}
 }

@@ -35,22 +35,22 @@ func EncodeKey(dst []byte, v Value) []byte {
 		return append(dst, tagNull)
 	case KindInt:
 		dst = append(dst, tagNum)
-		return encodeOrderedFloat(dst, float64(v.i), v.i, true)
+		return encodeOrderedFloat(dst, float64(v.AsInt()), v.AsInt(), true)
 	case KindFloat:
 		dst = append(dst, tagNum)
-		return encodeOrderedFloat(dst, v.f, 0, false)
+		return encodeOrderedFloat(dst, v.AsFloat(), 0, false)
 	case KindText:
 		dst = append(dst, tagText)
-		return encodeOrderedBytes(dst, []byte(v.s))
+		return encodeOrderedBytes(dst, v.s)
 	case KindBool:
 		dst = append(dst, tagBool)
-		if v.i != 0 {
+		if v.n != 0 {
 			return append(dst, 1)
 		}
 		return append(dst, 0)
 	case KindBytes:
 		dst = append(dst, tagBytes)
-		return encodeOrderedBytes(dst, v.b)
+		return encodeOrderedBytes(dst, v.s)
 	default:
 		return append(dst, tagNull)
 	}
@@ -85,8 +85,9 @@ func encodeOrderedFloat(dst []byte, f float64, iv int64, isInt bool) []byte {
 
 // encodeOrderedBytes escapes 0x00 as 0x00 0xFF and terminates with 0x00 0x00
 // so that prefixes order before extensions.
-func encodeOrderedBytes(dst, src []byte) []byte {
-	for _, c := range src {
+func encodeOrderedBytes(dst []byte, src string) []byte {
+	for i := 0; i < len(src); i++ {
+		c := src[i]
 		if c == 0x00 {
 			dst = append(dst, 0x00, 0xFF)
 		} else {
@@ -142,7 +143,7 @@ func DecodeKey(src []byte) (Value, int, error) {
 		if tag == tagText {
 			return Text(string(payload)), 1 + n, nil
 		}
-		return Value{kind: KindBytes, b: payload}, 1 + n, nil
+		return Bytes(payload), 1 + n, nil
 	case tagBool:
 		if len(src) < 2 {
 			return Null, 0, fmt.Errorf("value: truncated bool key")
@@ -201,17 +202,12 @@ func EncodeRow(dst []byte, r Row) []byte {
 		switch v.kind {
 		case KindNull:
 		case KindInt, KindBool:
-			dst = binary.AppendVarint(dst, v.i)
+			dst = binary.AppendVarint(dst, v.AsInt())
 		case KindFloat:
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.f))
-			dst = append(dst, buf[:]...)
-		case KindText:
+			dst = binary.LittleEndian.AppendUint64(dst, v.n)
+		case KindText, KindBytes:
 			dst = binary.AppendUvarint(dst, uint64(len(v.s)))
 			dst = append(dst, v.s...)
-		case KindBytes:
-			dst = binary.AppendUvarint(dst, uint64(len(v.b)))
-			dst = append(dst, v.b...)
 		}
 	}
 	return dst
@@ -220,7 +216,7 @@ func EncodeRow(dst []byte, r Row) []byte {
 // maxRowColumns caps a decoded row's arity. Real rows are schema rows
 // (tens of columns) or statement argument lists; the cap only exists so a
 // crafted header cannot turn one cheap input byte per claimed column into
-// a 64-byte Value allocation each (a ~64x memory amplification for
+// a 32-byte Value allocation each (a ~32x memory amplification for
 // network-supplied frames).
 const maxRowColumns = 1 << 16
 
@@ -285,9 +281,7 @@ func DecodeRow(src []byte) (Row, int, error) {
 			if kind == KindText {
 				row = append(row, Text(string(payload)))
 			} else {
-				cp := make([]byte, len(payload))
-				copy(cp, payload)
-				row = append(row, Value{kind: KindBytes, b: cp})
+				row = append(row, Bytes(payload))
 			}
 		default:
 			return nil, 0, fmt.Errorf("value: bad kind byte 0x%02x", byte(kind))

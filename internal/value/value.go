@@ -50,42 +50,41 @@ func (k Kind) String() string {
 }
 
 // Value is an immutable SQL value. The zero Value is NULL.
+//
+// It is 32 bytes: every stored row, index tuple, wire row and executor tuple
+// is a slice of these, so the payloads share storage instead of each having
+// a field of its own. Strings are immutable, so a BYTES payload held as one
+// can never be aliased by callers.
 type Value struct {
 	kind Kind
-	i    int64   // KindInt, KindBool (0/1)
-	f    float64 // KindFloat
-	s    string  // KindText
-	b    []byte  // KindBytes; never aliased by callers
+	n    uint64 // KindInt, KindBool (0/1): the int64's bits; KindFloat: IEEE-754 bits
+	s    string // KindText; KindBytes: the bytes
 }
 
 // Null is the SQL NULL value.
 var Null = Value{kind: KindNull}
 
 // Int returns an INTEGER value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // Float returns a FLOAT value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // Text returns a TEXT value.
 func Text(v string) Value { return Value{kind: KindText, s: v} }
 
 // Bool returns a BOOL value.
 func Bool(v bool) Value {
-	var i int64
+	var n uint64
 	if v {
-		i = 1
+		n = 1
 	}
-	return Value{kind: KindBool, i: i}
+	return Value{kind: KindBool, n: n}
 }
 
 // Bytes returns a BYTES value. The input slice is copied so the Value is
 // immutable regardless of later mutation by the caller.
-func Bytes(v []byte) Value {
-	cp := make([]byte, len(v))
-	copy(cp, v)
-	return Value{kind: KindBytes, b: cp}
-}
+func Bytes(v []byte) Value { return Value{kind: KindBytes, s: string(v)} }
 
 // FromGo converts a native Go value into a Value. Supported inputs are nil,
 // bool, all integer widths, float32/64, string, and []byte. It is used by the
@@ -151,29 +150,28 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // AsInt returns the int64 payload. It is valid only for KindInt and KindBool.
-func (v Value) AsInt() int64 { return v.i }
+func (v Value) AsInt() int64 { return int64(v.n) }
 
 // AsFloat returns the float64 payload for KindFloat, or a widened int for
 // KindInt.
 func (v Value) AsFloat() float64 {
-	if v.kind == KindInt {
-		return float64(v.i)
+	switch v.kind {
+	case KindInt:
+		return float64(int64(v.n))
+	case KindFloat:
+		return math.Float64frombits(v.n)
 	}
-	return v.f
+	return 0
 }
 
 // AsText returns the string payload. Valid only for KindText.
 func (v Value) AsText() string { return v.s }
 
 // AsBool returns the boolean payload. Valid only for KindBool.
-func (v Value) AsBool() bool { return v.i != 0 }
+func (v Value) AsBool() bool { return v.n != 0 }
 
 // AsBytes returns a copy of the byte payload. Valid only for KindBytes.
-func (v Value) AsBytes() []byte {
-	cp := make([]byte, len(v.b))
-	copy(cp, v.b)
-	return cp
-}
+func (v Value) AsBytes() []byte { return []byte(v.s) }
 
 // Go converts the Value back to its natural Go representation: nil, int64,
 // float64, string, bool, or []byte.
@@ -182,13 +180,13 @@ func (v Value) Go() any {
 	case KindNull:
 		return nil
 	case KindInt:
-		return v.i
+		return v.AsInt()
 	case KindFloat:
-		return v.f
+		return v.AsFloat()
 	case KindText:
 		return v.s
 	case KindBool:
-		return v.i != 0
+		return v.n != 0
 	case KindBytes:
 		return v.AsBytes()
 	default:
@@ -202,18 +200,18 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.AsInt(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
 	case KindText:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case KindBool:
-		if v.i != 0 {
+		if v.n != 0 {
 			return "TRUE"
 		}
 		return "FALSE"
 	case KindBytes:
-		return fmt.Sprintf("X'%x'", v.b)
+		return fmt.Sprintf("X'%x'", v.s)
 	default:
 		return "?"
 	}
@@ -253,10 +251,11 @@ func Compare(a, b Value) int {
 	}
 	if numericPair(a, b) {
 		if a.kind == KindInt && b.kind == KindInt {
+			ai, bi := a.AsInt(), b.AsInt()
 			switch {
-			case a.i < b.i:
+			case ai < bi:
 				return -1
-			case a.i > b.i:
+			case ai > bi:
 				return 1
 			default:
 				return 0
@@ -279,42 +278,17 @@ func Compare(a, b Value) int {
 		return 1
 	}
 	switch a.kind {
-	case KindText:
+	case KindText, KindBytes:
 		return strings.Compare(a.s, b.s)
 	case KindBool:
 		switch {
-		case a.i < b.i:
+		case a.n < b.n:
 			return -1
-		case a.i > b.i:
+		case a.n > b.n:
 			return 1
 		default:
 			return 0
 		}
-	case KindBytes:
-		return bytesCompare(a.b, b.b)
-	default:
-		return 0
-	}
-}
-
-func bytesCompare(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
 	default:
 		return 0
 	}
@@ -405,23 +379,24 @@ func Arith(op byte, a, b Value) (Value, error) {
 		return Null, fmt.Errorf("value: cannot apply %q to %s and %s", string(op), a.kind, b.kind)
 	}
 	if a.kind == KindInt && b.kind == KindInt {
+		ai, bi := a.AsInt(), b.AsInt()
 		switch op {
 		case '+':
-			return Int(a.i + b.i), nil
+			return Int(ai + bi), nil
 		case '-':
-			return Int(a.i - b.i), nil
+			return Int(ai - bi), nil
 		case '*':
-			return Int(a.i * b.i), nil
+			return Int(ai * bi), nil
 		case '/':
-			if b.i == 0 {
+			if bi == 0 {
 				return Null, errDivZero
 			}
-			return Int(a.i / b.i), nil
+			return Int(ai / bi), nil
 		case '%':
-			if b.i == 0 {
+			if bi == 0 {
 				return Null, errDivZero
 			}
-			return Int(a.i % b.i), nil
+			return Int(ai % bi), nil
 		}
 	}
 	af, bf := a.AsFloat(), b.AsFloat()

@@ -2,11 +2,13 @@ package value
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -428,6 +430,117 @@ func TestNegativeFloatKeyOrdering(t *testing.T) {
 		b := EncodeKey(nil, Float(vals[i+1]))
 		if bytes.Compare(a, b) >= 0 {
 			t.Errorf("float key ordering broken at %v < %v", vals[i], vals[i+1])
+		}
+	}
+}
+
+// layoutRow holds the values whose payloads share storage inside Value: every
+// float that is not an ordinary number, both ends of the integer range, and
+// empty, NULL and zero-carrying text and bytes.
+func layoutRow() Row {
+	return Row{Null, Int(-7), Int(math.MaxInt64), Float(math.Copysign(0, -1)), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Float(math.Float64frombits(0x7ff8000000000001)), Float(2.5), Text(""), Text("a\x00b"), Bool(true), Bool(false),
+		Bytes(nil), Bytes([]byte{}), Bytes([]byte{0, 0xff, 1})}
+}
+
+// TestValueIs32Bytes pins the layout every stored row, index tuple, wire row
+// and executor tuple is made of.
+func TestValueIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got > 32 {
+		t.Fatalf("Value is %d bytes, want at most 32", got)
+	}
+}
+
+// TestCodecBytesUnchanged: the WAL, snapshot, wire and index-key bytes of a
+// row do not depend on how Value lays its payloads out. The expected bytes
+// were produced by the five-field layout this one replaced.
+func TestCodecBytesUnchanged(t *testing.T) {
+	const (
+		wantRow = "0f00010d01feffffffffffffffff0102000000000000008002000000000000f07f02000000000000f0ff02010000000000f87f020000000000000440030003036100620402040005000500050300ff01"
+		wantKey = "01023fe3ffffffffffff01fffffffffffffff902c3e0000000000000017fffffffffffffff0280000000000000000002fff00000000000000002000fffffffffffff0002fff80000000000010002c00400000000000000030000036100ff620000040104000500000500000500ffff010000"
+	)
+	if got := hex.EncodeToString(EncodeRow(nil, layoutRow())); got != wantRow {
+		t.Errorf("EncodeRow bytes changed:\n got %s\nwant %s", got, wantRow)
+	}
+	if got := hex.EncodeToString(EncodeKeyRow(nil, layoutRow())); got != wantKey {
+		t.Errorf("EncodeKeyRow bytes changed:\n got %s\nwant %s", got, wantKey)
+	}
+}
+
+// TestLayoutRoundTrips: NaN payload bits, the sign of zero and the
+// infinities survive the row codec bit for bit; empty text and empty bytes
+// stay distinct from NULL and from each other through both codecs; AsBytes
+// hands out a copy.
+func TestLayoutRoundTrips(t *testing.T) {
+	row := layoutRow()
+	got, n, err := DecodeRow(EncodeRow(nil, row))
+	if err != nil || n == 0 || len(got) != len(row) {
+		t.Fatalf("DecodeRow: %v (%d values)", err, len(got))
+	}
+	keyed, err := DecodeKeyRow(EncodeKeyRow(nil, row), len(row))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range row {
+		if got[i].Kind() != want.Kind() || keyed[i].Kind() != want.Kind() {
+			t.Errorf("value %d (%v): kind %v through the row codec, %v through the key codec", i, want, got[i].Kind(), keyed[i].Kind())
+		}
+		switch want.Kind() {
+		case KindFloat:
+			if g, w := math.Float64bits(got[i].AsFloat()), math.Float64bits(want.AsFloat()); g != w {
+				t.Errorf("value %d: float bits %016x, want %016x", i, g, w)
+			}
+			// The key codec orders -0 with +0 and keeps no NaN payload.
+			if w := want.AsFloat(); w == w && keyed[i].AsFloat() != w {
+				t.Errorf("value %d: %v through the key codec, want %v", i, keyed[i].AsFloat(), w)
+			}
+		case KindText:
+			if got[i].AsText() != want.AsText() || keyed[i].AsText() != want.AsText() {
+				t.Errorf("value %d: text %q / %q, want %q", i, got[i].AsText(), keyed[i].AsText(), want.AsText())
+			}
+		case KindBytes:
+			if !bytes.Equal(got[i].AsBytes(), want.AsBytes()) || !bytes.Equal(keyed[i].AsBytes(), want.AsBytes()) {
+				t.Errorf("value %d: bytes %x / %x, want %x", i, got[i].AsBytes(), keyed[i].AsBytes(), want.AsBytes())
+			}
+		default:
+			if !Equal(got[i], want) || !Equal(keyed[i], want) {
+				t.Errorf("value %d: %v / %v, want %v", i, got[i], keyed[i], want)
+			}
+		}
+	}
+	if Equal(Text(""), Null) || Equal(Bytes(nil), Null) || Equal(Text(""), Bytes(nil)) {
+		t.Error("empty text, empty bytes and NULL must stay distinct")
+	}
+	if got := Bytes(nil).AsBytes(); got == nil || len(got) != 0 {
+		t.Errorf("empty BYTES reads back as %#v, want an empty non-nil slice", got)
+	}
+	src := []byte{1, 2, 3}
+	v := Bytes(src)
+	src[0] = 9
+	out := v.AsBytes()
+	out[1] = 9
+	if !bytes.Equal(v.AsBytes(), []byte{1, 2, 3}) {
+		t.Errorf("BYTES value aliased its input or output: %x", v.AsBytes())
+	}
+	// Kinds that carry no float read as 0, never as another payload's bits.
+	if f := Bool(true).AsFloat(); f != 0 {
+		t.Errorf("Bool(true).AsFloat() = %v", f)
+	}
+}
+
+// TestKeyOrderAcrossKinds: sorting by Compare and sorting the encoded keys
+// bytewise give the same order, bytes compared as text is.
+func TestKeyOrderAcrossKinds(t *testing.T) {
+	vals := []Value{Null, Int(math.MinInt64), Int(-1), Float(-0.5), Int(0), Float(0.5), Int(1), Float(math.Inf(1)),
+		Text(""), Text("a"), Text("a\x00"), Text("b"), Bool(false), Bool(true),
+		Bytes(nil), Bytes([]byte{0}), Bytes([]byte{0, 1}), Bytes([]byte{1}), Bytes([]byte{0xff})}
+	for i := range vals {
+		for j := range vals {
+			c := Compare(vals[i], vals[j])
+			k := bytes.Compare(EncodeKey(nil, vals[i]), EncodeKey(nil, vals[j]))
+			if (c < 0) != (k < 0) || (c > 0) != (k > 0) || (i < j) != (c < 0) {
+				t.Errorf("%v vs %v: Compare %d, key order %d, listed %d before %d", vals[i], vals[j], c, k, i, j)
+			}
 		}
 	}
 }
