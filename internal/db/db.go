@@ -79,10 +79,6 @@ type Options struct {
 	// (storage.ErrHistoryTruncated). 0 keeps all history resident — version
 	// chains grow without bound under sustained updates.
 	HistoryRetention int
-	// PlanCacheCap bounds distinct cached query texts in the plan cache
-	// (0 = the default cap). The multi-tenant adversarial workload sets it
-	// low to reproduce hit-ratio collapse and wholesale-reset storms.
-	PlanCacheCap int
 }
 
 // RecoveryInfo describes what the last Open did to rebuild state.
@@ -266,7 +262,7 @@ func Open(opts Options) (*DB, error) {
 		ckptRecords: opts.CheckpointRecords,
 		cdcRetain:   opts.CDCRetention,
 		histRetain:  opts.HistoryRetention,
-		plans:       newPlanCache(opts.PlanCacheCap),
+		plans:       newPlanCache(defaultPlanCacheCap),
 		ckptHist:    newCheckpointHist(),
 	}
 	if opts.Mode == Memory {
@@ -1561,7 +1557,7 @@ func (db *DB) Flush() error {
 // TROD replay and retroactive-programming engines use it to build
 // development databases from restored snapshots.
 func NewFromStore(s *storage.Store) *DB {
-	db := &DB{store: s, mode: Memory, plans: newPlanCache(0), ckptHist: newCheckpointHist()}
+	db := &DB{store: s, mode: Memory, plans: newPlanCache(defaultPlanCacheCap), ckptHist: newCheckpointHist()}
 	s.SetDDLHook(db.ddlFired)
 	return db
 }

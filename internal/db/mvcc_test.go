@@ -2,7 +2,11 @@ package db
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/storage"
@@ -208,6 +212,119 @@ func TestHistoryRetentionBoundsResidency(t *testing.T) {
 	if census.MaxChainLength > 100 {
 		t.Fatalf("version chain grew to %d despite retention: %+v", census.MaxChainLength, census)
 	}
+}
+
+// TestReadOnlyScansUnderConcurrentTransfers: read-modify-write transfer
+// writers run beside full-table scanners in declared read-only transactions,
+// on a disk database whose checkpoints vacuum behind a short
+// HistoryRetention. No scan may abort (a read-only transaction has no read
+// set to validate), every scan must see the balance sum of a single commit
+// point even when a vacuum runs mid-scan (it clamps to the scanner's
+// snapshot pin), and the vacuum must actually run and drop versions.
+func TestReadOnlyScansUnderConcurrentTransfers(t *testing.T) {
+	const (
+		rows     = 64
+		writers  = 2
+		readers  = 2
+		transfer = 600
+	)
+	d := openDisk(t, filepath.Join(t.TempDir(), "db.wal"), func(o *Options) {
+		o.HistoryRetention = 8
+		o.CheckpointRecords = 64
+	})
+	defer d.Close()
+	if _, err := d.Exec(`CREATE TABLE acct (id INTEGER PRIMARY KEY, bal INTEGER NOT NULL)`); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		if _, err := d.Exec(`INSERT INTO acct VALUES (?, 100)`, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const wantTotal = rows * 100
+
+	var (
+		budget     atomic.Int64
+		writesDone atomic.Bool
+		scans      atomic.Int64
+		writerWG   sync.WaitGroup
+		readerWG   sync.WaitGroup
+		errs       = make(chan error, writers+readers)
+	)
+	for w := 0; w < writers; w++ {
+		writerWG.Add(1)
+		go func(seed int64) {
+			defer writerWG.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for budget.Add(1) <= transfer {
+				from := rng.Intn(rows)
+				to := (from + 1 + rng.Intn(rows-1)) % rows
+				err := d.RunTx(TxMeta{}, func(tx *Tx) error {
+					if _, err := tx.Exec(`UPDATE acct SET bal = bal - 1 WHERE id = ?`, from); err != nil {
+						return err
+					}
+					_, err := tx.Exec(`UPDATE acct SET bal = bal + 1 WHERE id = ?`, to)
+					return err
+				})
+				if err != nil {
+					errs <- fmt.Errorf("transfer: %w", err)
+					return
+				}
+			}
+		}(int64(w) + 1)
+	}
+	for r := 0; r < readers; r++ {
+		readerWG.Add(1)
+		go func() {
+			defer readerWG.Done()
+			// At least one scan per reader, however fast the writers are.
+			for first := true; first || !writesDone.Load(); first = false {
+				// The scan is two statements, so only the transaction's
+				// snapshot makes the halves add up: a transfer across them
+				// committing in between would break the sum.
+				tx := d.BeginReadOnly()
+				var seen, total int64
+				for _, q := range []string{`SELECT bal FROM acct WHERE id < ?`, `SELECT bal FROM acct WHERE id >= ?`} {
+					res, err := tx.Query(q, rows/2)
+					if err != nil {
+						tx.Rollback()
+						errs <- fmt.Errorf("read-only scan aborted: %w", err)
+						return
+					}
+					for _, row := range res.Rows {
+						seen++
+						total += row[0].AsInt()
+					}
+				}
+				if err := tx.Commit(); err != nil {
+					errs <- fmt.Errorf("read-only commit aborted: %w", err)
+					return
+				}
+				if seen != rows || total != wantTotal {
+					errs <- fmt.Errorf("inconsistent snapshot: %d rows summing to %d, want %d rows summing to %d",
+						seen, total, rows, wantTotal)
+					return
+				}
+				scans.Add(1)
+			}
+		}()
+	}
+	writerWG.Wait()
+	writesDone.Store(true)
+	readerWG.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	vac := d.Store().VacuumTotals()
+	if vac.Runs == 0 {
+		t.Fatalf("vacuum never ran over %d transfers (checkpoints every 64 records)", transfer)
+	}
+	if vac.DroppedRowVersions+vac.DroppedIndexVersions == 0 {
+		t.Fatalf("vacuum ran %d times but dropped nothing: %+v", vac.Runs, vac)
+	}
+	t.Logf("%d scans beside %d transfers; vacuum %+v", scans.Load(), transfer, vac)
 }
 
 // TestAutoCommitSelectLeavesNoPins: the auto-commit SELECT path runs in a

@@ -45,9 +45,6 @@ type cacheEntry struct {
 const defaultPlanCacheCap = 4096
 
 func newPlanCache(capacity int) *planCache {
-	if capacity <= 0 {
-		capacity = defaultPlanCacheCap
-	}
 	return &planCache{cap: capacity, entries: make(map[string]cacheEntry)}
 }
 

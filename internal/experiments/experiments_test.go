@@ -1,57 +1,15 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
+
+	"repro/internal/db"
+	"repro/internal/retro"
+	"repro/internal/runtime"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
-
-func TestE1MemoryPair(t *testing.T) {
-	pair, err := RunE1Pair(EngineMemory, 300, 20, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pair.On.AvgUs <= 0 || pair.Off.AvgUs <= 0 {
-		t.Errorf("latencies = %+v", pair)
-	}
-	if pair.On.TraceEvents == 0 {
-		t.Error("no trace events counted")
-	}
-	// Shape check (paper: <100µs absolute cost; allow generous slack for
-	// CI noise but the absolute cost must stay well under a millisecond).
-	if pair.PerReqUs > 1000 {
-		t.Errorf("tracing cost per request = %.1fµs, absurdly high", pair.PerReqUs)
-	}
-}
-
-func TestE1DiskRuns(t *testing.T) {
-	res, err := RunE1(E1Config{Engine: EngineDisk, Tracing: true, Requests: 100, Users: 10, Seed: 3, SyncWAL: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AvgUs <= 0 {
-		t.Errorf("disk result = %+v", res)
-	}
-	if _, err := RunE1(E1Config{Engine: "bogus"}); err == nil {
-		t.Error("bogus engine should fail")
-	}
-}
-
-func TestE2QuerySweepSmall(t *testing.T) {
-	points, err := RunE2([]int{2000, 8000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("points = %+v", points)
-	}
-	for _, p := range points {
-		if p.MatchRows != 2 {
-			t.Errorf("scale %d: needle rows = %d, want 2", p.Events, p.MatchRows)
-		}
-		if p.QueryMs <= 0 || p.LoadMs <= 0 {
-			t.Errorf("scale %d: zero timings %+v", p.Events, p)
-		}
-	}
-}
 
 func TestE3ThroughE7Scenario(t *testing.T) {
 	sc, err := NewScenario()
@@ -83,6 +41,70 @@ func TestE3ThroughE7Scenario(t *testing.T) {
 	}
 	if _, err := RunE7Retro(sc); err != nil {
 		t.Errorf("E7: %v", err)
+	}
+}
+
+// TestA3ConflictPruning is the conflict-pruning ablation: the MDL-59854
+// subscribe race overlapped with three messages whose outbox writes are
+// untraced (empty footprints, so they commute with everything). Pruning
+// must explore strictly fewer schedules and branch at strictly fewer points
+// than naive enumeration of the same phase.
+func TestA3ConflictPruning(t *testing.T) {
+	prod := db.MustOpenMemory()
+	prov := db.MustOpenMemory()
+	defer prod.Close()
+	defer prov.Close()
+	if err := workload.SetupMoodle(prod); err != nil {
+		t.Fatal(err)
+	}
+	if err := workload.SetupProfiles(prod); err != nil {
+		t.Fatal(err)
+	}
+	register := func(a *runtime.App) {
+		workload.RegisterMoodle(a)
+		workload.RegisterProfiles(a)
+	}
+	app := runtime.New(prod)
+	register(app)
+	tr, err := trace.Attach(app, prov, trace.Config{Tables: workload.MoodleTables})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+
+	calls := []workload.Call{
+		{ReqID: "R1", Handler: "subscribeUser", Args: runtime.Args{"userId": "U1", "forum": "F1"}},
+		{ReqID: "R2", Handler: "subscribeUser", Args: runtime.Args{"userId": "U1", "forum": "F1"}},
+	}
+	for i := 0; i < 3; i++ {
+		calls = append(calls, workload.Call{ReqID: fmt.Sprintf("R%d", i+3), Handler: "sendMessage",
+			Args: runtime.Args{"recipient": fmt.Sprintf("u%d@x", i), "body": "hi"}})
+	}
+	if err := workload.Overlap(app, calls); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	reqIDs := make([]string, len(calls))
+	for i, c := range calls {
+		reqIDs[i] = c.ReqID
+	}
+	rt := retro.New(prod, tr.Writer())
+	pruned, err := rt.Run(reqIDs, register, retro.Options{MaxSchedules: 256, SinglePhase: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := rt.Run(reqIDs, register, retro.Options{MaxSchedules: 256, SinglePhase: true, DisableConflictPruning: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pruned.Schedules) >= len(naive.Schedules) {
+		t.Errorf("pruning did not reduce schedules: pruned %d, naive %d", len(pruned.Schedules), len(naive.Schedules))
+	}
+	if pruned.BranchedPoints >= naive.BranchedPoints {
+		t.Errorf("pruning did not reduce branch points: pruned %d, naive %d", pruned.BranchedPoints, naive.BranchedPoints)
 	}
 }
 
@@ -123,129 +145,5 @@ func TestE10CaseStudies(t *testing.T) {
 		if r.Bug != "MW-39225 (wrong article sizes)" && !r.Reproduced {
 			t.Errorf("%s: did not reproduce", r.Bug)
 		}
-	}
-}
-
-func TestA1FlushPolicy(t *testing.T) {
-	res, err := RunA1FlushPolicy(200, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AsyncAvgUs <= 0 || res.SyncAvgUs <= 0 {
-		t.Errorf("a1 = %+v", res)
-	}
-	// Synchronous flushing must not be faster than the async buffer (it
-	// commits a provenance txn inline per event).
-	if res.Slowdown < 0.8 {
-		t.Errorf("sync faster than async?! %+v", res)
-	}
-}
-
-func TestA2SelectiveRestore(t *testing.T) {
-	res, err := RunA2SelectiveRestore(20000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.BothFaithful {
-		t.Error("a restore mode diverged")
-	}
-	if res.Speedup < 1 {
-		t.Errorf("selective restore not faster: %+v", res)
-	}
-}
-
-func TestA3ConflictPruning(t *testing.T) {
-	res, err := RunA3Interleavings(2, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PrunedCount >= res.NaiveCount {
-		t.Errorf("pruning did not reduce schedules: %+v", res)
-	}
-	if res.PrunedBranches >= res.NaiveBranches {
-		t.Errorf("pruning did not reduce branches: %+v", res)
-	}
-}
-
-// TestServerLoadSmall runs the multi-client network-load experiment at a
-// small scale: every op completes, latency percentiles are sane, and write
-// commits flowed through the WAL.
-func TestServerLoadSmall(t *testing.T) {
-	res, err := RunServerLoad(4, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ops != 4*12 {
-		t.Errorf("ops = %d, want %d", res.Ops, 4*12)
-	}
-	if res.P50Us <= 0 || res.P99Us < res.P50Us {
-		t.Errorf("bad percentiles: %+v", res)
-	}
-	if res.Commits == 0 || res.WALSyncs == 0 {
-		t.Errorf("no durable commits recorded: %+v", res)
-	}
-	if res.Throughput <= 0 {
-		t.Errorf("throughput = %v", res.Throughput)
-	}
-}
-
-// TestReplicationSmall runs the replication experiment at a small scale:
-// read throughput rises when reads spread over more replicas, the replicas
-// end byte-identical to the primary, and lag samples were collected.
-func TestReplicationSmall(t *testing.T) {
-	res, err := RunReplication(2, 120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.DiffClean {
-		t.Error("replica state diverged from the primary after drain")
-	}
-	if len(res.ReadScale) != 3 {
-		t.Fatalf("read scale points = %d, want 3", len(res.ReadScale))
-	}
-	one, two := res.ReadScale[1].Throughput, res.ReadScale[2].Throughput
-	if two <= one {
-		t.Errorf("read throughput did not rise with replica count: 1 replica %.0f/s, 2 replicas %.0f/s", one, two)
-	}
-	if res.LagSamples == 0 {
-		t.Error("no lag samples collected")
-	}
-	if res.WriteOps == 0 {
-		t.Error("no write load applied")
-	}
-}
-
-// TestObsHotKeySmall runs the hot-key observability storm at a small scale:
-// conflicts must surface, the mid-run scrape must cover all four layers,
-// and every sampled slow-query request ID must resolve in provenance.
-func TestObsHotKeySmall(t *testing.T) {
-	res, err := RunObsHotKey(6, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if res.ServerConflicts != uint64(res.Conflicts) {
-		t.Errorf("server counted %d conflicts, clients saw %d", res.ServerConflicts, res.Conflicts)
-	}
-	if res.TracerEvents == 0 {
-		t.Error("tracer captured no events")
-	}
-}
-
-// TestObsOpenLoopSmall runs the bursty open-loop experiment at a small
-// scale: every arrival is either served or rejected with a typed busy
-// error, and the queue-wait histogram saw the admissions.
-func TestObsOpenLoopSmall(t *testing.T) {
-	res, err := RunObsOpenLoop(3, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if res.ScrapeSeries == 0 {
-		t.Error("mid-run scrape returned no series")
 	}
 }

@@ -1,3 +1,10 @@
+// Package experiments runs the paper's debugging scenarios end to end: the
+// MDL-59854 race and its Tables 1 and 2 (E3, E4), the §3.3 debugging query
+// (E5), faithful replay and retroactive validation of the fix (E6, E7), the
+// §4.2 security detections (E8, E9) and the §4.1 case studies (E10).
+// cmd/trod-demo prints them; the root bench suite (bench_test.go) times
+// them. The paper's performance claims (E1 tracing cost, E2 query latency)
+// are measured by the benchmark command instead (go run ./benchmark).
 package experiments
 
 import (

@@ -4,10 +4,13 @@ import (
 	"errors"
 	"net"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/crashtest"
 	"repro/internal/db"
 	"repro/internal/protocol"
 	"repro/internal/repl"
@@ -159,37 +162,7 @@ func TestFencedOldPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// News of the new epoch reaches the zombie the way it would in a real
-	// cluster: a subscriber from the new epoch contacts it. It must refuse
-	// with the typed fenced error.
-	conn, err := net.DialTimeout("tcp", p.addr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	sub := &protocol.Message{Type: protocol.MsgSubscribe, FromSeq: p.db.Store().CurrentSeq(), Epoch: newEpoch}
-	if err := protocol.WriteMessage(conn, sub); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := protocol.ReadMessage(conn, protocol.MaxReplFrame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Type != protocol.MsgError || resp.Code != protocol.CodeFenced {
-		t.Fatalf("zombie subscribe response = %+v, want fenced error", resp)
-	}
-
-	// Writes on the fenced zombie fail with the typed error, over the wire
-	// and in process.
-	c, err := client.Dial(p.addr, client.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Exec(`INSERT INTO t VALUES (2, 'b')`); !protocol.IsFenced(err) {
-		t.Fatalf("zombie write = %v, want fenced", err)
-	}
+	c := assertFencedByNewEpoch(t, p, newEpoch, `INSERT INTO t VALUES (2, 'b')`)
 	if _, err := p.db.Exec(`INSERT INTO t VALUES (3, 'c')`); !errors.Is(err, db.ErrFenced) {
 		t.Fatalf("zombie in-process write = %v, want ErrFenced", err)
 	}
@@ -357,4 +330,254 @@ func TestReplicaRejectsStaleEpochFrames(t *testing.T) {
 	if len(tables) != 1 || tables[0] != "fresh" {
 		t.Fatalf("tables after stale frame = %v, want only [fresh]", tables)
 	}
+}
+
+// assertFencedByNewEpoch delivers news of newEpoch to the deposed primary
+// the way a real cluster would — a subscriber from the new epoch contacts it
+// — and checks both fencing obligations over the wire: the subscriber gets
+// a typed fenced refusal, and the write statement fails with the typed
+// fenced error. It returns the client it wrote with.
+func assertFencedByNewEpoch(t *testing.T, p *primary, newEpoch uint64, write string) *client.Client {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", p.addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	sub := &protocol.Message{Type: protocol.MsgSubscribe, FromSeq: p.db.Store().CurrentSeq(), Epoch: newEpoch}
+	if err := protocol.WriteMessage(conn, sub); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := protocol.ReadMessage(conn, protocol.MaxReplFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Type != protocol.MsgError || resp.Code != protocol.CodeFenced {
+		t.Fatalf("zombie subscribe response = %+v, want fenced error", resp)
+	}
+	c, err := client.Dial(p.addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if _, err := c.Exec(write); !protocol.IsFenced(err) {
+		t.Fatalf("zombie write = %v, want fenced", err)
+	}
+	return c
+}
+
+// waitUntil polls cond until it holds, failing the test after 20s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFailoverAudit kills the primary of a 1 primary + 2 replica cluster
+// under write load and audits what survived against what clients were told.
+// Writers insert unique keys through a failover-aware pool and never retry:
+// a success is an acked write, any error leaves the write's fate unknown.
+// Before the kill both replicas are partitioned from the primary (re-pointed
+// at a listener that never answers) while the writers keep going. Then the
+// primary's server dies without draining, the most caught-up replica is
+// promoted, the other follows it, and the writers find it.
+//
+// In both modes the new primary must hold no row nobody wrote, its rows
+// must equal an oracle rebuilt from the clients' own write records, and the
+// restarted old primary must be fenced. Quorum mode (SyncReplicas=1) must
+// lose no acked write. Async mode must lose some: the partition really cut
+// off acked commits, so the quorum assertion is not vacuous.
+func TestFailoverAudit(t *testing.T) {
+	for _, mode := range []struct {
+		name         string
+		syncReplicas int
+	}{{"quorum", 1}, {"async", 0}} {
+		t.Run(mode.name, func(t *testing.T) { runFailoverAudit(t, mode.syncReplicas) })
+	}
+}
+
+func runFailoverAudit(t *testing.T, syncReplicas int) {
+	const (
+		writers = 4
+		schema  = `CREATE TABLE failover_writes (id INTEGER PRIMARY KEY, writer INTEGER, n INTEGER)`
+		insert  = `INSERT INTO failover_writes VALUES (?, ?, ?)`
+	)
+	dir := t.TempDir()
+	pEpoch, err := repl.OpenEpoch(filepath.Join(dir, "p.epoch"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcOpts := fastSource()
+	srcOpts.Epoch = pEpoch
+	srcOpts.SyncReplicas = syncReplicas
+	srcOpts.QuorumTimeout = 100 * time.Millisecond
+	p := startPrimaryOpts(t, db.Options{Mode: db.Disk, Path: filepath.Join(dir, "p.wal")}, srcOpts)
+	mustExec(t, p.db, schema) // seq 0: clears the quorum barrier with no replica attached
+	nodes := []*replicaNode{
+		startReplicaNodeOpts(t, filepath.Join(dir, "a.wal"), p.addr, fastReplica()),
+		startReplicaNodeOpts(t, filepath.Join(dir, "b.wal"), p.addr, fastReplica()),
+	}
+	for _, n := range nodes {
+		waitCaughtUp(t, p, n.r)
+	}
+
+	pool, err := client.NewPool(p.addr, []string{nodes[0].addr, nodes[1].addr}, client.Options{PoolSize: 2 * writers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	type write struct{ id, writer, n int64 }
+	var (
+		killed       atomic.Bool
+		acks         atomic.Int64 // all acked writes
+		postKillAcks atomic.Int64 // acked writes issued after the kill
+		stop         = make(chan struct{})
+		wg           sync.WaitGroup
+		acked        = make([][]write, writers)
+		unknown      = make([][]write, writers)
+	)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := int64(0); ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				afterKill := killed.Load()
+				rec := write{id: int64(w)*1_000_000 + n, writer: int64(w), n: n}
+				if _, err := pool.Exec(insert, rec.id, rec.writer, rec.n); err != nil {
+					unknown[w] = append(unknown[w], rec)
+					pool.AwaitPrimary(time.Second)
+					continue
+				}
+				acked[w] = append(acked[w], rec)
+				acks.Add(1)
+				if afterKill {
+					postKillAcks.Add(1)
+				}
+			}
+		}(w)
+	}
+	stopWriters := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopWriters()
+	waitUntil(t, "acked writes before the partition", func() bool { return acks.Load() >= 50 })
+
+	// The partition: once both replicas' streams from the primary are gone,
+	// nothing past cut can reach them. The kill waits for more commits past
+	// cut than there are writers; a writer issues its next write only after
+	// the last one is answered, so some post-cut commit has been answered:
+	// acked in async mode, refused by the quorum barrier's timeout in quorum
+	// mode.
+	blackhole, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer blackhole.Close()
+	for _, n := range nodes {
+		n.r.Redirect(blackhole.Addr().String())
+	}
+	waitUntil(t, "the partition", func() bool {
+		return p.src.Subscribers() == 0 && !nodes[0].r.Connected() && !nodes[1].r.Connected()
+	})
+	cut := max(nodes[0].r.AppliedSeq(), nodes[1].r.AppliedSeq())
+	waitUntil(t, "commits past the partition", func() bool {
+		return p.db.Store().CurrentSeq() > cut+writers
+	})
+
+	// The kill: listener and every session closed with no drain.
+	p.srv.Kill()
+	<-p.done
+	killed.Store(true)
+
+	best, other := nodes[0], nodes[1]
+	if other.r.AppliedSeq() > best.r.AppliedSeq() {
+		best, other = other, best
+	}
+	bc, err := client.Dial(best.addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bc.Close()
+	newEpoch, _, err := bc.Promote()
+	if err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	other.r.Redirect(best.addr)
+	waitUntil(t, "acked writes on the new primary", func() bool { return postKillAcks.Load() >= 2*writers })
+	stopWriters()
+	if !other.r.WaitForSeq(best.db.Store().CurrentSeq(), 20*time.Second) {
+		t.Fatalf("redirected replica stuck at %d, want %d (lastErr=%v)",
+			other.r.AppliedSeq(), best.db.Store().CurrentSeq(), other.r.LastErr())
+	}
+
+	// The audit: survivors on the new primary against the clients' records.
+	ackedByID, unknownByID := map[int64]write{}, map[int64]write{}
+	for w := 0; w < writers; w++ {
+		for _, rec := range acked[w] {
+			ackedByID[rec.id] = rec
+		}
+		for _, rec := range unknown[w] {
+			unknownByID[rec.id] = rec
+		}
+	}
+	rows, err := best.db.Query(`SELECT id FROM failover_writes`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := db.MustOpenMemory()
+	defer oracle.Close()
+	mustExec(t, oracle, schema)
+	survived := map[int64]bool{}
+	for _, row := range rows.Rows {
+		id := row[0].AsInt()
+		survived[id] = true
+		rec, ok := ackedByID[id]
+		if !ok {
+			if rec, ok = unknownByID[id]; !ok {
+				t.Errorf("phantom row %d: no client wrote it", id)
+				continue
+			}
+		}
+		mustExec(t, oracle, insert, rec.id, rec.writer, rec.n)
+	}
+	if diff := crashtest.StoreDiff(best.db.Store(), oracle.Store()); diff != "" {
+		t.Errorf("new primary differs from the clients' write records:\n%s", diff)
+	}
+	lost := 0
+	for id := range ackedByID {
+		if !survived[id] {
+			lost++
+		}
+	}
+	t.Logf("acked %d, unknown %d, survivors %d, acked lost %d", len(ackedByID), len(unknownByID), len(survived), lost)
+	if syncReplicas > 0 && lost != 0 {
+		t.Errorf("quorum mode lost %d acked writes", lost)
+	}
+	if syncReplicas == 0 && lost == 0 {
+		t.Error("async mode lost no acked write: the partition did not cut off acked commits")
+	}
+
+	// The zombie: the old primary's server comes back on its database and
+	// epoch state; told of the new epoch, it must refuse to feed or write.
+	zsrv, err := server.New(server.Config{DB: p.db, Source: p.src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.srv, p.addr, p.done = zsrv, zln.Addr().String(), make(chan error, 1)
+	go func() { p.done <- zsrv.Serve(zln) }()
+	assertFencedByNewEpoch(t, p, newEpoch, `INSERT INTO failover_writes VALUES (-1, -1, -1)`)
 }

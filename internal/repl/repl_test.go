@@ -246,11 +246,20 @@ func TestReplicaCrashRestartResumesFromPersistedSeq(t *testing.T) {
 
 	// Restart from the same WAL: recovery must land on the persisted applied
 	// sequence, and the new subscription resumes from there — not from zero
-	// and not via snapshot bootstrap.
-	n2 := startReplicaNode(t, walPath, p.addr)
-	if got := n2.db.Store().CurrentSeq(); got != resumeFrom {
+	// and not via snapshot bootstrap. Recovery is checked on a plain reopen:
+	// a started replica may already have streamed past it.
+	d, err := db.Open(db.Options{Mode: db.Disk, Path: walPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := d.Store().CurrentSeq()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got != resumeFrom {
 		t.Fatalf("replica recovered at seq %d, want persisted %d", got, resumeFrom)
 	}
+	n2 := startReplicaNode(t, walPath, p.addr)
 	waitCaughtUp(t, p, n2.r)
 	if n2.r.Bootstraps() != 0 {
 		t.Fatalf("restart used %d snapshot bootstraps, want log catch-up", n2.r.Bootstraps())

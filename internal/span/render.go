@@ -1,6 +1,6 @@
-// Span-tree rendering for trod-query -trace and the experiments: a fixed
-// text layout (golden-tested) that prints per-stage durations and marks the
-// critical path.
+// Span-tree rendering for trod-query -trace: a fixed text layout
+// (golden-tested) that prints per-stage durations and marks the critical
+// path.
 package span
 
 import (

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/db"
 	"repro/internal/provenance"
@@ -250,3 +251,63 @@ func (g labelGate) Before(c *runtime.Ctx, label string) error {
 
 // After implements runtime.TxnInterceptor.
 func (g labelGate) After(*runtime.Ctx, string, error) {}
+
+// Call is one request for Overlap.
+type Call struct {
+	ReqID, Handler string
+	Args           runtime.Args
+}
+
+// Overlap runs calls concurrently and holds each request's first
+// transaction until every request has reached its own, so the recorded
+// execution intervals overlap into one concurrent phase. Every handler must
+// run at least one transaction. It returns after all requests finish, with
+// the first error; the interceptor is reset afterwards.
+func Overlap(app *runtime.App, calls []Call) error {
+	app.SetTxnInterceptor(&firstTxnGate{need: len(calls), arrived: make(map[string]bool), release: make(chan struct{})})
+	defer app.SetTxnInterceptor(nil)
+
+	errs := make(chan error, len(calls))
+	for _, c := range calls {
+		go func(c Call) {
+			_, err := app.InvokeWithReqID(c.ReqID, c.Handler, c.Args)
+			errs <- err
+		}(c)
+	}
+	var first error
+	for range calls {
+		if err := <-errs; err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// firstTxnGate blocks every request's first transaction until need requests
+// have reached theirs.
+type firstTxnGate struct {
+	mu      sync.Mutex
+	need    int
+	arrived map[string]bool
+	release chan struct{}
+}
+
+// Before implements runtime.TxnInterceptor.
+func (g *firstTxnGate) Before(c *runtime.Ctx, _ string) error {
+	g.mu.Lock()
+	first := !g.arrived[c.ReqID]
+	if first {
+		g.arrived[c.ReqID] = true
+		if len(g.arrived) == g.need {
+			close(g.release)
+		}
+	}
+	g.mu.Unlock()
+	if first {
+		<-g.release
+	}
+	return nil
+}
+
+// After implements runtime.TxnInterceptor.
+func (g *firstTxnGate) After(*runtime.Ctx, string, error) {}
