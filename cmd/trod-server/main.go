@@ -170,18 +170,11 @@ func main() {
 			// Traced commits from the primary record their apply cost here,
 			// under the originating request's trace ID: querying this node's
 			// trod_spans by trace_id (or seq) shows the replica-side spans.
-			ropts.SpanSink = func(traceID, seq uint64, start time.Time, applyNs, walNs int64) {
-				buf := span.NewBuf(traceID, 0)
-				startNs := start.UnixNano()
-				buf.RecordNs(span.StageReplApply, span.RootID, startNs, applyNs, seq)
-				if walNs > 0 {
-					buf.RecordNs(span.StageReplWALAppend, span.RootID, startNs+applyNs, walNs, seq)
-				}
-				buf.NoteSeq(seq)
-				wall := time.Duration(applyNs + walNs)
-				buf.Finish(start, wall)
-				spanCol.Offer(&span.Trace{TraceID: traceID, Kind: "replica",
-					Status: "replica", Wall: wall, Start: start, Seq: seq, Spans: buf.Spans()})
+			ropts.SpanSink = func(buf *span.Buf) {
+				spans := buf.Spans()
+				root := spans[0]
+				spanCol.Offer(&span.Trace{TraceID: buf.TraceID, Kind: "replica", Status: "replica",
+					Wall: time.Duration(root.Dur), Start: time.Unix(0, root.Start), Seq: buf.CommitSeq(), Spans: spans})
 			}
 		}
 		replica = repl.StartReplica(d, *replicaOf, ropts)
@@ -193,17 +186,11 @@ func main() {
 	// feed peers the moment it is promoted, and a deposed primary must
 	// answer stale subscribers with a typed fenced error. Source and
 	// Replica share the node's one epoch.
-	srcOpts := repl.SourceOptions{
+	cfg.Source = repl.NewSource(d, repl.SourceOptions{
 		Epoch:         epoch,
 		SyncReplicas:  *syncRepl,
 		QuorumTimeout: *quorumWait,
-	}
-	if spanCol.Enabled() {
-		// Outgoing log entries carry the originating request's trace ID so
-		// replicas can correlate their apply spans with the primary's trace.
-		srcOpts.TraceFor = spanCol.TraceForSeq
-	}
-	cfg.Source = repl.NewSource(d, srcOpts)
+	})
 	if epoch.Fenced() {
 		log.Printf("fenced: epoch %d is superseded by %d; this node cannot accept writes", epoch.Current(), epoch.FencedBy())
 	}

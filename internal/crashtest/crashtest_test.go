@@ -180,7 +180,7 @@ func TestStoreDiff(t *testing.T) {
 		row := value.Row{value.Text("a"), value.Int(1)}
 		if _, err := s.Commit(storage.CommitRequest{Changes: []storage.Change{{
 			Table: "kv", Key: tbl.EncodePrimaryKey(row), Op: storage.OpInsert, After: row,
-		}}}); err != nil {
+		}}}, nil); err != nil {
 			t.Fatal(err)
 		}
 		return s
@@ -193,7 +193,7 @@ func TestStoreDiff(t *testing.T) {
 	row := value.Row{value.Text("b"), value.Int(2)}
 	if _, err := b.Commit(storage.CommitRequest{Changes: []storage.Change{{
 		Table: "kv", Key: tbl.EncodePrimaryKey(row), Op: storage.OpInsert, After: row,
-	}}}); err != nil {
+	}}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if d := StoreDiff(a, b); d == "" {

@@ -57,7 +57,7 @@ func (e replEntry) apply(t *testing.T, d *db.DB) {
 		}
 		return
 	}
-	if err := d.ApplyReplicatedCommit(e.rec); err != nil {
+	if err := d.ApplyReplicatedCommit(e.rec, nil); err != nil {
 		t.Fatalf("replicated commit %d: %v", e.rec.Seq, err)
 	}
 }

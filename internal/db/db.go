@@ -145,44 +145,20 @@ type TxnTrace struct {
 	Committed bool
 }
 
-// Hooks are the interposition points. All hooks are optional. OnCommit runs
-// after a successful commit; OnAbort after an abort or failed commit.
-type Hooks struct {
-	OnCommit func(TxnTrace)
-	OnAbort  func(TxnTrace)
-}
-
 // DB is an embedded SQL database.
 type DB struct {
 	store *storage.Store
 	log   *wal.Log
 	mode  Mode
-	hooks Hooks
+	// hook is the interposition point (SetHook): it receives every finished
+	// transaction's trace, committed or not.
+	hook func(TxnTrace)
 
 	// walPath and sync mirror the Disk-mode options; recovery is what Open
 	// did to rebuild state from walPath.
 	walPath    string
 	syncPolicy wal.SyncPolicy
 	recovery   RecoveryInfo
-
-	// durMu/durable map a commit sequence to the WAL LSN of its record: the
-	// CDC hook stores it under the store's commit lock, and Tx.Commit
-	// consumes it to block on group-commit durability outside that lock.
-	// walNs rides the same lock: when span timing is enabled it maps a
-	// commit sequence to how long its WAL append took, measured in the CDC
-	// hook (the WAL package is in the deterministic set, so the clock lives
-	// here) and consumed by the committer to split its commit window into
-	// occ_validate vs wal_append spans.
-	durMu   sync.Mutex
-	durable map[uint64]int64
-	walNs   map[uint64]int64
-
-	// spanTiming gates the walNs bookkeeping; spanSeqReg, when set, learns
-	// (commit seq → trace ID) the instant a traced commit lands, before
-	// replication can ship it, so outgoing log entries can be stamped with
-	// the originating trace.
-	spanTiming atomic.Bool
-	spanSeqReg func(seq, traceID uint64)
 
 	// ckptMu serializes checkpoints; DDL takes the read side so no schema
 	// change can slip between a snapshot and the log rotation that trusts it.
@@ -273,8 +249,6 @@ func Open(opts Options) (*DB, error) {
 		return nil, errors.New("db: Disk mode requires Options.Path")
 	}
 	db.walPath = opts.Path
-	db.durable = make(map[uint64]int64)
-	db.walNs = make(map[uint64]int64)
 	if err := db.recover(opts.Path); err != nil {
 		return nil, err
 	}
@@ -284,48 +258,6 @@ func Open(opts Options) (*DB, error) {
 	}
 	db.log = log
 	db.store.SetDDLHook(db.ddlFired)
-	db.store.SubscribeCDC(func(rec storage.CommitRecord) {
-		// Append under the store's commit lock so the log order matches the
-		// serialization order, but do NOT wait for durability here: the
-		// committer blocks in Tx.Commit (via waitDurable) after the lock is
-		// released, letting concurrent commits batch into one fsync.
-		timed := db.spanTiming.Load()
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
-		}
-		lsn, err := log.AppendCommitLSN(rec)
-		if err != nil {
-			return // sticky WAL failure; surfaced by waitDurable/Close
-		}
-		if timed || opts.Sync == wal.SyncEachCommit {
-			db.durMu.Lock()
-			if timed {
-				db.walNs[rec.Seq] = time.Since(t0).Nanoseconds()
-			}
-			if opts.Sync == wal.SyncEachCommit {
-				db.durable[rec.Seq] = lsn
-			}
-			// Writers that commit through Store() directly never consume
-			// their entries; prune long-stale ones so the maps stay bounded
-			// (a pruned entry's waiter falls back to a full WAL sync).
-			if len(db.durable) > 8192 {
-				for seq := range db.durable {
-					if seq+4096 < rec.Seq {
-						delete(db.durable, seq)
-					}
-				}
-			}
-			if len(db.walNs) > 8192 {
-				for seq := range db.walNs {
-					if seq+4096 < rec.Seq {
-						delete(db.walNs, seq)
-					}
-				}
-			}
-			db.durMu.Unlock()
-		}
-	})
 	return db, nil
 }
 
@@ -435,7 +367,7 @@ func (db *DB) replayLog(path string) error {
 				return nil // duplicate of already-recovered state
 			}
 			db.recovery.TailRecords++
-			if err := db.store.ApplyCommitted(rec.Commit); err != nil {
+			if err := db.store.ApplyCommitted(rec.Commit, nil); err != nil {
 				if db.recovery.SnapshotErr != "" {
 					return fmt.Errorf("db: WAL tail unreachable (snapshot unusable: %s): %w",
 						db.recovery.SnapshotErr, err)
@@ -584,81 +516,14 @@ func (db *DB) WALStats() wal.Stats {
 	return db.log.Stats()
 }
 
-// waitDurable blocks until the commit record for seq is fsynced, sharing the
-// fsync with every concurrently committing transaction (group commit). Under
-// SyncNever (or in Memory mode) it returns immediately.
-func (db *DB) waitDurable(seq uint64) error {
-	_, err := db.waitDurableLed(seq)
-	return err
-}
-
-// waitDurableLed is waitDurable, reporting whether this committer led the
-// fsync batch — the span layer labels the wait wal_fsync (leader) or
-// group_commit_wait (follower riding another leader's fsync).
-func (db *DB) waitDurableLed(seq uint64) (led bool, err error) {
-	if db.log == nil || db.syncPolicy != wal.SyncEachCommit {
-		return false, nil
-	}
-	db.durMu.Lock()
-	lsn, ok := db.durable[seq]
-	delete(db.durable, seq)
-	db.durMu.Unlock()
-	if !ok {
-		// The CDC append failed (sticky WAL error) — surface it.
-		return true, db.log.Sync()
-	}
-	return db.log.WaitDurableLed(lsn)
-}
-
-// takeWALAppendNs consumes the measured WAL-append duration for a commit
-// sequence (0 when span timing is off or the entry was pruned).
-func (db *DB) takeWALAppendNs(seq uint64) int64 {
-	if seq == 0 || !db.spanTiming.Load() || db.log == nil {
-		return 0
-	}
-	db.durMu.Lock()
-	ns := db.walNs[seq]
-	delete(db.walNs, seq)
-	db.durMu.Unlock()
-	return ns
-}
-
-// SetSpanHooks enables span-stage timing on the commit path and installs
-// the commit-seq registration hook (reg may be nil): once on, the CDC hook
-// measures each commit's WAL append, and every traced commit reports
-// (seq, trace ID) to reg before replication can ship it. Install before the
-// database serves concurrent traffic.
-func (db *DB) SetSpanHooks(reg func(seq, traceID uint64)) {
-	db.spanSeqReg = reg
-	db.spanTiming.Store(true)
-}
-
-// ApplyCommit runs a pre-built storage commit through the facade's
-// durability path: the commit is validated and applied by the store, the
-// caller blocks until its WAL record is durable (group commit), and
+// ApplyCommit runs a pre-built storage commit through the commit path: the
+// store validates and applies it, the WAL logs it, the caller blocks until
+// the record is durable (group commit) and past the commit barrier, and
 // checkpoint triggers fire. Batch writers that bypass the SQL layer (the
 // provenance writer) must use this instead of Store().Commit, or their
-// commits never trip automatic checkpoints.
+// commits are never logged.
 func (db *DB) ApplyCommit(req storage.CommitRequest) (uint64, error) {
-	seq, err := db.store.Commit(req)
-	if err != nil {
-		var conflict *storage.ConflictError
-		if errors.As(err, &conflict) {
-			db.conflicts.Add(1)
-		}
-		return 0, err
-	}
-	db.commits.Add(1)
-	if err := db.waitDurable(seq); err != nil {
-		return seq, fmt.Errorf("db: commit %d not durable: %w", seq, err)
-	}
-	if db.commitBarrier != nil {
-		if err := db.commitBarrier(seq); err != nil {
-			return seq, fmt.Errorf("db: commit %d: %w", seq, err)
-		}
-	}
-	db.maybeCheckpoint()
-	return seq, nil
+	return db.commit(&commitOp{kind: batchCommit, req: req})
 }
 
 // Checkpoint snapshots the full committed state next to the WAL and
@@ -823,9 +688,11 @@ func (db *DB) Close() error {
 // subscription, replay time travel). Application code should not need it.
 func (db *DB) Store() *storage.Store { return db.store }
 
-// SetHooks installs the interposition hooks. Must be called before
-// concurrent use.
-func (db *DB) SetHooks(h Hooks) { db.hooks = h }
+// SetHook installs the interposition hook: fn receives the trace of every
+// finished transaction — committed, failed at commit, or rolled back
+// (TxnTrace.Committed tells them apart). Must be called before concurrent
+// use.
+func (db *DB) SetHook(fn func(TxnTrace)) { db.hook = fn }
 
 // SetReadTraceLimit caps the read-provenance rows collected per statement
 // (0 = unlimited). Must be set before concurrent use.
@@ -847,10 +714,6 @@ func (db *DB) parse(query string) (sqlparse.Statement, error) {
 	return stmt, nil
 }
 
-// applyDDL executes a schema statement directly against the store. Outside
-// recovery it holds the checkpoint lock's read side, so a schema change can
-// never land between a checkpoint's snapshot and its log rotation (the
-// rotated tail carries only commit records, not DDL).
 // execDDL applies a live SQL-layer DDL statement and, like a write commit,
 // holds its acknowledgement behind the replication barrier: schema changes
 // ride the same replicated log as commits, so an acked DDL must clear the
@@ -862,17 +725,17 @@ func (db *DB) execDDL(stmt sqlparse.Statement) error {
 	if err := db.applyDDL(stmt, false); err != nil {
 		return err
 	}
-	if db.commitBarrier != nil {
-		db.ddlMu.Lock()
-		seq := db.lastDDLSeq
-		db.ddlMu.Unlock()
-		if err := db.commitBarrier(seq); err != nil {
-			return fmt.Errorf("db: ddl at commit seq %d: %w", seq, err)
-		}
+	seq, _ := db.LastDDL()
+	if err := db.barrier(seq, nil); err != nil {
+		return fmt.Errorf("db: ddl at commit seq %d: %w", seq, err)
 	}
 	return nil
 }
 
+// applyDDL executes a schema statement directly against the store. Outside
+// recovery it holds the checkpoint lock's read side, so a schema change can
+// never land between a checkpoint's snapshot and its log rotation (the
+// rotated tail carries only commit records, not DDL).
 func (db *DB) applyDDL(stmt sqlparse.Statement, recovering bool) error {
 	if !recovering {
 		db.ckptMu.RLock()
@@ -1158,7 +1021,7 @@ type txGuard struct {
 // BeginInteractive starts an explicit transaction owned by a session that
 // may go quiet mid-transaction (a network client, an operator shell). If the
 // transaction is still active when timeout elapses, it is rolled back by a
-// deadline watcher — firing the OnAbort interposition hook like any abort —
+// deadline watcher — firing the interposition hook like any abort —
 // and subsequent operations return ErrTxnExpired; onExpire (optional) runs
 // after the deadline abort, outside any database lock. A timeout <= 0
 // disables the watcher. Unlike plain Tx handles, the returned handle is safe
@@ -1326,7 +1189,7 @@ func (tx *Tx) execPlanned(stmt sqlparse.Statement, plan *sqlexec.Plan, query str
 	// Without interposition hooks there is no consumer for statement
 	// traces; skip the bookkeeping entirely so an untraced deployment pays
 	// nothing (the tracing-off baseline of experiment E1).
-	traced := tx.db.hooks.OnCommit != nil || tx.db.hooks.OnAbort != nil
+	traced := tx.db.hook != nil
 	ex := &sqlexec.Executor{
 		Tx:    tx.inner,
 		Store: tx.db.store,
@@ -1408,80 +1271,14 @@ func (tx *Tx) Commit() error {
 	if tx.guard != nil {
 		tx.guard.timer.Stop()
 	}
-	return tx.commit()
+	_, err := tx.db.commit(&commitOp{kind: primaryCommit, tx: tx, sp: tx.meta.Spans})
+	return err
 }
 
-func (tx *Tx) commit() error {
-	sp := tx.meta.Spans
-	var cstart time.Time
-	if sp != nil {
-		cstart = time.Now()
-	}
-	seq, err := tx.inner.Commit()
-	if sp != nil && (seq > 0 || err != nil) {
-		// The inner commit's window covers OCC validation + apply and, for a
-		// write, the WAL append the CDC hook performed under the commit
-		// lock; the CDC hook measured that append, so split the window into
-		// the two sibling stages instead of double-counting.
-		innerNs := time.Since(cstart).Nanoseconds()
-		walNs := tx.db.takeWALAppendNs(seq)
-		if walNs > innerNs {
-			walNs = innerNs
-		}
-		startNs := cstart.UnixNano()
-		sp.RecordNs(span.StageOCCValidate, span.RootID, startNs, innerNs-walNs, seq)
-		if walNs > 0 {
-			sp.RecordNs(span.StageWALAppend, span.RootID, startNs+innerNs-walNs, walNs, seq)
-		}
-	}
-	if err != nil {
-		var conflict *storage.ConflictError
-		if errors.As(err, &conflict) {
-			tx.db.conflicts.Add(1)
-		}
-	} else if seq > 0 {
-		tx.db.commits.Add(1)
-	}
-	var durErr, ackErr error
-	if err == nil && seq > 0 {
-		if sp != nil {
-			// Pin the trace to its commit sequence now — before replication
-			// can ship the commit — so outgoing log entries are stamped with
-			// the originating trace and the trace links to BeginAt replay.
-			sp.NoteSeq(seq)
-			if reg := tx.db.spanSeqReg; reg != nil {
-				reg(seq, sp.TraceID)
-			}
-		}
-		// A write commit produced a WAL record; block until it is durable.
-		// Read-only and no-op commits report seq 0 and have nothing to sync.
-		var dstart time.Time
-		if sp != nil {
-			dstart = time.Now()
-		}
-		led, dErr := tx.db.waitDurableLed(seq)
-		durErr = dErr
-		if sp != nil {
-			stage := span.StageGroupCommitWait
-			if led {
-				stage = span.StageWALFsync
-			}
-			sp.RecordNs(stage, span.RootID, dstart.UnixNano(), time.Since(dstart).Nanoseconds(), seq)
-		}
-		if durErr == nil && tx.db.commitBarrier != nil {
-			// Locally durable; now clear the replication barrier (quorum
-			// acks) before acknowledging.
-			var qstart time.Time
-			if sp != nil {
-				qstart = time.Now()
-			}
-			ackErr = tx.db.commitBarrier(seq)
-			if sp != nil {
-				sp.RecordNs(span.StageQuorumWait, span.RootID, qstart.UnixNano(), time.Since(qstart).Nanoseconds(), seq)
-			}
-		}
-	}
-	trace := TxnTrace{
+// trace is what the interposition hook learns about the finished
+// transaction.
+func (tx *Tx) trace(seq uint64, committed bool) TxnTrace {
+	return TxnTrace{
 		TxnID:     tx.inner.ID(),
 		CommitSeq: seq,
 		Snapshot:  tx.inner.Snapshot(),
@@ -1489,30 +1286,8 @@ func (tx *Tx) commit() error {
 		Stmts:     tx.stmts,
 		Start:     tx.start,
 		End:       time.Now(),
-		Committed: err == nil,
+		Committed: committed,
 	}
-	if err != nil {
-		if tx.db.hooks.OnAbort != nil {
-			tx.db.hooks.OnAbort(trace)
-		}
-		return err
-	}
-	if tx.db.hooks.OnCommit != nil {
-		tx.db.hooks.OnCommit(trace)
-	}
-	if durErr != nil {
-		// The commit is applied in memory but its durability could not be
-		// confirmed (sticky WAL failure). Surface it — callers must treat
-		// the database as failed.
-		return fmt.Errorf("db: commit %d not durable: %w", seq, durErr)
-	}
-	if ackErr != nil {
-		// Applied and locally durable, but the replication barrier refused
-		// the acknowledgement (no quorum, or the node was fenced mid-commit).
-		return fmt.Errorf("db: commit %d: %w", seq, ackErr)
-	}
-	tx.db.maybeCheckpoint()
-	return nil
 }
 
 // Rollback aborts the transaction. Rolling back an interactive transaction
@@ -1532,15 +1307,8 @@ func (tx *Tx) Rollback() {
 func (tx *Tx) rollback() {
 	if tx.inner.State() == txn.StateActive {
 		tx.inner.Abort()
-		if tx.db.hooks.OnAbort != nil {
-			tx.db.hooks.OnAbort(TxnTrace{
-				TxnID:    tx.inner.ID(),
-				Snapshot: tx.inner.Snapshot(),
-				Meta:     tx.meta,
-				Stmts:    tx.stmts,
-				Start:    tx.start,
-				End:      time.Now(),
-			})
+		if tx.db.hook != nil {
+			tx.db.hook(tx.trace(0, false))
 		}
 	}
 }
@@ -1617,43 +1385,21 @@ func (db *DB) Fenced() bool { return db.fenced.Load() }
 func (db *DB) SetCommitBarrier(fn func(seq uint64) error) { db.commitBarrier = fn }
 
 // ApplyReplicatedCommit applies one commit record shipped from a replication
-// primary: the record is force-applied in serialization order (exactly like
-// WAL recovery, so indexes and version chains match the primary's), appended
-// to this replica's own WAL for restart durability, and counted toward
-// automatic checkpoint triggers. Records at or below the current sequence
-// are duplicates from a reconnect or bootstrap overlap and are skipped.
-// Callers must apply records from a single goroutine in stream order.
-func (db *DB) ApplyReplicatedCommit(rec storage.CommitRecord) error {
-	_, _, err := db.ApplyReplicatedCommitSpans(rec)
-	return err
-}
-
-// ApplyReplicatedCommitSpans is ApplyReplicatedCommit, reporting how the
-// apply's time split between the store apply and the replica's own WAL
-// append — the replica-side repl_apply / repl_wal_append stages of a traced
-// commit. Both are 0 for skipped duplicates. The clock lives here because
-// storage and wal are in the deterministic set.
-func (db *DB) ApplyReplicatedCommitSpans(rec storage.CommitRecord) (applyNs, walNs int64, err error) {
+// primary through the commit path: the record is force-applied in
+// serialization order (exactly like WAL recovery, so indexes and version
+// chains match the primary's), appended to this replica's own WAL for
+// restart durability, and counted toward automatic checkpoint triggers. sp,
+// when non-nil, receives the apply's stage spans (repl_apply,
+// repl_wal_append, the fsync wait) and its commit sequence. Records at or
+// below the current sequence are duplicates from a reconnect or bootstrap
+// overlap and are skipped. Callers must apply records from a single
+// goroutine in stream order.
+func (db *DB) ApplyReplicatedCommit(rec storage.CommitRecord, sp *span.Buf) error {
 	if rec.Seq <= db.store.CurrentSeq() {
-		return 0, 0, nil // overlap with already-applied state (resubscribe/bootstrap)
+		return nil // overlap with already-applied state (resubscribe/bootstrap)
 	}
-	t0 := time.Now()
-	if err := db.store.ApplyCommitted(rec); err != nil {
-		return 0, 0, err
-	}
-	applyNs = time.Since(t0).Nanoseconds()
-	if db.log != nil {
-		// A checkpoint can rotate between the store apply and this append,
-		// duplicating the record in the new log's tail; recovery skips
-		// duplicate sequences, so that is harmless.
-		t1 := time.Now()
-		if err := db.log.AppendCommit(rec); err != nil {
-			return applyNs, 0, fmt.Errorf("db: replicated commit %d not logged: %w", rec.Seq, err)
-		}
-		walNs = time.Since(t1).Nanoseconds()
-	}
-	db.maybeCheckpoint()
-	return applyNs, walNs, nil
+	_, err := db.commit(&commitOp{kind: replicatedCommit, rec: rec, sp: sp})
+	return err
 }
 
 // ApplyReplicatedDDL applies one DDL statement shipped from a replication

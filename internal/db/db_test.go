@@ -206,9 +206,14 @@ func TestHooksFireWithTraces(t *testing.T) {
 	var mu sync.Mutex
 	var commits []TxnTrace
 	var aborts []TxnTrace
-	d.SetHooks(Hooks{
-		OnCommit: func(tr TxnTrace) { mu.Lock(); commits = append(commits, tr); mu.Unlock() },
-		OnAbort:  func(tr TxnTrace) { mu.Lock(); aborts = append(aborts, tr); mu.Unlock() },
+	d.SetHook(func(tr TxnTrace) {
+		mu.Lock()
+		defer mu.Unlock()
+		if tr.Committed {
+			commits = append(commits, tr)
+		} else {
+			aborts = append(aborts, tr)
+		}
 	})
 
 	meta := TxMeta{ReqID: "R1", Handler: "subscribeUser", Func: "isSubscribed"}
@@ -264,11 +269,11 @@ func TestReadProvenanceRowsCaptured(t *testing.T) {
 		INSERT INTO t VALUES (1, 'x'), (2, 'y');
 	`)
 	var got []ReadEvent
-	d.SetHooks(Hooks{OnCommit: func(tr TxnTrace) {
+	d.SetHook(func(tr TxnTrace) {
 		for _, s := range tr.Stmts {
 			got = append(got, s.Reads...)
 		}
-	}})
+	})
 	tx := d.Begin()
 	if _, err := tx.Query(`SELECT * FROM t WHERE id = 2`); err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/protocol"
+	"repro/internal/span"
 )
 
 // ReplicaOptions tunes a replica's subscription loop. The zero value is
@@ -31,13 +32,14 @@ type ReplicaOptions struct {
 	// the same node (every node can be promoted). nil attaches a private
 	// in-memory epoch 0.
 	Epoch *Epoch
-	// SpanSink, when set, receives apply timings for traced commits — log
-	// entries the primary stamped with the originating request's trace ID
-	// (see protocol.LogEntry.TraceID). start is when the apply began,
-	// applyNs/walNs split the work between replaying the commit into the
-	// store and appending it to the replica's own WAL. Untraced entries
-	// never reach the sink.
-	SpanSink func(traceID, seq uint64, start time.Time, applyNs, walNs int64)
+	// SpanSink, when set, receives the span buffer of every traced commit
+	// the replica applies — log entries the primary stamped with the
+	// originating request's trace ID (see protocol.LogEntry.TraceID). The
+	// buffer carries that trace ID and the applied commit sequence; its
+	// root span covers the apply, with the commit path's stages
+	// (repl_apply, repl_wal_append, the fsync wait) beneath it. Untraced
+	// entries and skipped duplicates never reach the sink.
+	SpanSink func(*span.Buf)
 }
 
 func (o *ReplicaOptions) withDefaults() ReplicaOptions {
@@ -357,21 +359,10 @@ func (r *Replica) session() (bool, error) {
 			}
 			for i := range msg.Entries {
 				e := &msg.Entries[i]
-				switch {
-				case e.IsDDL():
+				if e.IsDDL() {
 					err = r.db.ApplyReplicatedDDL(e.DDL)
-				case e.TraceID != 0 && r.opts.SpanSink != nil:
-					// The primary sampled this commit's request; time the
-					// replica-side apply so the trace shows the full
-					// replication cost, correlated by commit sequence.
-					start := time.Now()
-					var applyNs, walNs int64
-					applyNs, walNs, err = r.db.ApplyReplicatedCommitSpans(e.Commit)
-					if err == nil && applyNs+walNs > 0 {
-						r.opts.SpanSink(e.TraceID, e.Commit.Seq, start, applyNs, walNs)
-					}
-				default:
-					err = r.db.ApplyReplicatedCommit(e.Commit)
+				} else {
+					err = r.applyCommit(e)
 				}
 				if err != nil {
 					// Apply failures mean this replica's state has diverged
@@ -397,6 +388,27 @@ func (r *Replica) session() (bool, error) {
 			return progressed, fmt.Errorf("repl: unexpected message type %d on subscription", msg.Type)
 		}
 	}
+}
+
+// applyCommit applies one replicated commit. The record keeps its
+// originating trace ID, and when the primary traced the commit and a span
+// sink is set, the apply is timed into a span buffer under that trace so
+// the trace shows the full replication cost.
+func (r *Replica) applyCommit(e *protocol.LogEntry) error {
+	e.Commit.TraceID = e.TraceID
+	if e.TraceID == 0 || r.opts.SpanSink == nil {
+		return r.db.ApplyReplicatedCommit(e.Commit, nil)
+	}
+	sp := span.NewBuf(e.TraceID, 0)
+	start := time.Now()
+	if err := r.db.ApplyReplicatedCommit(e.Commit, sp); err != nil {
+		return err
+	}
+	if sp.CommitSeq() != 0 { // 0: a duplicate, skipped
+		sp.Finish(start, time.Since(start))
+		r.opts.SpanSink(sp)
+	}
+	return nil
 }
 
 // observeEpoch processes the epoch stamped on a stream frame: a higher epoch

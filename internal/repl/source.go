@@ -74,12 +74,6 @@ type SourceOptions struct {
 	// 15s — several subscriber heartbeats). Pre-failover subscribers that
 	// never ack are disconnected after this timeout.
 	AckTimeout time.Duration
-	// TraceFor, when set, resolves a commit sequence to the trace ID of the
-	// request that produced it (0 = untraced). Traced commits ship as traced
-	// log entries, so replicas can tag their apply spans with the
-	// originating request's trace. The span collector's TraceForSeq is the
-	// canonical hook.
-	TraceFor func(seq uint64) uint64
 }
 
 func (o *SourceOptions) withDefaults() SourceOptions {
@@ -740,11 +734,9 @@ func (s *Source) buildBatch(pos uint64, cursor int, head uint64) ([]protocol.Log
 		if len(batch) > 0 && bytes+len(enc) > s.opts.BatchBytes {
 			break // ship what we have; the big record opens the next frame
 		}
-		e := protocol.LogEntry{Commit: rec, EncodedCommit: enc}
-		if s.opts.TraceFor != nil {
-			e.TraceID = s.opts.TraceFor(rec.Seq)
-		}
-		batch = append(batch, e)
+		// A traced commit ships as a traced entry, so the replica can file
+		// its apply spans under the originating request's trace.
+		batch = append(batch, protocol.LogEntry{Commit: rec, EncodedCommit: enc, TraceID: rec.TraceID})
 		bytes += len(enc)
 		pos = rec.Seq
 		ci++

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/db"
@@ -15,10 +14,10 @@ import (
 )
 
 // TestReplicaTraceIDPropagation follows one traced write across the cluster:
-// the primary's server assigns the trace ID, the db commit path registers the
-// commit seq against it, the replication source stamps the outgoing log
-// entry, and the replica's span sink reports apply/WAL-append timings under
-// the originating request's trace ID.
+// the primary's server assigns the trace ID, the db commit path stamps it on
+// the commit record, the replication source ships it with the log entry,
+// and the replica's span sink reports apply/WAL-append timings under the
+// originating request's trace ID.
 func TestReplicaTraceIDPropagation(t *testing.T) {
 	dir := t.TempDir()
 
@@ -28,9 +27,7 @@ func TestReplicaTraceIDPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d.Close() })
-	srcOpts := fastSource()
-	srcOpts.TraceFor = col.TraceForSeq
-	src := repl.NewSource(d, srcOpts)
+	src := repl.NewSource(d, fastSource())
 	srv, err := server.New(server.Config{DB: d, Source: src, Spans: col})
 	if err != nil {
 		t.Fatal(err)
@@ -57,9 +54,18 @@ func TestReplicaTraceIDPropagation(t *testing.T) {
 	t.Cleanup(func() { rd.Close() })
 	rd.SetReadOnly(true)
 	ropts := fastReplica()
-	ropts.SpanSink = func(traceID, seq uint64, start time.Time, applyNs, walNs int64) {
+	ropts.SpanSink = func(b *span.Buf) {
+		a := applied{traceID: b.TraceID, seq: b.CommitSeq()}
+		for _, s := range b.Spans() {
+			switch s.Stage {
+			case span.StageReplApply:
+				a.applyNs = s.Dur
+			case span.StageReplWALAppend:
+				a.walNs = s.Dur
+			}
+		}
 		mu.Lock()
-		sunk = append(sunk, applied{traceID, seq, applyNs, walNs})
+		sunk = append(sunk, a)
 		mu.Unlock()
 	}
 	r := repl.StartReplica(rd, p.addr, ropts)
@@ -113,5 +119,55 @@ func TestReplicaTraceIDPropagation(t *testing.T) {
 		if a.traceID == 0 {
 			t.Fatalf("sink received an untraced entry: %+v", a)
 		}
+	}
+}
+
+// TestCatchUpShipsTraceIDOfOldCommits: a replica that subscribes late catches
+// up from the primary's CDC log, and a traced commit with more than 8,192
+// later traced commits behind it still ships with its trace ID. The ID
+// travels on the commit record, so how far back the catch-up starts does
+// not matter.
+func TestCatchUpShipsTraceIDOfOldCommits(t *testing.T) {
+	dir := t.TempDir()
+	p := startPrimary(t, db.Options{Mode: db.Disk, Path: filepath.Join(dir, "p.wal")})
+	mustExec(t, p.db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)`)
+	const later = 8192 + 100
+	var firstSeq uint64
+	for i := 0; i <= later; i++ {
+		meta := db.TxMeta{Spans: span.NewBuf(uint64(1000+i), 0)}
+		if _, err := p.db.ExecMeta(meta, `INSERT INTO t VALUES (?, ?)`, i, i); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			firstSeq = p.db.Store().CurrentSeq()
+		}
+	}
+
+	var mu sync.Mutex
+	var firstTrace uint64
+	ropts := fastReplica()
+	ropts.SpanSink = func(b *span.Buf) {
+		mu.Lock()
+		defer mu.Unlock()
+		if b.CommitSeq() == firstSeq {
+			firstTrace = b.TraceID
+		}
+	}
+	rd, err := db.Open(db.Options{Mode: db.Disk, Path: filepath.Join(dir, "r.wal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rd.Close() })
+	rd.SetReadOnly(true)
+	r := repl.StartReplica(rd, p.addr, ropts)
+	t.Cleanup(r.Stop)
+	waitCaughtUp(t, p, r)
+	if r.Bootstraps() != 0 {
+		t.Fatal("replica bootstrapped from a snapshot instead of catching up from the log")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if firstTrace != 1000 {
+		t.Fatalf("catch-up shipped seq %d with trace %d, want 1000", firstSeq, firstTrace)
 	}
 }

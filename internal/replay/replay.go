@@ -55,7 +55,8 @@ type Breakpoint struct {
 // Options configures a replay.
 type Options struct {
 	// Tables restricts state restoration to the listed tables (selective
-	// restore; ablation A2). Empty means full restore of every table.
+	// restore): a replay whose request touches a few tables need not copy
+	// the rest. Empty means full restore of every table.
 	Tables []string
 	// OnBreakpoint is invoked before each re-executed transaction.
 	OnBreakpoint func(Breakpoint)
@@ -214,7 +215,7 @@ func applyForeign(dev *storage.Store, changes []storage.Change) error {
 	if len(adjusted) == 0 {
 		return nil
 	}
-	_, err := dev.Commit(storage.CommitRequest{Changes: adjusted})
+	_, err := dev.Commit(storage.CommitRequest{Changes: adjusted}, nil)
 	return err
 }
 
@@ -384,7 +385,7 @@ func (r *Replayer) restore(seq uint64, tables []string) (*db.DB, error) {
 			return true
 		})
 		if len(changes) > 0 {
-			if _, err := dev.Commit(storage.CommitRequest{Changes: changes}); err != nil {
+			if _, err := dev.Commit(storage.CommitRequest{Changes: changes}, nil); err != nil {
 				return nil, err
 			}
 		}

@@ -154,7 +154,7 @@ func TestWorkflowRPCPropagation(t *testing.T) {
 func TestTxnMetaAttached(t *testing.T) {
 	app := newApp(t)
 	var metas []db.TxMeta
-	app.DB().SetHooks(db.Hooks{OnCommit: func(tr db.TxnTrace) { metas = append(metas, tr.Meta) }})
+	app.DB().SetHook(func(tr db.TxnTrace) { metas = append(metas, tr.Meta) })
 	app.Register("subscribeUser", func(c *Ctx, args Args) (any, error) {
 		if _, err := c.Query("isSubscribed", `SELECT * FROM kv WHERE k = 'x'`); err != nil {
 			return nil, err

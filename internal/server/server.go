@@ -194,11 +194,8 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: spans store: %w", err)
 		}
 		s.spanStore = st
-		// Kept traces flow to the trod_spans table; commit sequences map back
-		// to their trace so the replication source can stamp outgoing log
-		// entries (and replicas can correlate their apply spans).
+		// Kept traces flow to the trod_spans table.
 		cfg.Spans.SetOnKeep(st.enqueue)
-		cfg.DB.SetSpanHooks(cfg.Spans.RegisterSeq)
 	}
 	return s, nil
 }

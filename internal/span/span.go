@@ -308,9 +308,7 @@ type CollectorOptions struct {
 
 // Collector makes the tail-sampling decision at request completion and
 // retains kept traces in a bounded ring. It also carries the trace-ID
-// allocator and the commit-seq → trace-ID correlation map that lets the
-// replication source stamp outgoing log entries with the originating
-// request's trace.
+// allocator.
 type Collector struct {
 	sample   float64
 	keepOver time.Duration
@@ -325,15 +323,7 @@ type Collector struct {
 	mu   sync.Mutex // guards ring/pos (kept-trace ring buffer)
 	ring []*Trace
 	pos  int
-
-	seqMu sync.Mutex // guards bySeq/seqQ (commit-seq correlation map)
-	bySeq map[uint64]uint64
-	seqQ  []uint64
 }
-
-// seqMapCap bounds the commit-seq correlation map: replication batches are
-// cut from the recent WAL tail, so only recent seqs need resolving.
-const seqMapCap = 8192
 
 // NewCollector builds a Collector; returns nil (tracing disabled) when
 // neither Sample nor KeepOver would ever keep a trace.
@@ -349,7 +339,6 @@ func NewCollector(opts CollectorOptions) *Collector {
 		keepOver: opts.KeepOver,
 		capacity: opts.Capacity,
 		onKeep:   opts.OnKeep,
-		bySeq:    make(map[uint64]uint64, 64),
 	}
 }
 
@@ -422,37 +411,6 @@ func (c *Collector) Offer(t *Trace) bool {
 		c.onKeep(t)
 	}
 	return true
-}
-
-// RegisterSeq records which trace produced a commit sequence. Called from
-// the db commit path before the commit is visible to replication, so a
-// replica's batch can always resolve the trace ID.
-func (c *Collector) RegisterSeq(seq, traceID uint64) {
-	if c == nil || seq == 0 || traceID == 0 {
-		return
-	}
-	c.seqMu.Lock()
-	if _, ok := c.bySeq[seq]; !ok {
-		c.seqQ = append(c.seqQ, seq)
-	}
-	c.bySeq[seq] = traceID
-	for len(c.seqQ) > seqMapCap {
-		delete(c.bySeq, c.seqQ[0])
-		c.seqQ = c.seqQ[1:]
-	}
-	c.seqMu.Unlock()
-}
-
-// TraceForSeq resolves a commit sequence to its originating trace ID (0 if
-// unknown) — the replication source's stamping hook.
-func (c *Collector) TraceForSeq(seq uint64) uint64 {
-	if c == nil {
-		return 0
-	}
-	c.seqMu.Lock()
-	id := c.bySeq[seq]
-	c.seqMu.Unlock()
-	return id
 }
 
 // Traces snapshots the kept-trace ring, oldest first.

@@ -163,8 +163,7 @@ func TestCollectorDisabled(t *testing.T) {
 	if c.Offer(mkTrace(1, "error", time.Second)) {
 		t.Fatal("nil collector kept a trace")
 	}
-	c.RegisterSeq(1, 2)
-	if c.TraceForSeq(1) != 0 || c.Traces() != nil || c.Find("R1") != nil {
+	if c.Traces() != nil || c.Find("R1") != nil {
 		t.Fatal("nil collector accessors not zero")
 	}
 	if c.Stats() != (CollectorStats{}) {
@@ -241,33 +240,6 @@ func TestCollectorRingAndFind(t *testing.T) {
 	}
 }
 
-func TestCollectorSeqMap(t *testing.T) {
-	c := NewCollector(CollectorOptions{Sample: 1})
-	c.RegisterSeq(10, 77)
-	c.RegisterSeq(0, 5)  // ignored: no seq
-	c.RegisterSeq(11, 0) // ignored: no trace
-	if got := c.TraceForSeq(10); got != 77 {
-		t.Fatalf("TraceForSeq(10) = %d, want 77", got)
-	}
-	if got := c.TraceForSeq(11); got != 0 {
-		t.Fatalf("TraceForSeq(11) = %d, want 0", got)
-	}
-	c.RegisterSeq(10, 78) // re-register overwrites
-	if got := c.TraceForSeq(10); got != 78 {
-		t.Fatalf("TraceForSeq(10) after overwrite = %d, want 78", got)
-	}
-	// The correlation map is bounded: old seqs evict once the cap is passed.
-	for s := uint64(100); s < 100+seqMapCap+10; s++ {
-		c.RegisterSeq(s, s)
-	}
-	if got := c.TraceForSeq(10); got != 0 {
-		t.Fatalf("seq 10 survived eviction (TraceForSeq = %d)", got)
-	}
-	if got := c.TraceForSeq(100 + seqMapCap + 9); got != 100+seqMapCap+9 {
-		t.Fatalf("newest seq missing after eviction churn")
-	}
-}
-
 // TestDisabledPathAllocs pins the whole point of nil-safety: with tracing
 // off, the request path's span calls must not allocate at all.
 func TestDisabledPathAllocs(t *testing.T) {
@@ -283,8 +255,7 @@ func TestDisabledPathAllocs(t *testing.T) {
 		b.NoteSeq(1)
 		_ = b.CommitSeq()
 		_ = b.Spans()
-		c.RegisterSeq(1, 2)
-		_ = c.TraceForSeq(1)
+		_ = c.Offer(nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracing path allocates %.1f per op, want 0", allocs)

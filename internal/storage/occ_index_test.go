@@ -42,7 +42,7 @@ func TestUniqueIndexIntraCommitDuplicate(t *testing.T) {
 		Changes: []Change{
 			{Table: "emails", Key: tbl.EncodePrimaryKey(r1), Op: OpInsert, After: r1},
 			{Table: "emails", Key: tbl.EncodePrimaryKey(r2), Op: OpInsert, After: r2},
-		}})
+		}}, nil)
 	if err == nil {
 		t.Fatal("intra-commit duplicate unique key must be rejected")
 	}
@@ -72,7 +72,7 @@ func TestUniqueIndexDeleteReinsertSameCommit(t *testing.T) {
 	s, tbl := emailTable(t)
 	old := emailRow(1, "move@x")
 	if _, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Snapshot: s.CurrentSeq(),
-		Changes: []Change{{Table: "emails", Key: tbl.EncodePrimaryKey(old), Op: OpInsert, After: old}}}); err != nil {
+		Changes: []Change{{Table: "emails", Key: tbl.EncodePrimaryKey(old), Op: OpInsert, After: old}}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	repl := emailRow(2, "move@x")
@@ -80,7 +80,7 @@ func TestUniqueIndexDeleteReinsertSameCommit(t *testing.T) {
 		Changes: []Change{
 			{Table: "emails", Key: tbl.EncodePrimaryKey(old), Op: OpDelete, Before: old},
 			{Table: "emails", Key: tbl.EncodePrimaryKey(repl), Op: OpInsert, After: repl},
-		}}); err != nil {
+		}}, nil); err != nil {
 		t.Fatalf("delete+reinsert of a unique key in one commit must pass: %v", err)
 	}
 	// The posting must now reference the new row.
@@ -108,7 +108,7 @@ func TestUniqueIndexReclaimOrderIndependent(t *testing.T) {
 			s, tbl := emailTable(t)
 			old := emailRow(5, "k@x")
 			if _, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Snapshot: s.CurrentSeq(),
-				Changes: []Change{{Table: "emails", Key: tbl.EncodePrimaryKey(old), Op: OpInsert, After: old}}}); err != nil {
+				Changes: []Change{{Table: "emails", Key: tbl.EncodePrimaryKey(old), Op: OpInsert, After: old}}}, nil); err != nil {
 				t.Fatal(err)
 			}
 			repl := emailRow(2, "k@x")
@@ -118,7 +118,7 @@ func TestUniqueIndexReclaimOrderIndependent(t *testing.T) {
 			if order {
 				changes = []Change{ins, del}
 			}
-			if _, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Snapshot: s.CurrentSeq(), Changes: changes}); err != nil {
+			if _, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Snapshot: s.CurrentSeq(), Changes: changes}, nil); err != nil {
 				t.Fatal(err)
 			}
 			var pks []string
@@ -146,13 +146,13 @@ func TestApplyCommittedReclaimOrderIndependent(t *testing.T) {
 	old := emailRow(5, "k@x")
 	repl := emailRow(2, "k@x")
 	if err := s.ApplyCommitted(CommitRecord{Seq: 1, TxnID: 1,
-		Changes: []Change{{Table: "emails", Key: tbl.EncodePrimaryKey(old), Op: OpInsert, After: old}}}); err != nil {
+		Changes: []Change{{Table: "emails", Key: tbl.EncodePrimaryKey(old), Op: OpInsert, After: old}}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.ApplyCommitted(CommitRecord{Seq: 2, TxnID: 2, Changes: []Change{
 		{Table: "emails", Key: tbl.EncodePrimaryKey(repl), Op: OpInsert, After: repl},
 		{Table: "emails", Key: tbl.EncodePrimaryKey(old), Op: OpDelete, Before: old},
-	}}); err != nil {
+	}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	var pks []string
@@ -174,7 +174,7 @@ func TestUniqueIndexSwapWithinCommit(t *testing.T) {
 	a0, b0 := emailRow(1, "a@x"), emailRow(2, "b@x")
 	for _, r := range []value.Row{a0, b0} {
 		if _, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Snapshot: s.CurrentSeq(),
-			Changes: []Change{{Table: "emails", Key: tbl.EncodePrimaryKey(r), Op: OpInsert, After: r}}}); err != nil {
+			Changes: []Change{{Table: "emails", Key: tbl.EncodePrimaryKey(r), Op: OpInsert, After: r}}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -183,7 +183,7 @@ func TestUniqueIndexSwapWithinCommit(t *testing.T) {
 		Changes: []Change{
 			{Table: "emails", Key: tbl.EncodePrimaryKey(a1), Op: OpUpdate, Before: a0, After: a1},
 			{Table: "emails", Key: tbl.EncodePrimaryKey(b1), Op: OpUpdate, Before: b0, After: b1},
-		}}); err != nil {
+		}}, nil); err != nil {
 		t.Fatalf("unique-value swap within one commit must pass: %v", err)
 	}
 	row, ok := s.Get("emails", tbl.EncodePrimaryKey(a1), s.CurrentSeq())
@@ -200,13 +200,13 @@ func TestUniqueIndexUpdateOntoLiveKeyStillFails(t *testing.T) {
 	a, b := emailRow(1, "a@x"), emailRow(2, "b@x")
 	for _, r := range []value.Row{a, b} {
 		if _, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Snapshot: s.CurrentSeq(),
-			Changes: []Change{{Table: "emails", Key: tbl.EncodePrimaryKey(r), Op: OpInsert, After: r}}}); err != nil {
+			Changes: []Change{{Table: "emails", Key: tbl.EncodePrimaryKey(r), Op: OpInsert, After: r}}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	b1 := emailRow(2, "a@x")
 	if _, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Snapshot: s.CurrentSeq(),
-		Changes: []Change{{Table: "emails", Key: tbl.EncodePrimaryKey(b1), Op: OpUpdate, Before: b, After: b1}}}); err == nil {
+		Changes: []Change{{Table: "emails", Key: tbl.EncodePrimaryKey(b1), Op: OpUpdate, Before: b, After: b1}}}, nil); err == nil {
 		t.Fatal("updating onto a live unique key must fail")
 	}
 }
@@ -237,12 +237,12 @@ func TestReadSetCaseNormalization(t *testing.T) {
 	// Concurrent writer updates k1.
 	row := value.Row{value.Text("k1"), value.Int(2)}
 	if _, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Snapshot: s.CurrentSeq(),
-		Changes: []Change{{Table: "kv", Key: tbl.EncodePrimaryKey(row), Op: OpUpdate, After: row}}}); err != nil {
+		Changes: []Change{{Table: "kv", Key: tbl.EncodePrimaryKey(row), Op: OpUpdate, After: row}}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	other := value.Row{value.Text("x"), value.Int(9)}
 	_, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Snapshot: snap, Reads: reads,
-		Changes: []Change{{Table: "kv", Key: tbl.EncodePrimaryKey(other), Op: OpInsert, After: other}}})
+		Changes: []Change{{Table: "kv", Key: tbl.EncodePrimaryKey(other), Op: OpInsert, After: other}}}, nil)
 	if err == nil {
 		t.Fatal("mixed-case read set must still detect the conflict")
 	}
@@ -273,7 +273,7 @@ func TestIndexRangeOCCPrecision(t *testing.T) {
 	}
 	mkRow := func(id, v int64) value.Row { return value.Row{value.Int(id), value.Int(v)} }
 	commit := func(snap uint64, reads *ReadSet, ch ...Change) error {
-		_, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Snapshot: snap, Reads: reads, Changes: ch})
+		_, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Snapshot: snap, Reads: reads, Changes: ch}, nil)
 		return err
 	}
 	seed := mkRow(1, 5)

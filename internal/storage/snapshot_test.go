@@ -38,7 +38,7 @@ func snapshotFixture(t *testing.T) *Store {
 	for _, row := range rows {
 		if _, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Changes: []Change{{
 			Table: "Users", Key: users.EncodePrimaryKey(row), Op: OpInsert, After: row,
-		}}}); err != nil {
+		}}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,7 +46,7 @@ func snapshotFixture(t *testing.T) *Store {
 	dead := rows[1]
 	if _, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Changes: []Change{{
 		Table: "Users", Key: users.EncodePrimaryKey(dead), Op: OpDelete, Before: dead,
-	}}}); err != nil {
+	}}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -140,7 +140,7 @@ func TestSnapshotRestoreAcceptsWALTail(t *testing.T) {
 	tbl := got.Table("Users")
 	if err := got.ApplyCommitted(CommitRecord{Seq: seq + 1, TxnID: 100, Changes: []Change{{
 		Table: "Users", Key: tbl.EncodePrimaryKey(row), Op: OpInsert, After: row,
-	}}}); err != nil {
+	}}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got.RowCount("Users", got.CurrentSeq()) != 3 {
@@ -150,7 +150,7 @@ func TestSnapshotRestoreAcceptsWALTail(t *testing.T) {
 	row2 := value.Row{value.Int(10), value.Text("eve"), value.Float(1)}
 	if _, err := got.Commit(CommitRequest{TxnID: got.NextTxnID(), Snapshot: got.CurrentSeq(), Changes: []Change{{
 		Table: "Users", Key: tbl.EncodePrimaryKey(row2), Op: OpInsert, After: row2,
-	}}}); err != nil {
+	}}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	recs := got.ChangesBetween(seq, got.CurrentSeq())

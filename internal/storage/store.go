@@ -53,7 +53,19 @@ type CommitRecord struct {
 	Seq     uint64
 	TxnID   uint64
 	Changes []Change
+	// TraceID is the span trace of the request that produced the commit (0
+	// when untraced). It lives only in memory — the WAL encoding leaves it
+	// out — so a replication source catching a subscriber up from the CDC
+	// log can ship each commit with its originating trace.
+	TraceID uint64
 }
+
+// LogStep is a commit's write-ahead step. Commit and ApplyCommitted run it
+// under the commit lock, once the record's changes are applied and before
+// the record reaches the CDC log or any subscriber, so the write-ahead log's
+// order is the serialization order. The step must not call back into the
+// store; what it did (and whether it failed) is the caller's to carry back.
+type LogStep func(rec CommitRecord)
 
 // ReadRange describes a scanned key interval for OCC validation. Hi == ""
 // means unbounded above.
@@ -552,6 +564,7 @@ type CommitRequest struct {
 	Snapshot uint64
 	Reads    *ReadSet
 	Changes  []Change // in execution order; at most one change per key
+	TraceID  uint64   // copied onto the CommitRecord
 	// Unlogged marks a commit nobody will read back from the CDC log — a
 	// provenance batch: replay and retro consume the production log. The
 	// store keeps its record out of the log when no subscriber and no pinned
@@ -563,14 +576,15 @@ type CommitRequest struct {
 
 // Commit validates the read set against everything committed after the
 // transaction's snapshot and, if valid, atomically applies the changes,
-// assigns the next commit sequence, appends to the CDC log, and notifies
-// subscribers. On conflict it returns *ConflictError.
+// assigns the next commit sequence, runs log (when non-nil) on the record,
+// appends it to the CDC log, and notifies subscribers. On conflict it
+// returns *ConflictError.
 //
 // Validation is precise at key granularity and phantom-safe: every commit in
 // (snapshot, now] is checked for writes that intersect the read set's keys
 // or scanned ranges. This implements first-committer-wins OCC; commit order
 // equals serialization order, so histories are strictly serializable.
-func (s *Store) Commit(req CommitRequest) (uint64, error) {
+func (s *Store) Commit(req CommitRequest, log LogStep) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -597,13 +611,18 @@ func (s *Store) Commit(req CommitRequest) (uint64, error) {
 	s.apply(req.Changes, newSeq)
 
 	s.seq = newSeq
+	rec := CommitRecord{Seq: newSeq, TxnID: req.TxnID, Changes: req.Changes, TraceID: req.TraceID}
+	if log != nil {
+		// Before the Unlogged shortcut: a record nobody reads back from the
+		// CDC log still has to reach the write-ahead log.
+		log(rec)
+	}
 	if req.Unlogged && len(s.log) == 0 && len(s.cdcSubs) == 0 && len(s.pins) == 0 {
 		// Nobody can ask for this record: every pin is older than the commit,
 		// so none means no transaction's validation window reaches it.
 		s.logBase = newSeq
 		return newSeq, nil
 	}
-	rec := CommitRecord{Seq: newSeq, TxnID: req.TxnID, Changes: req.Changes}
 	if req.Unlogged {
 		rec.Changes = slices.Clone(req.Changes)
 	}
@@ -1128,9 +1147,10 @@ func (s *Store) truncateLog(upTo uint64) {
 }
 
 // ApplyCommitted force-applies an already-serialized commit record, used by
-// WAL recovery and by replay's snapshot restore. It bypasses validation and
-// assigns exactly rec.Seq (which must be s.seq+1).
-func (s *Store) ApplyCommitted(rec CommitRecord) error {
+// WAL recovery and by a replica applying a primary's stream. It bypasses
+// validation and assigns exactly rec.Seq (which must be s.seq+1); log, when
+// non-nil, runs on the record as in Commit.
+func (s *Store) ApplyCommitted(rec CommitRecord, log LogStep) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if rec.Seq != s.seq+1 {
@@ -1144,6 +1164,9 @@ func (s *Store) ApplyCommitted(rec CommitRecord) error {
 	s.seq = rec.Seq
 	if rec.TxnID > s.nextTxn {
 		s.nextTxn = rec.TxnID
+	}
+	if log != nil {
+		log(rec)
 	}
 	s.log = append(s.log, rec)
 	return nil
@@ -1182,7 +1205,7 @@ func (s *Store) ResetTo(src *Store) {
 
 // CloneAt materialises a new Store containing this store's schema and the
 // row images visible at snapshot seq. It is the "full restore" path for
-// development databases (ablation A2 compares it with selective restore).
+// development databases; replay.Options.Tables is the selective one.
 func (s *Store) CloneAt(seq uint64) (*Store, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -1224,7 +1247,7 @@ func (s *Store) CloneAt(seq uint64) (*Store, error) {
 		})
 	}
 	if len(changes) > 0 {
-		if _, err := dst.Commit(CommitRequest{Changes: changes}); err != nil {
+		if _, err := dst.Commit(CommitRequest{Changes: changes}, nil); err != nil {
 			return nil, err
 		}
 	}

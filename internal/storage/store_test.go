@@ -46,11 +46,39 @@ func insertKV(t *testing.T, s *Store, tbl *schema.Table, k string, v int64) uint
 		TxnID:    s.NextTxnID(),
 		Snapshot: s.CurrentSeq(),
 		Changes:  []Change{{Table: tbl.Name, Key: tbl.EncodePrimaryKey(row), Op: OpInsert, After: row}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("insert %s=%d: %v", k, v, err)
 	}
 	return seq
+}
+
+// TestLogStepOrder: Commit runs its log step on the record, trace ID
+// included, before any CDC subscriber sees it, and an Unlogged commit that
+// nobody reads back from the CDC log still reaches the step (a disk-mode
+// provenance batch must be written ahead).
+func TestLogStepOrder(t *testing.T) {
+	s, tbl := newKVStore(t)
+	var events []string
+	step := func(rec CommitRecord) { events = append(events, fmt.Sprintf("log %d trace %d", rec.Seq, rec.TraceID)) }
+	change := func(k string) []Change {
+		row := value.Row{value.Text(k), value.Int(1)}
+		return []Change{{Table: tbl.Name, Key: tbl.EncodePrimaryKey(row), Op: OpInsert, After: row}}
+	}
+	if _, err := s.Commit(CommitRequest{Changes: change("a"), Unlogged: true}, step); err != nil {
+		t.Fatal(err)
+	}
+	s.SubscribeCDC(func(rec CommitRecord) { events = append(events, fmt.Sprintf("cdc %d", rec.Seq)) })
+	if _, err := s.Commit(CommitRequest{Changes: change("b"), TraceID: 9}, step); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"log 1 trace 0", "log 2 trace 9", "cdc 2"}
+	if fmt.Sprint(events) != fmt.Sprint(want) {
+		t.Fatalf("events = %q, want %q", events, want)
+	}
+	if recs := s.ChangesBetween(1, 2); len(recs) != 1 || recs[0].TraceID != 9 {
+		t.Fatalf("CDC log lost the trace ID: %+v", recs)
+	}
 }
 
 func TestOpString(t *testing.T) {
@@ -136,7 +164,7 @@ func TestSnapshotIsolationAndTimeTravel(t *testing.T) {
 	seq2, err := s.Commit(CommitRequest{
 		TxnID: s.NextTxnID(), Snapshot: seq1,
 		Changes: []Change{{Table: "kv", Key: key, Op: OpUpdate, Before: value.Row{value.Text("a"), value.Int(1)}, After: after}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +172,7 @@ func TestSnapshotIsolationAndTimeTravel(t *testing.T) {
 	seq3, err := s.Commit(CommitRequest{
 		TxnID: s.NextTxnID(), Snapshot: seq2,
 		Changes: []Change{{Table: "kv", Key: key, Op: OpDelete, Before: after}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,12 +203,12 @@ func TestOCCReadValidationConflict(t *testing.T) {
 
 	after := value.Row{value.Text("a"), value.Int(5)}
 	if _, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Snapshot: snap,
-		Changes: []Change{{Table: "kv", Key: key, Op: OpUpdate, After: after}}}); err != nil {
+		Changes: []Change{{Table: "kv", Key: key, Op: OpUpdate, After: after}}}, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	_, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Snapshot: snap, Reads: reads,
-		Changes: []Change{{Table: "kv", Key: tbl.EncodePrimaryKey(value.Row{value.Text("b"), value.Int(9)}), Op: OpInsert, After: value.Row{value.Text("b"), value.Int(9)}}}})
+		Changes: []Change{{Table: "kv", Key: tbl.EncodePrimaryKey(value.Row{value.Text("b"), value.Int(9)}), Op: OpInsert, After: value.Row{value.Text("b"), value.Int(9)}}}}, nil)
 	var conflict *ConflictError
 	if !errors.As(err, &conflict) {
 		t.Fatalf("expected ConflictError, got %v", err)
@@ -205,7 +233,7 @@ func TestOCCPhantomValidation(t *testing.T) {
 
 	row := value.Row{value.Text("x"), value.Int(1)}
 	_, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Snapshot: snap, Reads: reads,
-		Changes: []Change{{Table: "kv", Key: tbl.EncodePrimaryKey(row), Op: OpInsert, After: row}}})
+		Changes: []Change{{Table: "kv", Key: tbl.EncodePrimaryKey(row), Op: OpInsert, After: row}}}, nil)
 	var conflict *ConflictError
 	if !errors.As(err, &conflict) {
 		t.Fatalf("expected phantom conflict, got %v", err)
@@ -224,7 +252,7 @@ func TestOCCReadOnlyRangeNoFalseConflict(t *testing.T) {
 
 	row := value.Row{value.Text("zz"), value.Int(3)}
 	if _, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Snapshot: snap, Reads: reads,
-		Changes: []Change{{Table: "kv", Key: tbl.EncodePrimaryKey(row), Op: OpInsert, After: row}}}); err != nil {
+		Changes: []Change{{Table: "kv", Key: tbl.EncodePrimaryKey(row), Op: OpInsert, After: row}}}, nil); err != nil {
 		t.Fatalf("disjoint write should not conflict: %v", err)
 	}
 }
@@ -234,7 +262,7 @@ func TestDuplicateInsertConflicts(t *testing.T) {
 	insertKV(t, s, tbl, "a", 1)
 	row := value.Row{value.Text("a"), value.Int(2)}
 	_, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Snapshot: s.CurrentSeq(),
-		Changes: []Change{{Table: "kv", Key: tbl.EncodePrimaryKey(row), Op: OpInsert, After: row}}})
+		Changes: []Change{{Table: "kv", Key: tbl.EncodePrimaryKey(row), Op: OpInsert, After: row}}}, nil)
 	var conflict *ConflictError
 	if !errors.As(err, &conflict) {
 		t.Fatalf("duplicate insert should conflict, got %v", err)
@@ -248,12 +276,12 @@ func TestUpdateVanishedRowConflicts(t *testing.T) {
 	snap := s.CurrentSeq()
 	// Delete it.
 	if _, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Snapshot: snap,
-		Changes: []Change{{Table: "kv", Key: key, Op: OpDelete}}}); err != nil {
+		Changes: []Change{{Table: "kv", Key: key, Op: OpDelete}}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Now try updating from the stale snapshot (blind write, no read set).
 	_, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Snapshot: snap,
-		Changes: []Change{{Table: "kv", Key: key, Op: OpUpdate, After: value.Row{value.Text("a"), value.Int(9)}}}})
+		Changes: []Change{{Table: "kv", Key: key, Op: OpUpdate, After: value.Row{value.Text("a"), value.Int(9)}}}}, nil)
 	var conflict *ConflictError
 	if !errors.As(err, &conflict) {
 		t.Fatalf("update of vanished row should conflict, got %v", err)
@@ -262,7 +290,7 @@ func TestUpdateVanishedRowConflicts(t *testing.T) {
 
 func TestCommitUnknownTable(t *testing.T) {
 	s := NewStore()
-	_, err := s.Commit(CommitRequest{Changes: []Change{{Table: "nope", Key: "k", Op: OpInsert, After: value.Row{value.Int(1)}}}})
+	_, err := s.Commit(CommitRequest{Changes: []Change{{Table: "nope", Key: "k", Op: OpInsert, After: value.Row{value.Int(1)}}}}, nil)
 	if err == nil {
 		t.Error("commit to unknown table should fail")
 	}
@@ -328,7 +356,7 @@ func TestSecondaryIndexMaintenance(t *testing.T) {
 		}
 		key := tbl.EncodePrimaryKey(keyRow)
 		_, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Snapshot: s.CurrentSeq(),
-			Changes: []Change{{Table: "users", Key: key, Op: op, Before: before, After: after}}})
+			Changes: []Change{{Table: "users", Key: key, Op: op, Before: before, After: after}}}, nil)
 		return err
 	}
 	if err := commit(OpInsert, nil, mkRow(1, "sf")); err != nil {
@@ -406,7 +434,7 @@ func TestUniqueIndexEnforcement(t *testing.T) {
 	ins := func(id int64, email string) error {
 		row := value.Row{value.Int(id), value.Text(email)}
 		_, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Snapshot: s.CurrentSeq(),
-			Changes: []Change{{Table: "emails", Key: tbl.EncodePrimaryKey(row), Op: OpInsert, After: row}}})
+			Changes: []Change{{Table: "emails", Key: tbl.EncodePrimaryKey(row), Op: OpInsert, After: row}}}, nil)
 		return err
 	}
 	if err := ins(1, "a@x"); err != nil {
@@ -436,7 +464,7 @@ func TestCreateIndexBackfillUniqueViolation(t *testing.T) {
 	for i := int64(1); i <= 2; i++ {
 		row := value.Row{value.Int(i), value.Int(7)}
 		if _, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Snapshot: s.CurrentSeq(),
-			Changes: []Change{{Table: "t", Key: tbl.EncodePrimaryKey(row), Op: OpInsert, After: row}}}); err != nil {
+			Changes: []Change{{Table: "t", Key: tbl.EncodePrimaryKey(row), Op: OpInsert, After: row}}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -453,16 +481,16 @@ func TestApplyCommittedRecovery(t *testing.T) {
 	s, tbl := newKVStore(t)
 	row := value.Row{value.Text("a"), value.Int(1)}
 	rec := CommitRecord{Seq: 1, TxnID: 7, Changes: []Change{{Table: "kv", Key: tbl.EncodePrimaryKey(row), Op: OpInsert, After: row}}}
-	if err := s.ApplyCommitted(rec); err != nil {
+	if err := s.ApplyCommitted(rec, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s.CurrentSeq() != 1 {
 		t.Error("seq not advanced")
 	}
-	if err := s.ApplyCommitted(CommitRecord{Seq: 5}); err == nil {
+	if err := s.ApplyCommitted(CommitRecord{Seq: 5}, nil); err == nil {
 		t.Error("out-of-order recovery should fail")
 	}
-	if err := s.ApplyCommitted(CommitRecord{Seq: 2, Changes: []Change{{Table: "ghost", Key: "k", Op: OpInsert}}}); err == nil {
+	if err := s.ApplyCommitted(CommitRecord{Seq: 2, Changes: []Change{{Table: "ghost", Key: "k", Op: OpInsert}}}, nil); err == nil {
 		t.Error("recovery into unknown table should fail")
 	}
 	// TxnID watermark respected.
@@ -552,7 +580,7 @@ func TestConcurrentCommitsSerialize(t *testing.T) {
 					reads.AddKey("kv", key)
 					after := value.Row{value.Text("counter"), value.Int(row[1].AsInt() + 1)}
 					_, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Snapshot: snap, Reads: reads,
-						Changes: []Change{{Table: "kv", Key: key, Op: OpUpdate, Before: row, After: after}}})
+						Changes: []Change{{Table: "kv", Key: key, Op: OpUpdate, Before: row, After: after}}}, nil)
 					if err == nil {
 						break
 					}
@@ -590,7 +618,7 @@ func TestInsertVisibilityProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			row := value.Row{value.Int(int64(i)), value.Int(rng.Int63n(100))}
 			seq, err := s.Commit(CommitRequest{TxnID: s.NextTxnID(), Snapshot: s.CurrentSeq(),
-				Changes: []Change{{Table: "p", Key: tbl.EncodePrimaryKey(row), Op: OpInsert, After: row}}})
+				Changes: []Change{{Table: "p", Key: tbl.EncodePrimaryKey(row), Op: OpInsert, After: row}}}, nil)
 			if err != nil {
 				return false
 			}

@@ -24,7 +24,7 @@ func mutateKV(t *testing.T, s *Store, k string, before, after value.Row) uint64 
 		TxnID:    s.NextTxnID(),
 		Snapshot: s.CurrentSeq(),
 		Changes:  []Change{{Table: "kv", Key: key, Op: op, Before: before, After: after}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("mutate %s: %v", k, err)
 	}

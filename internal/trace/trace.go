@@ -14,8 +14,6 @@
 // falls behind therefore costs one more chunk, never a copy of the backlog.
 // Chunks are applied in the order they were filled, and Flush returns only
 // once every event pushed before the call is in the provenance database.
-// The Sync configuration flushes inline instead, which ablation A1 uses to
-// show why the buffer matters.
 package trace
 
 import (
@@ -42,8 +40,6 @@ type Config struct {
 	FlushBatch int
 	// FlushInterval is the maximum event age before a flush (default 5ms).
 	FlushInterval time.Duration
-	// Sync flushes every event inline on the request path (ablation A1).
-	Sync bool
 	// MaxReadsPerStmt caps read-provenance rows recorded per statement
 	// (default 64; 0 keeps the default, -1 means unlimited). Scan-heavy
 	// statements otherwise make tracing cost proportional to rows scanned —
@@ -83,7 +79,7 @@ type Tracer struct {
 
 	wake   chan struct{}
 	done   chan struct{}
-	exited chan struct{} // closed when flushLoop, if started, returns
+	exited chan struct{} // closed when flushLoop returns
 
 	// stats
 	events  uint64
@@ -101,7 +97,7 @@ const maxFreeChunks = 4
 
 // Attach wires a tracer between an application (runtime + production DB)
 // and a provenance database. It installs the runtime observer, the db
-// hooks, and the CDC subscription; tracing is on from the moment Attach
+// hook, and the CDC subscription; tracing is on from the moment Attach
 // returns (always-on tracing).
 func Attach(app *runtime.App, prov *db.DB, cfg Config) (*Tracer, error) {
 	if cfg.FlushBatch <= 0 {
@@ -133,15 +129,10 @@ func Attach(app *runtime.App, prov *db.DB, cfg Config) (*Tracer, error) {
 			"Latency of flushing one buffered event batch to the provenance database.", nil),
 	}
 
-	app.DB().SetHooks(db.Hooks{
-		OnCommit: func(tr db.TxnTrace) {
-			t.push(&provenance.Event{Kind: provenance.KindTxn, Txn: tr, Logical: t.nextLogical()})
-		},
-		OnAbort: func(tr db.TxnTrace) {
-			// Aborted transactions are recorded too (Committed = false);
-			// they carry read provenance that can matter for debugging.
-			t.push(&provenance.Event{Kind: provenance.KindTxn, Txn: tr, Logical: t.nextLogical()})
-		},
+	app.DB().SetHook(func(tr db.TxnTrace) {
+		// Aborted transactions are recorded too (Committed = false); they
+		// carry read provenance that can matter for debugging.
+		t.push(&provenance.Event{Kind: provenance.KindTxn, Txn: tr, Logical: t.nextLogical()})
 	})
 	app.DB().Store().SubscribeCDC(func(rec storage.CommitRecord) {
 		// Runs under the store lock: append only, no I/O.
@@ -157,10 +148,7 @@ func Attach(app *runtime.App, prov *db.DB, cfg Config) (*Tracer, error) {
 		}
 	})
 	app.SetObserver(t)
-
-	if !cfg.Sync {
-		go t.flushLoop()
-	}
+	go t.flushLoop()
 	return t, nil
 }
 
@@ -175,16 +163,6 @@ func (t *Tracer) nextLogical() uint64 { return atomic.AddUint64(&t.logical, 1) }
 // push copies an event into the chunk being filled — the request-path fast
 // path.
 func (t *Tracer) push(ev *provenance.Event) {
-	if t.cfg.Sync {
-		atomic.AddUint64(&t.events, 1)
-		t.mu.Lock()
-		err := t.writer.ApplyBatch([]provenance.Event{*ev})
-		if err != nil && t.err == nil {
-			t.err = err
-		}
-		t.mu.Unlock()
-		return
-	}
 	t.mu.Lock()
 	if t.cfg.MaxBuffered > 0 && t.buffered >= t.cfg.MaxBuffered {
 		// Buffer full: the flusher is behind. Dropping here keeps the CDC
@@ -299,16 +277,9 @@ func (t *Tracer) Close() error {
 	}
 	t.closed = true
 	t.mu.Unlock()
-	if !t.cfg.Sync {
-		close(t.done)
-		<-t.exited
-	}
+	close(t.done)
+	<-t.exited
 	return t.Flush()
-}
-
-// Stats reports tracer counters (events captured, batch flushes).
-func (t *Tracer) Stats() (events, flushes uint64) {
-	return atomic.LoadUint64(&t.events), atomic.LoadUint64(&t.flushes)
 }
 
 // Counters reports the full counter set: events captured, events dropped at

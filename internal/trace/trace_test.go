@@ -294,19 +294,6 @@ func TestLatenciesRecorded(t *testing.T) {
 	}
 }
 
-func TestSyncModeWritesImmediately(t *testing.T) {
-	app, tr := moodleApp(t, Config{Sync: true})
-	app.InvokeWithReqID("R1", "subscribeUser", runtime.Args{"userId": "U1", "forum": "F1"})
-	// No Flush needed in sync mode.
-	res, err := tr.Prov().Query(`SELECT COUNT(*) FROM Executions`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows[0][0].AsInt() != 2 {
-		t.Errorf("sync executions = %v", res.Rows)
-	}
-}
-
 func TestAsyncFlushOnTimer(t *testing.T) {
 	app, tr := moodleApp(t, Config{FlushBatch: 1 << 20, FlushInterval: 2 * time.Millisecond})
 	app.InvokeWithReqID("R1", "subscribeUser", runtime.Args{"userId": "U1", "forum": "F1"})
@@ -389,7 +376,7 @@ func TestStatsAndDoubleClose(t *testing.T) {
 	app, tr := moodleApp(t, Config{})
 	app.InvokeWithReqID("R1", "subscribeUser", runtime.Args{"userId": "U", "forum": "F"})
 	tr.Flush()
-	events, _ := tr.Stats()
+	events, _, _ := tr.Counters()
 	if events == 0 {
 		t.Error("no events counted")
 	}

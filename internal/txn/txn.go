@@ -437,7 +437,12 @@ func (t *Txn) PendingChanges() []storage.Change {
 // is not a position in the commit sequence. The snapshot they read at is
 // available via Snapshot — reporting it here would let a time-travel reader
 // masquerade as a transaction that committed in the past.
-func (t *Txn) Commit() (uint64, error) {
+func (t *Txn) Commit() (uint64, error) { return t.CommitWith(0, nil) }
+
+// CommitWith is Commit with the record's trace ID and the commit's
+// write-ahead step passed through to Store.Commit (see
+// storage.CommitRecord.TraceID and storage.LogStep).
+func (t *Txn) CommitWith(traceID uint64, log storage.LogStep) (uint64, error) {
 	if t.state != StateActive {
 		return 0, ErrDone
 	}
@@ -454,7 +459,8 @@ func (t *Txn) Commit() (uint64, error) {
 		Snapshot: t.snapshot,
 		Reads:    t.reads,
 		Changes:  changes,
-	})
+		TraceID:  traceID,
+	}, log)
 	t.store.UnpinSnapshot(t.snapshot)
 	if err != nil {
 		t.state = StateAborted

@@ -281,9 +281,9 @@ func (l *Log) WaitDurableLed(lsn int64) (led bool, err error) {
 // SetSyncDelay injects an artificial delay into the group-commit leader's
 // fsync window, modelling real disk fsync latency on filesystems where
 // fsync is nearly free (tmpfs, fast NVMe with volatile caches). The
-// group-commit tests and the server-load experiment use it so batching
-// behaviour is observable and reproducible regardless of the host's
-// filesystem; production deployments leave it zero.
+// group-commit and span tests use it so batching behaviour is observable and
+// reproducible regardless of the host's filesystem; production deployments
+// leave it zero.
 func (l *Log) SetSyncDelay(d time.Duration) {
 	l.mu.Lock()
 	l.syncDelay = d

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/hex"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -22,6 +23,22 @@ func sampleCommit(seq uint64) storage.CommitRecord {
 				After:  value.Row{value.Int(1), value.Text("b")}},
 			{Table: "t", Key: "k1", Op: storage.OpDelete, Before: value.Row{value.Int(1), value.Text("b")}},
 		},
+	}
+}
+
+// TestEncodeCommitBytesPinned pins the commit record's WAL encoding. A
+// record's TraceID lives only in memory: a traced record must encode to the
+// same bytes as an untraced one, and both to the bytes the format has
+// always had.
+func TestEncodeCommitBytesPinned(t *testing.T) {
+	const want = "0746030174026b3100020201020301610174026b3101030201020301610201020301620174026b310201020102030162"
+	rec := sampleCommit(7)
+	if got := hex.EncodeToString(EncodeCommit(nil, rec)); got != want {
+		t.Fatalf("EncodeCommit = %s, want %s", got, want)
+	}
+	rec.TraceID = 0xdeadbeef
+	if got := hex.EncodeToString(EncodeCommit(nil, rec)); got != want {
+		t.Fatalf("EncodeCommit with a TraceID = %s, want %s (the trace ID must not be encoded)", got, want)
 	}
 }
 
@@ -193,7 +210,7 @@ func TestEndToEndRecoveryIntoStore(t *testing.T) {
 	})
 	row := value.Row{value.Text("a"), value.Int(42)}
 	if _, err := s.Commit(storage.CommitRequest{TxnID: s.NextTxnID(), Snapshot: s.CurrentSeq(),
-		Changes: []storage.Change{{Table: "kv", Key: tbl.EncodePrimaryKey(row), Op: storage.OpInsert, After: row}}}); err != nil {
+		Changes: []storage.Change{{Table: "kv", Key: tbl.EncodePrimaryKey(row), Op: storage.OpInsert, After: row}}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -208,7 +225,7 @@ func TestEndToEndRecoveryIntoStore(t *testing.T) {
 			// The facade parses DDL; here we recreate the one known table.
 			return s2.CreateTable(mustKV(t), false)
 		case RecordCommit:
-			return s2.ApplyCommitted(r.Commit)
+			return s2.ApplyCommitted(r.Commit, nil)
 		}
 		return nil
 	})
