@@ -251,47 +251,20 @@ func renderTrace(c *client.Client, reqID string) error {
 	return nil
 }
 
-// printStats renders a Stats response for operators: one counter per line
-// (stable, grep-friendly), or one JSON object with -json. Replication
-// fields appear only where they mean something — applied seq and lag on a
-// replica, subscriber count on a primary.
+// printStats renders a Stats response for operators: the node's role, then
+// every protocol.StatFields counter under its key, one per line (stable,
+// grep-friendly), or one JSON object with -json. Flags print as booleans.
 func printStats(st protocol.Stats, asJSON bool) {
-	if asJSON {
-		out := map[string]any{
-			"active_sessions":   st.ActiveSessions,
-			"active_txns":       st.ActiveTxns,
-			"queued_conns":      st.QueuedConns,
-			"accepted":          st.Accepted,
-			"rejected_busy":     st.RejectedBusy,
-			"requests":          st.Requests,
-			"commits":           st.Commits,
-			"conflicts":         st.Conflicts,
-			"expired_txns":      st.ExpiredTxns,
-			"wal_syncs":         st.WALSyncs,
-			"plan_cache_hits":   st.PlanCacheHits,
-			"plan_cache_misses": st.PlanCacheMisses,
-			"db_commits":        st.DBCommits,
-			"db_conflicts":      st.DBConflicts,
-			"checkpoints":       st.Checkpoints,
-			"quorum_stalls":     st.QuorumStalls,
-			"tracer_events":     st.TracerEvents,
-			"tracer_drops":      st.TracerDrops,
-			"tracer_flushes":    st.TracerFlushes,
-			"subscribers":       st.Subscribers,
-			"is_replica":        st.IsReplica == 1,
-			"epoch":             st.Epoch,
-			"fenced":            st.Fenced == 1,
-			"vacuum_runs":       st.VacuumRuns,
-			"vacuum_dropped":    st.VacuumDropped,
-			"history_floor":     st.HistoryFloor,
-			"resident_versions": st.ResidentVersions,
-			"max_chain_length":  st.MaxChainLength,
+	value := func(f *protocol.StatField) any {
+		if f.Kind == protocol.StatFlag {
+			return *f.Field(&st) == 1
 		}
-		if st.IsReplica == 1 {
-			out["applied_seq"] = st.AppliedSeq
-			out["primary_seq"] = st.PrimarySeq
-			out["replication_lag"] = st.Lag()
-			out["replication_connected"] = st.ReplConnected == 1
+		return *f.Field(&st)
+	}
+	if asJSON {
+		out := map[string]any{}
+		for i := range protocol.StatFields {
+			out[protocol.StatFields[i].Key] = value(&protocol.StatFields[i])
 		}
 		if len(st.SubscriberLags) > 0 {
 			lags := make([]map[string]any, len(st.SubscriberLags))
@@ -311,45 +284,17 @@ func printStats(st protocol.Stats, asJSON bool) {
 		fmt.Println(string(data))
 		return
 	}
-	fmt.Printf("active_sessions:    %d\n", st.ActiveSessions)
-	fmt.Printf("active_txns:        %d\n", st.ActiveTxns)
-	fmt.Printf("queued_conns:       %d\n", st.QueuedConns)
-	fmt.Printf("accepted:           %d\n", st.Accepted)
-	fmt.Printf("rejected_busy:      %d\n", st.RejectedBusy)
-	fmt.Printf("requests:           %d\n", st.Requests)
-	fmt.Printf("commits:            %d\n", st.Commits)
-	fmt.Printf("conflicts:          %d\n", st.Conflicts)
-	fmt.Printf("expired_txns:       %d\n", st.ExpiredTxns)
-	fmt.Printf("wal_syncs:          %d\n", st.WALSyncs)
-	fmt.Printf("plan_cache_hits:    %d\n", st.PlanCacheHits)
-	fmt.Printf("plan_cache_misses:  %d\n", st.PlanCacheMisses)
-	fmt.Printf("db_commits:         %d\n", st.DBCommits)
-	fmt.Printf("db_conflicts:       %d\n", st.DBConflicts)
-	fmt.Printf("checkpoints:        %d\n", st.Checkpoints)
-	fmt.Printf("quorum_stalls:      %d\n", st.QuorumStalls)
-	fmt.Printf("tracer_events:      %d\n", st.TracerEvents)
-	fmt.Printf("tracer_drops:       %d\n", st.TracerDrops)
-	fmt.Printf("tracer_flushes:     %d\n", st.TracerFlushes)
-	fmt.Printf("subscribers:        %d\n", st.Subscribers)
+	role := "primary"
 	if st.IsReplica == 1 {
-		fmt.Printf("role:               replica\n")
-		fmt.Printf("applied_seq:        %d\n", st.AppliedSeq)
-		fmt.Printf("primary_seq:        %d\n", st.PrimarySeq)
-		fmt.Printf("replication_lag:    %d\n", st.Lag())
-		fmt.Printf("replication_connected: %v\n", st.ReplConnected == 1)
-	} else {
-		fmt.Printf("role:               primary\n")
+		role = "replica"
 	}
-	fmt.Printf("epoch:              %d\n", st.Epoch)
-	fmt.Printf("fenced:             %v\n", st.Fenced == 1)
-	fmt.Printf("vacuum_runs:        %d\n", st.VacuumRuns)
-	fmt.Printf("vacuum_dropped:     %d\n", st.VacuumDropped)
-	fmt.Printf("history_floor:      %d\n", st.HistoryFloor)
-	fmt.Printf("resident_versions:  %d\n", st.ResidentVersions)
-	fmt.Printf("max_chain_length:   %d\n", st.MaxChainLength)
+	fmt.Printf("%-19s %s\n", "role:", role)
+	for i := range protocol.StatFields {
+		fmt.Printf("%-19s %v\n", protocol.StatFields[i].Key+":", value(&protocol.StatFields[i]))
+	}
 	for i, l := range st.SubscriberLags {
-		fmt.Printf("subscriber_%d:       acked_seq=%d lag_seqs=%d last_ack_age_ms=%d\n",
-			i, l.AckedSeq, l.LagSeqs, l.LastAckAgeMs)
+		fmt.Printf("%-19s acked_seq=%d lag_seqs=%d last_ack_age_ms=%d\n",
+			fmt.Sprintf("subscriber_%d:", i), l.AckedSeq, l.LagSeqs, l.LastAckAgeMs)
 	}
 }
 

@@ -266,7 +266,7 @@ func main() {
 		st := srv.Stats()
 		if st.IsReplica == 1 {
 			log.Printf("drained cleanly: %d requests served, applied seq %d (lag %d)",
-				st.Requests, st.AppliedSeq, st.Lag())
+				st.Requests, st.AppliedSeq, st.ReplLag)
 		} else {
 			log.Printf("drained cleanly: %d requests served, %d commits, %d WAL syncs",
 				st.Requests, st.Commits, st.WALSyncs)

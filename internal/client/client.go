@@ -45,7 +45,8 @@ type Options struct {
 	// Collector, when set, enables client-side span tracing: each traced
 	// request records pool-checkout and round-trip spans and propagates its
 	// trace ID on the wire, so the server's spans for the same request share
-	// the trace. Completed client traces tail-sample into this collector.
+	// the trace. Completed client traces tail-sample into this collector,
+	// which hands the kept ones to its sink (span.Collector.SetOnKeep).
 	Collector *span.Collector
 }
 

@@ -454,55 +454,9 @@ func (db *DB) PlanShape(query string) string {
 	return plan.Shape()
 }
 
-// RegisterMetrics exports the engine's counters on reg: commit/conflict
-// totals, checkpoint count + duration histogram, WAL syncs, plan-cache
-// effectiveness, and the MVCC vacuum/version census. One call wires the
-// whole trod_db_* and trod_wal_* namespace for a served database.
-func (db *DB) RegisterMetrics(reg *metrics.Registry) {
-	reg.CounterFunc("trod_db_commits_total",
-		"Write commits applied by the engine (all paths, retries counted once each).",
-		func() uint64 { return db.commits.Load() })
-	reg.CounterFunc("trod_db_conflicts_total",
-		"Commit attempts aborted by OCC serialization-conflict validation.",
-		func() uint64 { return db.conflicts.Load() })
-	reg.CounterFunc("trod_db_checkpoints_total",
-		"Completed checkpoint runs.",
-		func() uint64 { return db.checkpoints.Load() })
-	reg.Register(db.ckptHist)
-	reg.CounterFunc("trod_wal_syncs_total",
-		"WAL fsyncs issued; stays below commit count while group commit batches.",
-		func() uint64 { return db.WALStats().Syncs })
-	reg.CounterFunc("trod_db_plan_cache_hits_total",
-		"Statement executions that reused a cached physical plan.",
-		func() uint64 { return db.PlanCacheStats().Hits })
-	reg.CounterFunc("trod_db_plan_cache_misses_total",
-		"Plan compilations: first executions plus schema-epoch invalidations.",
-		func() uint64 { return db.PlanCacheStats().Misses })
-	reg.GaugeFunc("trod_db_plan_cache_size",
-		"Query texts currently cached.",
-		func() float64 { return float64(db.PlanCacheStats().Size) })
-	reg.CounterFunc("trod_db_vacuum_runs_total",
-		"MVCC vacuum runs (per checkpoint under HistoryRetention, plus explicit calls).",
-		func() uint64 { return db.store.VacuumTotals().Runs })
-	reg.CounterFunc("trod_db_vacuum_dropped_versions_total",
-		"Row and index versions dropped by vacuum.",
-		func() uint64 {
-			v := db.store.VacuumTotals()
-			return v.DroppedRowVersions + v.DroppedIndexVersions
-		})
-	reg.GaugeFunc("trod_db_resident_versions",
-		"Row versions currently resident in version chains.",
-		func() float64 { return float64(db.store.VersionCensus().ResidentRowVersions) })
-	reg.GaugeFunc("trod_db_max_chain_length",
-		"Longest row version chain.",
-		func() float64 { return float64(db.store.VersionCensus().MaxChainLength) })
-	reg.GaugeFunc("trod_db_history_floor_seq",
-		"Oldest commit sequence still readable by time travel (vacuum/restart floor).",
-		func() float64 { return float64(db.store.HistoryRetainedFrom()) })
-	reg.GaugeFunc("trod_db_commit_seq",
-		"Current commit sequence.",
-		func() float64 { return float64(db.store.CurrentSeq()) })
-}
+// RegisterMetrics exports the checkpoint-duration histogram on reg. The
+// engine's counters reach the metrics endpoint through the server's Stats.
+func (db *DB) RegisterMetrics(reg *metrics.Registry) { reg.Register(db.ckptHist) }
 
 // Log exposes the write-ahead log (nil in Memory mode); tests and tools
 // use it for stats and fault injection.

@@ -152,8 +152,6 @@ func DefaultConfig() *Config {
 		"repro/internal/server.slowLog.emit",
 		"repro/internal/metrics.Histogram.Observe",
 		"repro/internal/metrics.Histogram.ObserveSince",
-		"repro/internal/metrics.Counter.Inc",
-		"repro/internal/metrics.Gauge.Set",
 		"repro/internal/trace.Tracer.push",
 	}
 	c.Nosleep.Forbidden = []string{

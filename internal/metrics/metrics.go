@@ -1,12 +1,13 @@
 // Package metrics is a stdlib-only metrics registry rendered in the
 // Prometheus text exposition format (version 0.0.4). It exists so every
 // layer of the stack — server, storage, replication, tracer — can export
-// counters, gauges, and latency histograms over HTTP without pulling in a
-// client library the container doesn't have.
+// latency histograms, and the counters and gauges a collector reads at
+// scrape time, over HTTP without pulling in a client library the container
+// doesn't have.
 //
 // Design constraints, in order:
 //
-//   - The hot path (Counter.Inc, Histogram.Observe) is allocation-free and
+//   - The hot path (Histogram.Observe) is allocation-free and
 //     never takes a lock shared with the scrape path for longer than a few
 //     array increments. Histograms are lock-striped: an observation picks a
 //     stripe round-robin off an atomic counter, so concurrent observers
@@ -25,14 +26,13 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
-// A Metric is anything the registry can render. Implementations in this
-// package: Counter, Gauge, Func (counter/gauge read at scrape time),
-// Histogram, HistogramVec, and Collector (dynamic labeled series).
+// A Metric is anything the registry can render: Histogram, HistogramVec, or
+// a Collect function.
 type Metric interface {
-	// Name returns the family name, used for duplicate detection.
+	// Name returns the family name, used for duplicate detection ("" for a
+	// collector, which renders several).
 	Name() string
 	// write appends the family's # HELP / # TYPE header and samples.
 	write(b *strings.Builder)
@@ -55,10 +55,12 @@ func NewRegistry() *Registry {
 func (r *Registry) Register(m Metric) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.names[m.Name()] {
-		panic("metrics: duplicate registration of " + m.Name())
+	if n := m.Name(); n != "" {
+		if r.names[n] {
+			panic("metrics: duplicate registration of " + n)
+		}
+		r.names[n] = true
 	}
-	r.names[m.Name()] = true
 	r.order = append(r.order, m)
 }
 
@@ -76,43 +78,10 @@ func (r *Registry) WriteText(w io.Writer) error {
 	return err
 }
 
-// Convenience constructors that register in one step.
-
-func (r *Registry) Counter(name, help string) *Counter {
-	c := NewCounter(name, help)
-	r.Register(c)
-	return c
-}
-
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := NewGauge(name, help)
-	r.Register(g)
-	return g
-}
-
-func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
-	r.Register(NewCounterFunc(name, help, fn))
-}
-
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.Register(NewGaugeFunc(name, help, fn))
-}
-
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	h := NewHistogram(name, help, bounds)
-	r.Register(h)
-	return h
-}
-
-func (r *Registry) HistogramVec(name, help, label string, bounds []float64) *HistogramVec {
-	v := NewHistogramVec(name, help, label, bounds)
-	r.Register(v)
-	return v
-}
-
-func (r *Registry) Collector(name, help, typ string, fn func() []Sample) {
-	r.Register(&Collector{name: name, help: help, typ: typ, fn: fn})
-}
+// Collect registers fn as a collector: on every scrape it is called once and
+// each family it returns is rendered in order. Subsystems that keep their own
+// counters hand over one consistent snapshot per scrape this way.
+func (r *Registry) Collect(fn func() []Family) { r.Register(collector(fn)) }
 
 // header writes the # HELP / # TYPE preamble for a family.
 func header(b *strings.Builder, name, help, typ string) {
@@ -154,116 +123,41 @@ func formatFloat(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
-// Counter is a monotonically increasing uint64. Inc/Add are lock-free.
-type Counter struct {
-	v    atomic.Uint64
-	name string
-	help string
-}
-
-func NewCounter(name, help string) *Counter {
-	return &Counter{name: name, help: help}
-}
-
-func (c *Counter) Inc()          { c.v.Add(1) }
-func (c *Counter) Add(n uint64)  { c.v.Add(n) }
-func (c *Counter) Value() uint64 { return c.v.Load() }
-func (c *Counter) Name() string  { return c.name }
-
-func (c *Counter) write(b *strings.Builder) {
-	header(b, c.name, c.help, "counter")
-	b.WriteString(c.name)
-	b.WriteByte(' ')
-	b.WriteString(strconv.FormatUint(c.v.Load(), 10))
-	b.WriteByte('\n')
-}
-
-// Gauge is a value that can go up and down. Set/Add/Inc/Dec are lock-free.
-type Gauge struct {
-	v    atomic.Int64
-	name string
-	help string
-}
-
-func NewGauge(name, help string) *Gauge {
-	return &Gauge{name: name, help: help}
-}
-
-func (g *Gauge) Set(v int64)  { g.v.Store(v) }
-func (g *Gauge) Add(d int64)  { g.v.Add(d) }
-func (g *Gauge) Inc()         { g.v.Add(1) }
-func (g *Gauge) Dec()         { g.v.Add(-1) }
-func (g *Gauge) Value() int64 { return g.v.Load() }
-func (g *Gauge) Name() string { return g.name }
-
-func (g *Gauge) write(b *strings.Builder) {
-	header(b, g.name, g.help, "gauge")
-	b.WriteString(g.name)
-	b.WriteByte(' ')
-	b.WriteString(strconv.FormatInt(g.v.Load(), 10))
-	b.WriteByte('\n')
-}
-
-// Func is a counter or gauge whose value is read at scrape time — the
-// bridge for subsystems that already keep their own counters (WAL fsyncs,
-// plan-cache hits) and should not be made to double-count.
-type Func struct {
-	name string
-	help string
-	typ  string
-	fn   func() float64
-}
-
-func NewCounterFunc(name, help string, fn func() uint64) *Func {
-	return &Func{name: name, help: help, typ: "counter", fn: func() float64 { return float64(fn()) }}
-}
-
-func NewGaugeFunc(name, help string, fn func() float64) *Func {
-	return &Func{name: name, help: help, typ: "gauge", fn: fn}
-}
-
-func (f *Func) Name() string { return f.name }
-
-func (f *Func) write(b *strings.Builder) {
-	header(b, f.name, f.help, f.typ)
-	b.WriteString(f.name)
-	b.WriteByte(' ')
-	b.WriteString(formatFloat(f.fn()))
-	b.WriteByte('\n')
-}
-
-// Sample is one labeled observation emitted by a Collector.
+// Sample is one observation in a Family.
 type Sample struct {
 	// Labels is the pre-rendered label pairs without braces, e.g.
-	// `subscriber="0"`. Values built from free-form strings should pass
-	// through EscapeLabel.
+	// `subscriber="0"`, or empty. Values built from free-form strings
+	// should pass through EscapeLabel.
 	Labels string
 	Value  float64
 }
 
-// Collector renders a dynamic set of labeled samples under one family —
-// used for series whose label set changes at runtime, like per-subscriber
-// replication lag. fn is called at scrape time.
-type Collector struct {
-	name string
-	help string
-	typ  string
-	fn   func() []Sample
+// Family is one metric family as a collector returns it: Type is "counter"
+// or "gauge".
+type Family struct {
+	Name, Help, Type string
+	Samples          []Sample
 }
 
-func (c *Collector) Name() string { return c.name }
+// collector is a registered Collect function. It has no name of its own, so
+// the registry cannot check its families for duplicates.
+type collector func() []Family
 
-func (c *Collector) write(b *strings.Builder) {
-	header(b, c.name, c.help, c.typ)
-	for _, s := range c.fn() {
-		b.WriteString(c.name)
-		if s.Labels != "" {
-			b.WriteByte('{')
-			b.WriteString(s.Labels)
-			b.WriteByte('}')
+func (c collector) Name() string { return "" }
+
+func (c collector) write(b *strings.Builder) {
+	for _, f := range c() {
+		header(b, f.Name, f.Help, f.Type)
+		for _, s := range f.Samples {
+			b.WriteString(f.Name)
+			if s.Labels != "" {
+				b.WriteByte('{')
+				b.WriteString(s.Labels)
+				b.WriteByte('}')
+			}
+			b.WriteByte(' ')
+			b.WriteString(formatFloat(s.Value))
+			b.WriteByte('\n')
 		}
-		b.WriteByte(' ')
-		b.WriteString(formatFloat(s.Value))
-		b.WriteByte('\n')
 	}
 }

@@ -7,34 +7,24 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-func TestCounterAndGauge(t *testing.T) {
-	c := NewCounter("c_total", "help")
-	c.Inc()
-	c.Add(41)
-	if got := c.Value(); got != 42 {
-		t.Fatalf("counter = %d, want 42", got)
-	}
-	g := NewGauge("g", "help")
-	g.Set(10)
-	g.Add(5)
-	g.Dec()
-	if got := g.Value(); got != 14 {
-		t.Fatalf("gauge = %d, want 14", got)
-	}
-}
-
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("dup_total", "one")
+	r.Register(NewHistogram("dup_seconds", "one", nil))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on duplicate registration")
 		}
 	}()
-	r.Counter("dup_total", "two")
+	r.Register(NewHistogram("dup_seconds", "two", nil))
+}
+
+// counterFamily renders one unlabeled counter the way a collector does.
+func counterFamily(name, help string, v float64) Family {
+	return Family{Name: name, Help: help, Type: "counter", Samples: []Sample{{Value: v}}}
 }
 
 // referenceHistogram is the obvious single-lock implementation the striped
@@ -115,9 +105,12 @@ func TestHistogramBoundaryInclusive(t *testing.T) {
 // The final totals must account for every observation.
 func TestConcurrentObserveScrape(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat_seconds", "help", []float64{0.01, 0.1})
-	c := r.Counter("ops_total", "help")
-	g := r.Gauge("live", "help")
+	h := NewHistogram("lat_seconds", "help", []float64{0.01, 0.1})
+	r.Register(h)
+	var ops atomic.Uint64
+	r.Collect(func() []Family {
+		return []Family{counterFamily("ops_total", "help", float64(ops.Load()))}
+	})
 	const workers, perWorker = 8, 5000
 	var observers, scraper sync.WaitGroup
 	stop := make(chan struct{})
@@ -144,46 +137,42 @@ func TestConcurrentObserveScrape(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < perWorker; i++ {
 				h.Observe(rng.Float64())
-				c.Inc()
-				g.Inc()
-				g.Dec()
+				ops.Add(1)
 			}
 		}(int64(w))
 	}
 	observers.Wait()
 	close(stop)
 	scraper.Wait()
-	if got := c.Value(); got != workers*perWorker {
-		t.Fatalf("counter = %d, want %d", got, workers*perWorker)
-	}
 	_, _, n := h.Snapshot()
 	if n != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", n, workers*perWorker)
-	}
-	if g.Value() != 0 {
-		t.Fatalf("gauge = %d, want 0", g.Value())
 	}
 }
 
 func TestTextGolden(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("trod_test_ops_total", "Operations handled.")
-	c.Add(3)
-	g := r.Gauge("trod_test_live_sessions", "Sessions currently open.")
-	g.Set(2)
-	r.GaugeFunc("trod_test_ratio", "A derived ratio.", func() float64 { return 0.5 })
-	h := r.Histogram("trod_test_latency_seconds", "Request latency.", []float64{0.001, 0.01})
+	r.Collect(func() []Family {
+		return []Family{
+			counterFamily("trod_test_ops_total", "Operations handled.", 3),
+			{Name: "trod_test_live_sessions", Help: "Sessions currently open.", Type: "gauge", Samples: []Sample{{Value: 2}}},
+			{Name: "trod_test_ratio", Help: "A derived ratio.", Type: "gauge", Samples: []Sample{{Value: 0.5}}},
+		}
+	})
+	h := NewHistogram("trod_test_latency_seconds", "Request latency.", []float64{0.001, 0.01})
+	r.Register(h)
 	h.Observe(0.0005)
 	h.Observe(0.002)
 	h.Observe(5)
-	v := r.HistogramVec("trod_test_req_seconds", "Per-type latency.", "type", []float64{0.01})
+	v := NewHistogramVec("trod_test_req_seconds", "Per-type latency.", "type", []float64{0.01})
+	r.Register(v)
 	v.With("query").Observe(0.001)
 	v.With("exec").Observe(1)
-	r.Collector("trod_test_lag_seqs", "Per-subscriber lag.", "gauge", func() []Sample {
-		return []Sample{
+	r.Collect(func() []Family {
+		return []Family{{Name: "trod_test_lag_seqs", Help: "Per-subscriber lag.", Type: "gauge", Samples: []Sample{
 			{Labels: `subscriber="0"`, Value: 7},
 			{Labels: `subscriber="1"`, Value: 0},
-		}
+		}}}
 	})
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
@@ -230,7 +219,7 @@ func TestEscaping(t *testing.T) {
 		t.Fatalf("EscapeLabel = %q", got)
 	}
 	r := NewRegistry()
-	r.Counter("c_total", "line1\nline2\\end")
+	r.Collect(func() []Family { return []Family{counterFamily("c_total", "line1\nline2\\end", 0)} })
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
 		t.Fatal(err)
@@ -242,7 +231,7 @@ func TestEscaping(t *testing.T) {
 
 func TestHTTPHandler(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("up_total", "help").Inc()
+	r.Collect(func() []Family { return []Family{counterFamily("up_total", "help", 1)} })
 	draining := false
 	drainingErr := func() error {
 		if draining {

@@ -48,8 +48,7 @@ const (
 	MsgBegin
 	MsgCommit
 	MsgRollback
-	// MsgStats asks for server counters (sessions, transactions, commits,
-	// WAL fsyncs).
+	// MsgStats asks for the server's Stats (see StatFields).
 	MsgStats
 	// MsgSubscribe turns the session into a replication subscriber: the
 	// server streams MsgSnapshotChunk (when bootstrapping) and MsgLogBatch
@@ -216,97 +215,6 @@ func IsQuorumUnavailable(err error) bool { return IsCode(err, CodeQuorumUnavaila
 // IsReadOnlyTxn reports a write attempted inside a read-only snapshot
 // transaction (declared read-only, or time travel at a historical snapshot).
 func IsReadOnlyTxn(err error) bool { return IsCode(err, CodeReadOnlyTxn) }
-
-// Stats is the MsgStatsResult payload: a snapshot of the server's gauges
-// and counters, plus the WAL sync counter so load tests can verify group
-// commit (Syncs < Commits) over the wire.
-type Stats struct {
-	ActiveSessions uint64
-	ActiveTxns     uint64
-	QueuedConns    uint64
-	Accepted       uint64
-	RejectedBusy   uint64
-	Requests       uint64
-	Commits        uint64
-	Conflicts      uint64
-	ExpiredTxns    uint64
-	WALSyncs       uint64
-
-	// Plan-cache effectiveness of the backing database (operator view of
-	// db.PlanCacheStats over the wire).
-	PlanCacheHits   uint64
-	PlanCacheMisses uint64
-
-	// Replication. Subscribers counts live replication streams served (a
-	// primary's view). IsReplica is 1 when the server is a read-only
-	// replica; AppliedSeq/PrimarySeq are then the replica's applied commit
-	// sequence and the newest primary sequence it has heard of — their
-	// difference is the replication lag in commits — and ReplConnected is 1
-	// while the replica's subscription to its primary is live.
-	Subscribers   uint64
-	IsReplica     uint64
-	AppliedSeq    uint64
-	PrimarySeq    uint64
-	ReplConnected uint64
-
-	// Failover. Epoch is the node's replication epoch (bumped by every
-	// promotion); Fenced is 1 when the node has observed a higher epoch and
-	// refuses writes and subscribers.
-	Epoch  uint64
-	Fenced uint64
-
-	// MVCC garbage collection and residency. VacuumRuns/VacuumDropped count
-	// vacuum activity (dropped = row and index versions compacted out of
-	// chains); HistoryFloor is the oldest snapshot still answerable by time
-	// travel; ResidentVersions and MaxChainLength describe current row
-	// version residency (census taken when stats are requested).
-	VacuumRuns       uint64
-	VacuumDropped    uint64
-	HistoryFloor     uint64
-	ResidentVersions uint64
-	MaxChainLength   uint64
-
-	// Engine-level commit accounting (db.CommitStats): unlike the server's
-	// Commits/Conflicts these count every OCC validation outcome — internal
-	// writers and autocommit retries included — so DBConflicts/DBCommits is
-	// the true conflict rate under a hot-key storm. Checkpoints counts
-	// completed checkpoint runs; QuorumStalls counts commits whose replica
-	// quorum ack timed out.
-	DBCommits    uint64
-	DBConflicts  uint64
-	Checkpoints  uint64
-	QuorumStalls uint64
-
-	// Tracer counters: provenance events captured, events dropped at a full
-	// buffer (MaxBuffered), and batches flushed to the provenance database.
-	TracerEvents  uint64
-	TracerDrops   uint64
-	TracerFlushes uint64
-
-	// SubscriberLags describes each live replication stream the node serves
-	// (a primary's per-subscriber view); empty on replicas and on primaries
-	// with no subscribers.
-	SubscriberLags []SubscriberLag
-}
-
-// SubscriberLag is one subscriber's replication progress as seen by the
-// primary: the newest commit sequence it acknowledged, how many commits it
-// trails the primary's head by, and how long ago it last acked (heartbeat
-// acks keep this fresh on an idle stream).
-type SubscriberLag struct {
-	AckedSeq     uint64
-	LagSeqs      uint64
-	LastAckAgeMs uint64
-}
-
-// Lag returns the replication lag in commit sequences (0 on a primary or a
-// fully caught-up replica).
-func (s *Stats) Lag() uint64 {
-	if s.PrimarySeq > s.AppliedSeq {
-		return s.PrimarySeq - s.AppliedSeq
-	}
-	return 0
-}
 
 // Message is one protocol message; Type selects which fields are meaningful
 // (mirroring wal.Record's flat-record idiom).
@@ -499,8 +407,8 @@ func EncodeMessage(dst []byte, m *Message) []byte {
 		dst = binary.AppendUvarint(dst, m.TxnID)
 		dst = binary.AppendUvarint(dst, m.Seq)
 	case MsgStatsResult:
-		for _, v := range m.Stats.fields() {
-			dst = binary.AppendUvarint(dst, *v)
+		for i := range StatFields {
+			dst = binary.AppendUvarint(dst, *StatFields[i].Field(&m.Stats))
 		}
 		dst = binary.AppendUvarint(dst, uint64(len(m.Stats.SubscriberLags)))
 		for _, l := range m.Stats.SubscriberLags {
@@ -608,24 +516,6 @@ func preallocCap(n, max uint64) uint64 {
 	return n
 }
 
-// fields lists the stats counters in wire order; encode and decode share it
-// so the two cannot drift.
-func (s *Stats) fields() []*uint64 {
-	return []*uint64{
-		&s.ActiveSessions, &s.ActiveTxns, &s.QueuedConns, &s.Accepted,
-		&s.RejectedBusy, &s.Requests, &s.Commits, &s.Conflicts,
-		&s.ExpiredTxns, &s.WALSyncs,
-		&s.PlanCacheHits, &s.PlanCacheMisses,
-		&s.Subscribers, &s.IsReplica, &s.AppliedSeq, &s.PrimarySeq,
-		&s.ReplConnected,
-		&s.Epoch, &s.Fenced,
-		&s.VacuumRuns, &s.VacuumDropped, &s.HistoryFloor,
-		&s.ResidentVersions, &s.MaxChainLength,
-		&s.DBCommits, &s.DBConflicts, &s.Checkpoints, &s.QuorumStalls,
-		&s.TracerEvents, &s.TracerDrops, &s.TracerFlushes,
-	}
-}
-
 // DecodeMessage parses one payload produced by EncodeMessage.
 func DecodeMessage(payload []byte) (*Message, error) {
 	if len(payload) == 0 {
@@ -702,8 +592,8 @@ func DecodeMessage(payload []byte) (*Message, error) {
 			return nil, err
 		}
 	case MsgStatsResult:
-		for _, v := range m.Stats.fields() {
-			if *v, off, err = readUvarint(payload, off); err != nil {
+		for i := range StatFields {
+			if *StatFields[i].Field(&m.Stats), off, err = readUvarint(payload, off); err != nil {
 				return nil, err
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -64,25 +65,18 @@ func TestRoundTripAllMessages(t *testing.T) {
 		t.Fatalf("txstate round trip: %+v", tx)
 	}
 
-	want := Stats{
-		ActiveSessions: 3, ActiveTxns: 2, QueuedConns: 1, Accepted: 10,
-		RejectedBusy: 4, Requests: 100, Commits: 50, Conflicts: 5,
-		ExpiredTxns: 2, WALSyncs: 20, PlanCacheHits: 40, PlanCacheMisses: 7,
-		Subscribers: 2, IsReplica: 1, AppliedSeq: 900, PrimarySeq: 905,
-		ReplConnected: 1, Epoch: 3, Fenced: 1,
-		VacuumRuns: 6, VacuumDropped: 4200, HistoryFloor: 870,
-		ResidentVersions: 1234, MaxChainLength: 9,
-		SubscriberLags: []SubscriberLag{
-			{AckedSeq: 898, LagSeqs: 7, LastAckAgeMs: 120},
-			{AckedSeq: 905, LagSeqs: 0, LastAckAgeMs: 4},
-		},
+	// Every field gets a distinct value, through the table, so a field the
+	// codec skipped or two fields it swapped cannot round-trip.
+	want := Stats{SubscriberLags: []SubscriberLag{
+		{AckedSeq: 898, LagSeqs: 7, LastAckAgeMs: 120},
+		{AckedSeq: 905, LagSeqs: 0, LastAckAgeMs: 4},
+	}}
+	for i := range StatFields {
+		*StatFields[i].Field(&want) = uint64(i+1) << i
 	}
 	st := roundtrip(t, &Message{Type: MsgStatsResult, Stats: want})
 	if !reflect.DeepEqual(st.Stats, want) {
 		t.Fatalf("stats round trip: got %+v want %+v", st.Stats, want)
-	}
-	if lag := st.Stats.Lag(); lag != 5 {
-		t.Fatalf("lag = %d, want 5", lag)
 	}
 
 	e := roundtrip(t, &Message{Type: MsgError, Code: CodeConflict, Err: "serialization conflict"})
@@ -327,6 +321,48 @@ func TestStatsCraftedSubscriberCountRejected(t *testing.T) {
 	payload = append(payload, 1, 2, 3)
 	if _, err := DecodeMessage(payload); err == nil {
 		t.Fatal("crafted subscriber count accepted")
+	}
+}
+
+// TestStatFieldsCoverStats: every uint64 field of Stats has exactly one
+// descriptor, so a field added without one fails here instead of silently
+// missing from the wire, trod-query -stats and /metrics. Keys and families
+// are unique and follow the naming conventions.
+func TestStatFieldsCoverStats(t *testing.T) {
+	var s Stats
+	v := reflect.ValueOf(&s).Elem()
+	covered := map[*uint64]int{}
+	for i := range StatFields {
+		covered[StatFields[i].Field(&s)]++
+	}
+	fields := 0
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Kind() != reflect.Uint64 {
+			continue
+		}
+		fields++
+		if n := covered[v.Field(i).Addr().Interface().(*uint64)]; n != 1 {
+			t.Errorf("Stats.%s has %d descriptors, want 1", v.Type().Field(i).Name, n)
+		}
+	}
+	if fields != len(StatFields) {
+		t.Errorf("%d descriptors for %d uint64 fields", len(StatFields), fields)
+	}
+	keys, families := map[string]bool{}, map[string]bool{}
+	for _, f := range StatFields {
+		if f.Key == "" || keys[f.Key] {
+			t.Errorf("stats key %q empty or duplicated", f.Key)
+		}
+		if families[f.Family] || !strings.HasPrefix(f.Family, "trod_") {
+			t.Errorf("family %q duplicated or outside trod_", f.Family)
+		}
+		if strings.HasSuffix(f.Family, "_total") != (f.Kind == StatCounter) {
+			t.Errorf("family %q: counters, and only counters, end in _total", f.Family)
+		}
+		if f.Help == "" {
+			t.Errorf("family %q has no help text", f.Family)
+		}
+		keys[f.Key], families[f.Family] = true, true
 	}
 }
 

@@ -219,8 +219,8 @@ func TestReplicationEndToEnd(t *testing.T) {
 	if rst.AppliedSeq != p.db.Store().CurrentSeq() {
 		t.Fatalf("replica applied %d, primary at %d", rst.AppliedSeq, p.db.Store().CurrentSeq())
 	}
-	if rst.Lag() != 0 {
-		t.Fatalf("caught-up replica reports lag %d", rst.Lag())
+	if rst.ReplLag != 0 {
+		t.Fatalf("caught-up replica reports lag %d", rst.ReplLag)
 	}
 }
 

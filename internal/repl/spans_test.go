@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/db"
@@ -84,31 +85,38 @@ func TestReplicaTraceIDPropagation(t *testing.T) {
 	}
 	waitCaughtUp(t, p, r)
 
-	// The primary kept the insert's trace (sample rate 1) with its commit seq.
-	var ins *span.Trace
-	for _, tr := range col.Traces() {
-		if tr.Kind == "exec" && tr.Seq != 0 {
-			ins = tr
+	// The primary kept the insert's trace (sample rate 1, request S2) with
+	// its commit seq; read it back from trod_spans as an operator would.
+	var insTrace, insSeq uint64
+	for deadline := time.Now().Add(5 * time.Second); insTrace == 0; time.Sleep(2 * time.Millisecond) {
+		res, err := c.Query(`SELECT trace_id, seq FROM trod_spans WHERE req_id = 'S2' AND stage = 'request'`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) == 1 {
+			insTrace, insSeq = uint64(res.Rows[0][0].AsInt()), uint64(res.Rows[0][1].AsInt())
+		} else if time.Now().After(deadline) {
+			t.Fatal("primary kept no trace for the insert")
 		}
 	}
-	if ins == nil {
-		t.Fatal("primary kept no committed exec trace")
+	if insSeq == 0 {
+		t.Fatal("the insert's kept trace carries no commit seq")
 	}
 
 	mu.Lock()
 	defer mu.Unlock()
 	var got *applied
 	for i := range sunk {
-		if sunk[i].seq == ins.Seq {
+		if sunk[i].seq == insSeq {
 			got = &sunk[i]
 		}
 	}
 	if got == nil {
-		t.Fatalf("replica sink never saw seq %d (sunk: %+v)", ins.Seq, sunk)
+		t.Fatalf("replica sink never saw seq %d (sunk: %+v)", insSeq, sunk)
 	}
-	if got.traceID != ins.TraceID {
+	if got.traceID != insTrace {
 		t.Fatalf("replica apply for seq %d carries trace %d, primary request was trace %d",
-			got.seq, got.traceID, ins.TraceID)
+			got.seq, got.traceID, insTrace)
 	}
 	if got.applyNs <= 0 || got.walNs <= 0 {
 		t.Fatalf("replica apply timings not split: apply=%dns wal=%dns", got.applyNs, got.walNs)

@@ -105,135 +105,32 @@ func (s *Server) observeRequest(t protocol.MsgType, d time.Duration) {
 	h.Observe(d.Seconds())
 }
 
-// RegisterMetrics exports the server's gauges, counters, and latency
-// histograms on reg (trod_server_*), plus the replication series of
-// whichever role is attached (trod_repl_*). Call once, before serving.
+// RegisterMetrics exports every protocol.StatFields counter and the
+// per-subscriber replication lags, rendered from one Stats snapshot per
+// scrape, plus the server's latency histograms. Call once, before serving.
 func (s *Server) RegisterMetrics(reg *metrics.Registry) {
-	reg.GaugeFunc("trod_server_active_sessions",
-		"Sessions currently being served.",
-		func() float64 {
-			s.mu.Lock()
-			n := len(s.sessions)
-			s.mu.Unlock()
-			return float64(n)
-		})
-	reg.GaugeFunc("trod_server_active_txns",
-		"Interactive transactions currently open.",
-		func() float64 { return float64(max(s.activeTxns.Load(), 0)) })
-	reg.GaugeFunc("trod_server_queued_conns",
-		"Connections waiting in the admission queue.",
-		func() float64 { return float64(max(s.waiters.Load(), 0)) })
-	reg.CounterFunc("trod_server_accepted_total",
-		"Connections admitted as sessions.",
-		func() uint64 { return s.accepted.Load() })
-	reg.CounterFunc("trod_server_rejected_busy_total",
-		"Connections refused with a typed busy error (queue full or queue-wait timeout).",
-		func() uint64 { return s.rejectedBusy.Load() })
-	reg.CounterFunc("trod_server_requests_total",
-		"Protocol requests served (every frame, transaction control included).",
-		func() uint64 { return s.requests.Load() })
-	reg.CounterFunc("trod_server_commits_total",
-		"Client-visible commits acknowledged (interactive commits and writing autocommit statements).",
-		func() uint64 { return s.commits.Load() })
-	reg.CounterFunc("trod_server_conflicts_total",
-		"Requests answered with a typed serialization-conflict error.",
-		func() uint64 { return s.conflicts.Load() })
-	reg.CounterFunc("trod_server_expired_txns_total",
-		"Interactive transactions rolled back by the server-side deadline.",
-		func() uint64 { return s.expiredTxns.Load() })
+	reg.Collect(func() []metrics.Family {
+		st := s.Stats()
+		out := make([]metrics.Family, 0, len(protocol.StatFields)+2)
+		for i := range protocol.StatFields {
+			f := &protocol.StatFields[i]
+			out = append(out, metrics.Family{Name: f.Family, Help: f.Help, Type: f.Kind.Type(),
+				Samples: []metrics.Sample{{Value: float64(*f.Field(&st))}}})
+		}
+		lag := metrics.Family{Name: "trod_repl_subscriber_lag_seqs", Type: "gauge",
+			Help: "Commits each live subscriber trails the head by (subscriber index orders by ack progress, most caught-up first)."}
+		age := metrics.Family{Name: "trod_repl_subscriber_last_ack_age_seconds", Type: "gauge",
+			Help: "Seconds since each live subscriber's last acknowledgement."}
+		for i, l := range st.SubscriberLags {
+			labels := `subscriber="` + strconv.Itoa(i) + `"`
+			lag.Samples = append(lag.Samples, metrics.Sample{Labels: labels, Value: float64(l.LagSeqs)})
+			age.Samples = append(age.Samples, metrics.Sample{Labels: labels, Value: float64(l.LastAckAgeMs) / 1000})
+		}
+		return append(out, lag, age)
+	})
 	reg.Register(s.latVec)
 	reg.Register(s.queueWaitHist)
 	reg.Register(s.spanVec)
-	if c := s.cfg.Spans; c.Enabled() {
-		reg.CounterFunc("trod_span_traces_started_total",
-			"Completed traced requests offered a tail-sampling decision.",
-			func() uint64 { return c.Stats().Started })
-		reg.CounterFunc("trod_span_traces_kept_total",
-			"Traces kept by tail sampling (errors, conflicts, over-threshold, and the probabilistic sample).",
-			func() uint64 { return c.Stats().Kept })
-		reg.CounterFunc("trod_span_traces_sampled_out_total",
-			"Traces dropped by the probabilistic tail sampler.",
-			func() uint64 { return c.Stats().Sampled })
-		reg.CounterFunc("trod_span_store_inserted_total",
-			"Kept traces written to the trod_spans system table.",
-			func() uint64 { return s.spanStore.inserted.Load() })
-		reg.CounterFunc("trod_span_store_dropped_total",
-			"Kept traces dropped before reaching trod_spans (writer queue full or insert failure).",
-			func() uint64 { return s.spanStore.dropped.Load() })
-	}
-
-	if src := s.cfg.Source; src != nil {
-		reg.GaugeFunc("trod_repl_subscribers",
-			"Live replication subscriber streams served.",
-			func() float64 { return float64(src.Subscribers()) })
-		reg.CounterFunc("trod_repl_streamed_commits_total",
-			"Commit records shipped to subscribers, summed over all streams.",
-			func() uint64 { return src.StreamedCommits() })
-		reg.CounterFunc("trod_repl_quorum_stalls_total",
-			"Commits whose replica-quorum acknowledgement timed out (typed quorum-unavailable).",
-			src.QuorumStalls)
-		reg.Collector("trod_repl_subscriber_lag_seqs",
-			"Commits each live subscriber trails the head by (subscriber index orders by ack progress, most caught-up first).",
-			"gauge", func() []metrics.Sample {
-				lags := src.SubscriberLags(s.cfg.DB.Store().CurrentSeq())
-				out := make([]metrics.Sample, len(lags))
-				for i, l := range lags {
-					out[i] = metrics.Sample{
-						Labels: `subscriber="` + strconv.Itoa(i) + `"`,
-						Value:  float64(l.LagSeqs),
-					}
-				}
-				return out
-			})
-		reg.Collector("trod_repl_subscriber_last_ack_age_seconds",
-			"Seconds since each live subscriber's last acknowledgement.",
-			"gauge", func() []metrics.Sample {
-				lags := src.SubscriberLags(s.cfg.DB.Store().CurrentSeq())
-				out := make([]metrics.Sample, len(lags))
-				for i, l := range lags {
-					out[i] = metrics.Sample{
-						Labels: `subscriber="` + strconv.Itoa(i) + `"`,
-						Value:  float64(l.LastAckAgeMs) / 1000,
-					}
-				}
-				return out
-			})
-	}
-	if e := s.epochState(); e != nil {
-		reg.GaugeFunc("trod_repl_epoch",
-			"The node's replication epoch (bumped by every promotion).",
-			func() float64 { return float64(e.Current()) })
-		reg.GaugeFunc("trod_repl_fenced",
-			"1 when the node observed a higher epoch and refuses writes.",
-			func() float64 {
-				if e.Fenced() {
-					return 1
-				}
-				return 0
-			})
-	}
-	if r := s.cfg.Replica; r != nil {
-		reg.GaugeFunc("trod_repl_applied_seq",
-			"Commit sequence this replica has applied.",
-			func() float64 { return float64(r.AppliedSeq()) })
-		reg.GaugeFunc("trod_repl_lag_seqs",
-			"Commits this replica trails the newest primary sequence it has heard of.",
-			func() float64 {
-				p, a := r.PrimarySeq(), r.AppliedSeq()
-				if p > a {
-					return float64(p - a)
-				}
-				return 0
-			})
-		reg.GaugeFunc("trod_repl_connected",
-			"1 while the replica's subscription to its primary is live.",
-			func() float64 {
-				if r.Connected() {
-					return 1
-				}
-				return 0
-			})
-	}
 }
 
 // slowLog serializes slow-query lines onto one writer: one JSON object per

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,6 +14,8 @@ import (
 	"repro/internal/client"
 	"repro/internal/db"
 	"repro/internal/metrics"
+	"repro/internal/protocol"
+	"repro/internal/repl"
 	"repro/internal/runtime"
 	"repro/internal/trace"
 )
@@ -41,15 +44,50 @@ func parseExposition(t *testing.T, text string) map[string]float64 {
 	return out
 }
 
-// TestStatsAndScrapeAgree drives traffic through a server that exports both
-// observability surfaces — the protocol Stats message and the Prometheus
-// registry — and asserts the overlapping counters agree exactly. The two
-// surfaces read the same underlying counters; this test keeps them from
-// drifting as either side grows.
+// scrapeAgrees renders reg and checks every protocol.StatFields family
+// against the value srv.Stats reports, and the per-subscriber lag families
+// against Stats.SubscriberLags. Counters must be quiescent. It returns the
+// parsed series and the Stats snapshot.
+func scrapeAgrees(t *testing.T, node string, srv *Server, reg *metrics.Registry) (map[string]float64, protocol.Stats) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	series := parseExposition(t, buf.String())
+	st := srv.Stats()
+	for _, f := range protocol.StatFields {
+		got, ok := series[f.Family]
+		if !ok {
+			t.Errorf("%s: series %s missing from scrape", node, f.Family)
+		} else if want := *f.Field(&st); got != float64(want) {
+			t.Errorf("%s: %s = %v on /metrics, %s = %d in Stats", node, f.Family, got, f.Key, want)
+		}
+	}
+	for i, l := range st.SubscriberLags {
+		label := `{subscriber="` + strconv.Itoa(i) + `"}`
+		if got := series["trod_repl_subscriber_lag_seqs"+label]; got != float64(l.LagSeqs) {
+			t.Errorf("%s: subscriber %d lag %v on /metrics, %d in Stats", node, i, got, l.LagSeqs)
+		}
+		if _, ok := series["trod_repl_subscriber_last_ack_age_seconds"+label]; !ok {
+			t.Errorf("%s: subscriber %d ack age missing from scrape", node, i)
+		}
+	}
+	return series, st
+}
+
+// TestStatsAndScrapeAgree drives traffic through a primary that feeds a
+// replica and checks that the protocol Stats message and the Prometheus
+// scrape report the same value for every counter, on the primary, on the
+// replica, and on the replica once promoted.
 func TestStatsAndScrapeAgree(t *testing.T) {
-	d := db.MustOpenMemory()
-	defer d.Close()
-	srv, addr := startServer(t, d, Config{})
+	dir := t.TempDir()
+	d, err := db.Open(db.Options{Mode: db.Disk, Path: filepath.Join(dir, "p.wal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	srv, addr := startServer(t, d, Config{Source: repl.NewSource(d, repl.SourceOptions{})})
 	reg := metrics.NewRegistry()
 	d.RegisterMetrics(reg)
 	srv.RegisterMetrics(reg)
@@ -83,65 +121,68 @@ func TestStatsAndScrapeAgree(t *testing.T) {
 	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	settle(t, cl)
 
-	// All client calls above completed synchronously, so the counters are
-	// quiescent: the scrape and the Stats snapshot must see identical values.
-	var buf bytes.Buffer
-	if err := reg.WriteText(&buf); err != nil {
+	rd, err := db.Open(db.Options{Mode: db.Disk, Path: filepath.Join(dir, "r.wal")})
+	if err != nil {
 		t.Fatal(err)
 	}
-	series := parseExposition(t, buf.String())
-	st := srv.Stats()
+	t.Cleanup(func() { rd.Close() })
+	rd.SetReadOnly(true)
+	r := repl.StartReplica(rd, addr, repl.ReplicaOptions{MinBackoff: 5 * time.Millisecond})
+	t.Cleanup(r.Stop)
+	rsrv, raddr := startServer(t, rd, Config{Replica: r})
+	rreg := metrics.NewRegistry()
+	rsrv.RegisterMetrics(rreg)
+	head := d.Store().CurrentSeq()
+	if !r.WaitForSeq(head, 5*time.Second) {
+		t.Fatal("replica did not catch up")
+	}
+	waitFor(t, "the replica's first ack", func() bool {
+		lags := srv.Stats().SubscriberLags
+		return len(lags) == 1 && lags[0].AckedSeq == head
+	})
+	settle(t, cl)
 
-	want := map[string]uint64{
-		"trod_server_requests_total":           st.Requests,
-		"trod_server_commits_total":            st.Commits,
-		"trod_server_accepted_total":           st.Accepted,
-		"trod_server_conflicts_total":          st.Conflicts,
-		"trod_server_rejected_busy_total":      st.RejectedBusy,
-		"trod_server_expired_txns_total":       st.ExpiredTxns,
-		"trod_db_commits_total":                st.DBCommits,
-		"trod_db_conflicts_total":              st.DBConflicts,
-		"trod_db_checkpoints_total":            st.Checkpoints,
-		"trod_wal_syncs_total":                 st.WALSyncs,
-		"trod_db_plan_cache_hits_total":        st.PlanCacheHits,
-		"trod_db_plan_cache_misses_total":      st.PlanCacheMisses,
-		"trod_db_resident_versions":            st.ResidentVersions,
-		"trod_db_max_chain_length":             st.MaxChainLength,
-		"trod_server_queue_wait_seconds_count": st.Accepted,
-	}
-	for name, v := range want {
-		got, ok := series[name]
-		if !ok {
-			t.Errorf("series %s missing from scrape", name)
-			continue
-		}
-		if got != float64(v) {
-			t.Errorf("%s = %v on /metrics, %d in Stats", name, got, v)
-		}
-	}
-	if st.Requests == 0 || st.Commits == 0 || st.DBCommits == 0 {
+	series, st := scrapeAgrees(t, "primary", srv, reg)
+	if st.Requests == 0 || st.Commits == 0 || st.DBCommits == 0 || st.Subscribers != 1 || st.StreamedCommits == 0 {
 		t.Fatalf("test drove no traffic? stats: %+v", st)
 	}
-
+	if got := series["trod_server_queue_wait_seconds_count"]; got != float64(st.Accepted) {
+		t.Errorf("queue-wait histogram saw %v admissions, Stats says %d", got, st.Accepted)
+	}
 	// Every protocol request served lands in exactly one per-type latency
-	// bucket, so the histogram counts sum to the request counter. Latency is
+	// bucket, so the histogram counts sum to the request counter, less the
+	// replica's subscribe (a stream, not a timed request). Latency is
 	// observed after the reply is sent, so the settling ping itself may or
 	// may not have landed yet; the two pings before it (Dial's and the
 	// test's) and everything else has.
-	const pingSeries, pings = `trod_server_request_seconds_count{type="ping"}`, 3
+	const pingSeries, pings, subscribes = `trod_server_request_seconds_count{type="ping"}`, 3, 1
 	var observed float64
 	for name, v := range series {
 		if strings.HasPrefix(name, "trod_server_request_seconds_count{") && name != pingSeries {
 			observed += v
 		}
 	}
-	if observed != float64(st.Requests-pings) {
-		t.Errorf("request_seconds histogram saw %v requests besides pings, Stats says %d", observed, st.Requests-pings)
+	if want := st.Requests - pings - subscribes; observed != float64(want) {
+		t.Errorf("request_seconds histogram saw %v requests besides pings and subscribes, Stats says %d", observed, want)
 	}
 	if p := series[pingSeries]; p != pings-1 && p != pings {
 		t.Errorf("request_seconds histogram saw %v pings, want %d and perhaps the settling one", p, pings-1)
+	}
+
+	if _, st := scrapeAgrees(t, "replica", rsrv, rreg); st.IsReplica != 1 || st.AppliedSeq != head {
+		t.Fatalf("replica stats: is_replica %d, applied_seq %d, want 1 and %d", st.IsReplica, st.AppliedSeq, head)
+	}
+	rcl, err := client.Dial(raddr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rcl.Close()
+	if _, _, err := rcl.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	if series, st := scrapeAgrees(t, "promoted replica", rsrv, rreg); st.IsReplica != 0 || series["trod_repl_applied_seq"] != 0 {
+		t.Fatalf("promoted replica still reports replica state: %+v", st)
 	}
 }
 

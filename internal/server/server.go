@@ -389,12 +389,16 @@ func (s *Server) Kill() {
 	}
 }
 
-// Stats snapshots the server's counters plus the WAL sync count.
+// Stats snapshots every counter the server reports: its own, and those of
+// the database, replication role, tracer and span collector it fronts. It
+// is the one reader of those counters behind the Stats message and the
+// metrics endpoint.
 func (s *Server) Stats() protocol.Stats {
 	s.mu.Lock()
 	sessions := len(s.sessions)
 	s.mu.Unlock()
-	pc := s.cfg.DB.PlanCacheStats()
+	d, store := s.cfg.DB, s.cfg.DB.Store()
+	pc := d.PlanCacheStats()
 	st := protocol.Stats{
 		ActiveSessions:  uint64(sessions),
 		ActiveTxns:      uint64(max(s.activeTxns.Load(), 0)),
@@ -405,46 +409,55 @@ func (s *Server) Stats() protocol.Stats {
 		Commits:         s.commits.Load(),
 		Conflicts:       s.conflicts.Load(),
 		ExpiredTxns:     s.expiredTxns.Load(),
-		WALSyncs:        s.cfg.DB.WALStats().Syncs,
+		Checkpoints:     d.Checkpoints(),
+		WALSyncs:        d.WALStats().Syncs,
 		PlanCacheHits:   pc.Hits,
 		PlanCacheMisses: pc.Misses,
+		PlanCacheSize:   uint64(pc.Size),
+		CommitSeq:       store.CurrentSeq(),
+		HistoryFloor:    store.HistoryRetainedFrom(),
 	}
-	st.DBCommits, st.DBConflicts = s.cfg.DB.CommitStats()
-	st.Checkpoints = s.cfg.DB.Checkpoints()
-	if s.cfg.TracerStats != nil {
-		st.TracerEvents, st.TracerDrops, st.TracerFlushes = s.cfg.TracerStats()
-	}
-	if src := s.cfg.Source; src != nil {
-		st.Subscribers = uint64(src.Subscribers())
-		st.SubscriberLags = src.SubscriberLags(s.cfg.DB.Store().CurrentSeq())
-		st.QuorumStalls = src.QuorumStalls()
-	}
-	if r := s.cfg.Replica; r != nil && !s.promoted.Load() {
-		st.IsReplica = 1
-		st.AppliedSeq = r.AppliedSeq()
-		st.PrimarySeq = r.PrimarySeq()
-		if st.PrimarySeq < st.AppliedSeq {
-			st.PrimarySeq = st.AppliedSeq // before first primary contact
-		}
-		if r.Connected() {
-			st.ReplConnected = 1
-		}
-	}
-	if e := s.epochState(); e != nil {
-		st.Epoch = e.Current()
-		if e.Fenced() {
-			st.Fenced = 1
-		}
-	}
-	store := s.cfg.DB.Store()
+	st.DBCommits, st.DBConflicts = d.CommitStats()
 	vac := store.VacuumTotals()
 	st.VacuumRuns = vac.Runs
 	st.VacuumDropped = vac.DroppedRowVersions + vac.DroppedIndexVersions
-	st.HistoryFloor = store.HistoryRetainedFrom()
 	census := store.VersionCensus()
 	st.ResidentVersions = census.ResidentRowVersions
 	st.MaxChainLength = census.MaxChainLength
+	if r := s.cfg.Replica; r != nil && !s.promoted.Load() {
+		st.IsReplica = 1
+		st.AppliedSeq = r.AppliedSeq()
+		st.PrimarySeq = max(r.PrimarySeq(), st.AppliedSeq) // before first primary contact
+		st.ReplLag = st.PrimarySeq - st.AppliedSeq
+		st.ReplConnected = flag(r.Connected())
+	}
+	if src := s.cfg.Source; src != nil {
+		st.Subscribers = uint64(src.Subscribers())
+		st.StreamedCommits = src.StreamedCommits()
+		st.QuorumStalls = src.QuorumStalls()
+		st.SubscriberLags = src.SubscriberLags(st.CommitSeq)
+	}
+	if e := s.epochState(); e != nil {
+		st.Epoch = e.Current()
+		st.Fenced = flag(e.Fenced())
+	}
+	if s.cfg.TracerStats != nil {
+		st.TracerEvents, st.TracerDrops, st.TracerFlushes = s.cfg.TracerStats()
+	}
+	sc := s.cfg.Spans.Stats()
+	st.SpanTracesStarted, st.SpanTracesKept, st.SpanTracesSampled = sc.Started, sc.Kept, sc.Sampled
+	if s.spanStore != nil {
+		st.SpanStoreInserted = s.spanStore.inserted.Load()
+		st.SpanStoreDropped = s.spanStore.dropped.Load()
+	}
 	return st
+}
+
+func flag(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Draining reports whether Shutdown or Kill has begun. The metrics

@@ -10,6 +10,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/runtime"
 	"repro/internal/span"
+	"repro/internal/sqlparse"
 )
 
 // This file is the server half of request-scoped span tracing: per-request
@@ -58,8 +59,8 @@ func (ss *session) startTrace(req *protocol.Message, start time.Time) *span.Buf 
 // completeTrace finishes a traced request: stamps the root span, feeds every
 // stage into the trod_span_stage_seconds histograms, and offers the trace to
 // the collector's tail sampler. Runs on the request path after the response
-// write — everything here is counters, one bounded copy, and a short ring
-// insert.
+// write — everything here is counters, one bounded copy, and (for a kept
+// trace) a non-blocking enqueue to the trod_spans writer.
 func (ss *session) completeTrace(buf *span.Buf, req *protocol.Message, start time.Time, lat time.Duration) {
 	buf.Finish(start, lat)
 	srv := ss.srv
@@ -81,11 +82,25 @@ func (ss *session) completeTrace(buf *span.Buf, req *protocol.Message, start tim
 	})
 }
 
-// usesSpanTable is the routing prefilter for the trod_spans system table:
-// any statement mentioning it runs against the server's spans store instead
-// of the application database.
+// usesSpanTable reports whether a statement names the trod_spans system
+// table, which runs against the server's spans store instead of the
+// application database. Only an identifier counts: the same text in a
+// string literal or a comment is application data. The substring check
+// keeps every other statement off the tokenizer.
 func usesSpanTable(sql string) bool {
-	return strings.Contains(strings.ToLower(sql), "trod_spans")
+	if !strings.Contains(strings.ToLower(sql), "trod_spans") {
+		return false
+	}
+	toks, err := sqlparse.Tokenize(sql)
+	if err != nil {
+		return false // the application database reports the syntax error
+	}
+	for _, tok := range toks {
+		if tok.Kind == sqlparse.TokIdent && strings.EqualFold(tok.Text, "trod_spans") {
+			return true
+		}
+	}
+	return false
 }
 
 // execSpansSQL serves a statement against the trod_spans store (autocommit,

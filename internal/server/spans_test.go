@@ -2,6 +2,7 @@ package server
 
 import (
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,19 +12,37 @@ import (
 	"repro/internal/wal"
 )
 
-// findTrace polls the collector for the newest kept trace of a request kind.
-func findTrace(t *testing.T, col *span.Collector, kind string) *span.Trace {
+// findTrace reads a request's kept trace back from the trod_spans table, as
+// an operator does (trod-query -trace), polling until the spans store's
+// writer has inserted it. The fallback allocator numbers a server's requests
+// S1, S2, ... in arrival order.
+func findTrace(t *testing.T, c *client.Client, reqID string) *span.Trace {
 	t.Helper()
-	var got *span.Trace
-	waitFor(t, "a kept "+kind+" trace", func() bool {
-		for _, tr := range col.Traces() {
-			if tr.Kind == kind {
-				got = tr
+	tr := &span.Trace{ReqID: reqID}
+	waitFor(t, "a kept trace for "+reqID, func() bool {
+		res, err := c.Query(`SELECT trace_id, kind, status, span_id, parent_id, stage, start_us, dur_us, seq
+			FROM trod_spans WHERE req_id = ?`, reqID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range res.Rows {
+			stage, ok := span.ParseStage(row[5].AsText())
+			if !ok {
+				t.Fatalf("unknown stage %q in trod_spans", row[5].AsText())
+			}
+			sp := span.Span{ID: uint32(row[3].AsInt()), Parent: uint32(row[4].AsInt()), Stage: stage,
+				Start: row[6].AsInt() * 1000, Dur: row[7].AsInt() * 1000, Seq: uint64(row[8].AsInt())}
+			if sp.ID == span.RootID {
+				tr.TraceID, tr.Kind, tr.Status = uint64(row[0].AsInt()), row[1].AsText(), row[2].AsText()
+				tr.Wall, tr.Seq = time.Duration(sp.Dur), sp.Seq
+				tr.Spans = append([]span.Span{sp}, tr.Spans...)
+			} else {
+				tr.Spans = append(tr.Spans, sp)
 			}
 		}
-		return got != nil
+		return len(res.Rows) > 0
 	})
-	return got
+	return tr
 }
 
 func stages(tr *span.Trace) map[string]int {
@@ -34,9 +53,8 @@ func stages(tr *span.Trace) map[string]int {
 	return out
 }
 
-// TestSpansEndToEnd drives traced requests through a live server and follows
-// the whole observability path: collector capture, the trod_spans system
-// table served over normal SQL, and agreement between the two.
+// TestSpansEndToEnd drives traced requests through a live server and reads
+// their span trees back from the trod_spans system table over normal SQL.
 func TestSpansEndToEnd(t *testing.T) {
 	col := span.NewCollector(span.CollectorOptions{Sample: 1})
 	_, addr := memServer(t, Config{Spans: col})
@@ -56,8 +74,8 @@ func TestSpansEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ins := findTrace(t, col, "exec")
-	if ins.Status != "ok" || ins.ReqID == "" {
+	ins := findTrace(t, c, "S2")
+	if ins.Kind != "exec" || ins.Status != "ok" || ins.Seq == 0 {
 		t.Fatalf("insert trace malformed: %+v", ins)
 	}
 	st := stages(ins)
@@ -66,24 +84,21 @@ func TestSpansEndToEnd(t *testing.T) {
 			t.Fatalf("insert trace missing %s stage (have %v)", want, st)
 		}
 	}
-	q := findTrace(t, col, "query")
-	if stages(q)["execute"] == 0 || stages(q)["parse_plan"] == 0 {
-		t.Fatalf("query trace missing stages: %v", stages(q))
+	q := findTrace(t, c, "S3")
+	if q.Kind != "query" || stages(q)["execute"] == 0 || stages(q)["parse_plan"] == 0 {
+		t.Fatalf("query trace malformed: kind %q, stages %v", q.Kind, stages(q))
 	}
-
-	// The same spans must be queryable over plain SQL against the trod_spans
-	// system table (the store writer is async: poll).
-	var rows int
-	waitFor(t, "trod_spans rows for the insert", func() bool {
-		res, err := c.Query(`SELECT stage, dur_us FROM trod_spans WHERE req_id = ?`, ins.ReqID)
-		if err != nil {
-			t.Fatal(err)
+	// The rows form one tree: every span hangs under a span of its trace.
+	for _, tr := range []*span.Trace{ins, q} {
+		ids := map[uint32]bool{}
+		for _, sp := range tr.Spans {
+			ids[sp.ID] = true
 		}
-		rows = len(res.Rows)
-		return rows > 0
-	})
-	if rows != len(ins.Spans) {
-		t.Fatalf("trod_spans has %d rows for %s, collector trace has %d spans", rows, ins.ReqID, len(ins.Spans))
+		for _, sp := range tr.Spans[1:] {
+			if !ids[sp.Parent] {
+				t.Fatalf("%s: span %d (%s) has no parent %d in trod_spans", tr.ReqID, sp.ID, sp.Stage, sp.Parent)
+			}
+		}
 	}
 }
 
@@ -101,7 +116,7 @@ func TestSpansTailSamplingKeepsErrors(t *testing.T) {
 	if _, err := c.Query(`SELECT broken syntax here`); err == nil {
 		t.Fatal("broken SQL succeeded")
 	}
-	tr := findTrace(t, col, "query")
+	tr := findTrace(t, c, "S1")
 	if tr.Status != "error" {
 		t.Fatalf("kept trace status = %q, want error", tr.Status)
 	}
@@ -141,16 +156,9 @@ func TestSpanStageCoverage(t *testing.T) {
 	if _, err := c.Exec(`INSERT INTO t VALUES (1, 0)`); err != nil {
 		t.Fatal(err)
 	}
-	settle(t, c)
-
-	var ins *span.Trace
-	for _, tr := range col.Traces() {
-		if tr.Kind == "exec" && tr.Seq != 0 {
-			ins = tr
-		}
-	}
-	if ins == nil {
-		t.Fatal("no committed exec trace kept")
+	ins := findTrace(t, c, "S2")
+	if ins.Kind != "exec" || ins.Seq == 0 {
+		t.Fatalf("S2 is not a committed exec trace: %+v", ins)
 	}
 	sum, wall := span.StageSumNs(ins.Spans), int64(ins.Wall)
 	if wall <= 0 {
@@ -174,6 +182,13 @@ func TestClientTracePropagation(t *testing.T) {
 	_, addr := memServer(t, Config{Spans: scol})
 	ccol := span.NewCollector(span.CollectorOptions{Sample: 1})
 	ccol.SeedTraceIDs(1 << 40) // disjoint from the server's allocator
+	var mu sync.Mutex
+	var kept []*span.Trace
+	ccol.SetOnKeep(func(tr *span.Trace) {
+		mu.Lock()
+		kept = append(kept, tr)
+		mu.Unlock()
+	})
 	c, err := client.Dial(addr, client.Options{Collector: ccol})
 	if err != nil {
 		t.Fatal(err)
@@ -184,15 +199,17 @@ func TestClientTracePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctr := findTrace(t, ccol, "exec")
-	if ctr.TraceID <= 1<<40 {
+	mu.Lock()
+	ctr := kept[len(kept)-1] // the client offers its trace before Exec returns
+	mu.Unlock()
+	if ctr.Kind != "exec" || ctr.TraceID <= 1<<40 {
 		t.Fatalf("client trace ID %d not from the seeded range", ctr.TraceID)
 	}
 	cst := stages(ctr)
 	if cst["rtt"] == 0 || cst["pool_checkout"] == 0 {
 		t.Fatalf("client trace missing rtt/pool_checkout: %v", cst)
 	}
-	str := findTrace(t, scol, "exec")
+	str := findTrace(t, c, "S1")
 	if str.TraceID != ctr.TraceID {
 		t.Fatalf("server trace ID %d != client trace ID %d: context did not propagate", str.TraceID, ctr.TraceID)
 	}
@@ -200,6 +217,34 @@ func TestClientTracePropagation(t *testing.T) {
 	// tree renders the server stages inside the client's rtt window.
 	if root := str.Spans[0]; root.Parent != span.RootID {
 		t.Fatalf("server root parent = %d, want the client's root span ID %d", root.Parent, span.RootID)
+	}
+}
+
+// TestSpanTableRoutedByTableReference: only a statement that names the
+// trod_spans table goes to the spans store; the same text inside a string
+// literal or a comment is application data.
+func TestSpanTableRoutedByTableReference(t *testing.T) {
+	_, addr := memServer(t, Config{Spans: span.NewCollector(span.CollectorOptions{Sample: 1})})
+	c, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, stmt := range []string{
+		`CREATE TABLE notes (id INTEGER PRIMARY KEY, v TEXT)`,
+		`INSERT INTO notes VALUES (1, 'see trod_spans')`,
+		`INSERT INTO notes VALUES (2, 'x') -- not trod_spans`,
+	} {
+		if _, err := c.Exec(stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	res, err := c.Query(`SELECT v FROM notes WHERE v = 'see trod_spans'`)
+	if err != nil || len(res.Rows) != 1 {
+		t.Fatalf("application read of trod_spans text = %v, %v", res, err)
+	}
+	if _, err := c.Query(`SELECT COUNT(*) FROM TROD_SPANS WHERE stage = 'notes'`); err != nil {
+		t.Fatalf("system table read: %v", err)
 	}
 }
 

@@ -10,12 +10,11 @@
 // method is nil-safe so the disabled-tracing path is a nil check and nothing
 // else. Traces are tail-sampled at request completion by a Collector: error,
 // conflict, and over-threshold traces are always kept, the rest
-// probabilistically, and kept traces ride to sinks (the server's trod_spans
-// system table) via a callback.
+// probabilistically, and kept traces ride to the collector's sink (on a
+// server, the trod_spans system table) via a callback.
 package span
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -271,8 +270,8 @@ func (b *Buf) Spans() []Span {
 	return out
 }
 
-// Trace is one completed, tail-sampled request: the unit kept in the
-// Collector's ring and written to the trod_spans system table.
+// Trace is one completed, tail-sampled request: the unit a Collector hands
+// to its sink (the server writes it to the trod_spans system table).
 type Trace struct {
 	TraceID uint64
 	ReqID   string
@@ -298,31 +297,20 @@ type CollectorOptions struct {
 	Sample float64
 	// KeepOver always keeps traces at least this slow (0 = disabled).
 	KeepOver time.Duration
-	// Capacity bounds the in-memory ring of kept traces (default 256).
-	Capacity int
-	// OnKeep, when set, receives every kept trace after it enters the ring
-	// (the server uses it to feed the trod_spans system table). It runs on
-	// the request path: sinks must be non-blocking (enqueue and return).
-	OnKeep func(*Trace)
 }
 
 // Collector makes the tail-sampling decision at request completion and
-// retains kept traces in a bounded ring. It also carries the trace-ID
-// allocator.
+// hands kept traces to its sink (SetOnKeep). It keeps none itself. It also
+// carries the trace-ID allocator.
 type Collector struct {
 	sample   float64
 	keepOver time.Duration
-	capacity int
-	onKeep   func(*Trace)
+	onKeep   atomic.Pointer[func(*Trace)]
 
 	nextTrace atomic.Uint64
 	started   atomic.Uint64
 	kept      atomic.Uint64
 	sampled   atomic.Uint64
-
-	mu   sync.Mutex // guards ring/pos (kept-trace ring buffer)
-	ring []*Trace
-	pos  int
 }
 
 // NewCollector builds a Collector; returns nil (tracing disabled) when
@@ -331,15 +319,7 @@ func NewCollector(opts CollectorOptions) *Collector {
 	if opts.Sample <= 0 && opts.KeepOver <= 0 {
 		return nil
 	}
-	if opts.Capacity <= 0 {
-		opts.Capacity = 256
-	}
-	return &Collector{
-		sample:   opts.Sample,
-		keepOver: opts.KeepOver,
-		capacity: opts.Capacity,
-		onKeep:   opts.OnKeep,
-	}
+	return &Collector{sample: opts.Sample, keepOver: opts.KeepOver}
 }
 
 // Enabled reports whether tracing is on (nil-safe).
@@ -359,14 +339,15 @@ func (c *Collector) SeedTraceIDs(base uint64) {
 	c.nextTrace.Store(base)
 }
 
-// SetOnKeep attaches the kept-trace sink after construction — the server
-// wires its trod_spans store here in New, before any traffic. Must not be
-// called once requests are flowing.
+// SetOnKeep attaches the sink that receives every kept trace — the server
+// wires its trod_spans store here in New. The sink runs on the request path,
+// so it must not block (enqueue and return). Traces kept before it is set
+// go nowhere.
 func (c *Collector) SetOnKeep(fn func(*Trace)) {
 	if c == nil {
 		return
 	}
-	c.onKeep = fn
+	c.onKeep.Store(&fn)
 }
 
 // splitmix64 is the probabilistic-keep hash: deterministic per trace ID, no
@@ -399,48 +380,10 @@ func (c *Collector) Offer(t *Trace) bool {
 		return false
 	}
 	c.kept.Add(1)
-	c.mu.Lock()
-	if len(c.ring) < c.capacity {
-		c.ring = append(c.ring, t)
-	} else {
-		c.ring[c.pos] = t
-		c.pos = (c.pos + 1) % c.capacity
-	}
-	c.mu.Unlock()
-	if c.onKeep != nil {
-		c.onKeep(t)
+	if fn := c.onKeep.Load(); fn != nil {
+		(*fn)(t)
 	}
 	return true
-}
-
-// Traces snapshots the kept-trace ring, oldest first.
-func (c *Collector) Traces() []*Trace {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*Trace, 0, len(c.ring))
-	out = append(out, c.ring[c.pos:]...)
-	out = append(out, c.ring[:c.pos]...)
-	return out
-}
-
-// Find returns the most recent kept trace for a request ID (nil if absent).
-func (c *Collector) Find(reqID string) *Trace {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var best *Trace
-	// Scan in ring order (oldest first) so the last match is the newest.
-	for _, t := range append(append([]*Trace(nil), c.ring[c.pos:]...), c.ring[:c.pos]...) {
-		if t != nil && t.ReqID == reqID {
-			best = t
-		}
-	}
-	return best
 }
 
 // Stats returns sampling counters.

@@ -163,9 +163,6 @@ func TestCollectorDisabled(t *testing.T) {
 	if c.Offer(mkTrace(1, "error", time.Second)) {
 		t.Fatal("nil collector kept a trace")
 	}
-	if c.Traces() != nil || c.Find("R1") != nil {
-		t.Fatal("nil collector accessors not zero")
-	}
 	if c.Stats() != (CollectorStats{}) {
 		t.Fatal("nil collector stats not zero")
 	}
@@ -173,6 +170,8 @@ func TestCollectorDisabled(t *testing.T) {
 
 func TestCollectorTailSampling(t *testing.T) {
 	c := NewCollector(CollectorOptions{KeepOver: 5 * time.Millisecond})
+	var sunk []uint64
+	c.SetOnKeep(func(tr *Trace) { sunk = append(sunk, tr.TraceID) })
 	cases := []struct {
 		t    *Trace
 		keep bool
@@ -191,6 +190,9 @@ func TestCollectorTailSampling(t *testing.T) {
 	st := c.Stats()
 	if st.Started != 4 || st.Kept != 3 || st.Sampled != 1 {
 		t.Fatalf("stats = %+v, want started=4 kept=3 sampled=1", st)
+	}
+	if fmt.Sprint(sunk) != "[2 3 4]" {
+		t.Fatalf("sink received traces %v, want exactly the kept ones [2 3 4]", sunk)
 	}
 
 	all := NewCollector(CollectorOptions{Sample: 1})
@@ -211,32 +213,6 @@ func TestCollectorTailSampling(t *testing.T) {
 	}
 	if keptN < 350 || keptN > 650 {
 		t.Fatalf("sample=0.5 kept %d/1000, outside [350,650]", keptN)
-	}
-}
-
-func TestCollectorRingAndFind(t *testing.T) {
-	c := NewCollector(CollectorOptions{Sample: 1, Capacity: 4})
-	for i := uint64(1); i <= 10; i++ {
-		tr := mkTrace(i, "ok", time.Microsecond)
-		if i%2 == 0 {
-			tr.ReqID = "R-even"
-		}
-		c.Offer(tr)
-	}
-	got := c.Traces()
-	if len(got) != 4 {
-		t.Fatalf("ring holds %d traces, want 4", len(got))
-	}
-	for i, tr := range got {
-		if want := uint64(7 + i); tr.TraceID != want {
-			t.Fatalf("ring[%d] = trace %d, want %d (oldest first)", i, tr.TraceID, want)
-		}
-	}
-	if f := c.Find("R-even"); f == nil || f.TraceID != 10 {
-		t.Fatalf("Find returned %+v, want newest even trace (10)", f)
-	}
-	if f := c.Find("R1"); f != nil {
-		t.Fatalf("Find resurrected an evicted trace: %+v", f)
 	}
 }
 

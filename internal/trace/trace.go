@@ -283,27 +283,15 @@ func (t *Tracer) Close() error {
 }
 
 // Counters reports the full counter set: events captured, events dropped at
-// a full buffer (Config.MaxBuffered), and batch flushes. This is the shape
-// protocol.Stats and the metrics endpoint both consume, so the one-shot
-// -stats path and the scrape path cannot disagree.
+// a full buffer (Config.MaxBuffered), and batch flushes — the shape
+// server.Config.TracerStats takes.
 func (t *Tracer) Counters() (events, drops, flushes uint64) {
 	return atomic.LoadUint64(&t.events), atomic.LoadUint64(&t.drops), atomic.LoadUint64(&t.flushes)
 }
 
-// RegisterMetrics exports the tracer's counters and flush-latency histogram
-// on reg under the trod_tracer_* namespace.
-func (t *Tracer) RegisterMetrics(reg *metrics.Registry) {
-	reg.CounterFunc("trod_tracer_events_total",
-		"Provenance events captured by the interposition layer.",
-		func() uint64 { return atomic.LoadUint64(&t.events) })
-	reg.CounterFunc("trod_tracer_drops_total",
-		"Provenance events dropped because the buffer was full (MaxBuffered).",
-		func() uint64 { return atomic.LoadUint64(&t.drops) })
-	reg.CounterFunc("trod_tracer_flushes_total",
-		"Batches flushed to the provenance database.",
-		func() uint64 { return atomic.LoadUint64(&t.flushes) })
-	reg.Register(t.flushHist)
-}
+// RegisterMetrics exports the flush-latency histogram on reg. The tracer's
+// counters reach the metrics endpoint through the server's Stats.
+func (t *Tracer) RegisterMetrics(reg *metrics.Registry) { reg.Register(t.flushHist) }
 
 // --- runtime.Observer ------------------------------------------------------
 
