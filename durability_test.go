@@ -38,7 +38,7 @@ func TestDebuggingStorySurvivesRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := workload.RaceSubscribe(app, "R1", "R2", "U1", "F2"); err != nil {
+		if err := workload.Race(app, "subscribeUser", "DB.insert", "R1", "R2", u1f2, u1f2); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := app.InvokeWithReqID("R3", "fetchSubscribers", trod.Args{"forum": "F2"}); err == nil {
@@ -164,18 +164,15 @@ func TestCheckpointedDebuggingStorySurvivesRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := workload.RaceSubscribe(app, "R1", "R2", "U1", "F2"); err != nil {
+		if err := workload.Race(app, "subscribeUser", "DB.insert", "R1", "R2", u1f2, u1f2); err != nil {
 			t.Fatal(err)
 		}
 		// Keep serving after the bug so the provenance WAL outgrows its
 		// checkpoint threshold and rotates automatically. Flushing the
 		// tracer every few requests turns the traffic into several distinct
 		// provenance batch commits (WAL records).
-		// Explicit request IDs: auto-generated ones (app.Invoke) restart at
-		// R1 and would collide with RaceSubscribe's R1/R2.
 		for i := 0; i < 30; i++ {
-			if _, err := app.InvokeWithReqID(fmt.Sprintf("Q%d", i), "subscribeUser",
-				trod.Args{"userId": fmt.Sprintf("U%d", 100+i), "forum": "F1"}); err != nil {
+			if _, err := app.Invoke("subscribeUser", trod.Args{"userId": fmt.Sprintf("U%d", 100+i), "forum": "F1"}); err != nil {
 				t.Fatal(err)
 			}
 			if i%3 == 0 {
@@ -294,3 +291,6 @@ func TestProvenanceRecoveryPreservesEventTables(t *testing.T) {
 		t.Errorf("recovered events = %v, %v", rows, err)
 	}
 }
+
+// u1f2 is the racing requests' arguments in the MDL-59854 scenario.
+var u1f2 = trod.Args{"userId": "U1", "forum": "F2"}

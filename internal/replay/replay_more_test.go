@@ -29,7 +29,7 @@ func travelScenario(t *testing.T) (*db.DB, *trace.Tracer, string) {
 	if _, err := app.InvokeWithReqID("R1", "bookTrip", runtime.Args{"flightId": "F100", "customer": "early"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := workload.RaceHandlers(app, "bookTrip", "recordBooking", "R2", "R3",
+	if err := workload.Race(app, "bookTrip", "recordBooking", "R2", "R3",
 		runtime.Args{"flightId": "F100", "customer": "alice"},
 		runtime.Args{"flightId": "F100", "customer": "bob"}); err != nil {
 		t.Fatal(err)

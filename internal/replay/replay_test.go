@@ -32,7 +32,7 @@ func racedScenario(t *testing.T) (*db.DB, *trace.Tracer, *runtime.App) {
 	}
 	t.Cleanup(func() { tr.Close() })
 
-	if err := workload.RaceSubscribe(app, "R1", "R2", "U1", "F2"); err != nil {
+	if err := workload.Race(app, "subscribeUser", "DB.insert", "R1", "R2", u1f2, u1f2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := app.InvokeWithReqID("R3", "fetchSubscribers", runtime.Args{"forum": "F2"}); err == nil {
@@ -298,3 +298,6 @@ func TestApplyForeignUpsertSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// u1f2 is the racing requests' arguments in the MDL-59854 scenario.
+var u1f2 = runtime.Args{"userId": "U1", "forum": "F2"}

@@ -134,7 +134,7 @@ func TestRetroAcrossRPCWorkflow(t *testing.T) {
 	if _, err := app.InvokeWithReqID("R1", "bookTrip", runtime.Args{"flightId": "F100", "customer": "early"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := workload.RaceHandlers(app, "bookTrip", "recordBooking", "R2", "R3",
+	if err := workload.Race(app, "bookTrip", "recordBooking", "R2", "R3",
 		runtime.Args{"flightId": "F100", "customer": "a"},
 		runtime.Args{"flightId": "F100", "customer": "b"}); err != nil {
 		t.Fatal(err)
@@ -145,16 +145,7 @@ func TestRetroAcrossRPCWorkflow(t *testing.T) {
 	rt := New(prod, tr.Writer())
 	report, err := rt.Run([]string{"R2", "R3"}, workload.RegisterTravelFixed, Options{
 		MaxSchedules: 32,
-		Invariant: func(dev *db.DB) error {
-			r, err := dev.Query(`SELECT flightId FROM flights WHERE booked > seats`)
-			if err != nil {
-				return err
-			}
-			if len(r.Rows) > 0 {
-				t.Logf("oversold in a schedule")
-			}
-			return nil
-		},
+		Invariant:    workload.NoOversoldFlight,
 	})
 	if err != nil {
 		t.Fatal(err)

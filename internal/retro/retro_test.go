@@ -28,7 +28,7 @@ func scenario(t *testing.T) (*db.DB, *trace.Tracer) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tr.Close() })
-	if err := workload.RaceSubscribe(app, "R1", "R2", "U1", "F2"); err != nil {
+	if err := workload.Race(app, "subscribeUser", "DB.insert", "R1", "R2", u1f2, u1f2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := app.InvokeWithReqID("R3", "fetchSubscribers", runtime.Args{"forum": "F2"}); err == nil {
@@ -40,25 +40,12 @@ func scenario(t *testing.T) (*db.DB, *trace.Tracer) {
 	return prod, tr
 }
 
-// noDuplicates is the invariant under test: no duplicated (userId, forum).
-func noDuplicates(dev *db.DB) error {
-	rows, err := dev.Query(`SELECT userId, forum, COUNT(*) AS c FROM forum_sub
-		GROUP BY userId, forum HAVING COUNT(*) > 1`)
-	if err != nil {
-		return err
-	}
-	if len(rows.Rows) > 0 {
-		return fmt.Errorf("duplicate subscription %s/%s", rows.Rows[0][0].AsText(), rows.Rows[0][1].AsText())
-	}
-	return nil
-}
-
 func TestRetroFixPassesAllInterleavings(t *testing.T) {
 	prod, tr := scenario(t)
 	rt := New(prod, tr.Writer())
 	// Figure 3 (bottom): re-serve R1, R2, R3 with the PATCHED handler.
 	report, err := rt.Run([]string{"R1", "R2", "R3"}, workload.RegisterMoodleFixed, Options{
-		Invariant: noDuplicates,
+		Invariant: workload.NoDuplicateSubscription,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +98,7 @@ func TestRetroBuggyCodeStillFails(t *testing.T) {
 	// at least one interleaving (in fact in all explored ones, since the
 	// scheduler serialises the two-txn windows against each other).
 	report, err := rt.Run([]string{"R1", "R2", "R3"}, workload.RegisterMoodle, Options{
-		Invariant: noDuplicates,
+		Invariant: workload.NoDuplicateSubscription,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +122,7 @@ func TestRetroExploresTxnGranularInterleavings(t *testing.T) {
 	prod, tr := scenario(t)
 	rt := New(prod, tr.Writer())
 	report, err := rt.Run([]string{"R1", "R2"}, workload.RegisterMoodle, Options{
-		Invariant: noDuplicates,
+		Invariant: workload.NoDuplicateSubscription,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +301,7 @@ func TestRetroMDL60669FixValidation(t *testing.T) {
 	}
 	defer tr.Close()
 
-	if err := workload.RaceSubscribe(app, "R1", "R2", "U1", "F2"); err != nil {
+	if err := workload.Race(app, "subscribeUser", "DB.insert", "R1", "R2", u1f2, u1f2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := app.InvokeWithReqID("R3", "deleteCourse", runtime.Args{"course": "C1"}); err != nil {
@@ -341,5 +328,72 @@ func TestRetroMDL60669FixValidation(t *testing.T) {
 				t.Errorf("retro restore failed under %v: %v", s.Order, rq.Err)
 			}
 		}
+	}
+}
+
+// u1f2 is the racing requests' arguments in the MDL-59854 scenario.
+var u1f2 = runtime.Args{"userId": "U1", "forum": "F2"}
+
+// TestA3ConflictPruning is the conflict-pruning ablation: the MDL-59854
+// subscribe race overlapped with three messages whose outbox writes are
+// untraced (empty footprints, so they commute with everything). Pruning
+// must explore strictly fewer schedules and branch at strictly fewer points
+// than naive enumeration of the same phase.
+func TestA3ConflictPruning(t *testing.T) {
+	prod := db.MustOpenMemory()
+	prov := db.MustOpenMemory()
+	defer prod.Close()
+	defer prov.Close()
+	if err := workload.SetupMoodle(prod); err != nil {
+		t.Fatal(err)
+	}
+	if err := workload.SetupProfiles(prod); err != nil {
+		t.Fatal(err)
+	}
+	register := func(a *runtime.App) {
+		workload.RegisterMoodle(a)
+		workload.RegisterProfiles(a)
+	}
+	app := runtime.New(prod)
+	register(app)
+	tr, err := trace.Attach(app, prov, trace.Config{Tables: workload.MoodleTables})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+
+	calls := []workload.Call{
+		{ReqID: "R1", Handler: "subscribeUser", Args: runtime.Args{"userId": "U1", "forum": "F1"}},
+		{ReqID: "R2", Handler: "subscribeUser", Args: runtime.Args{"userId": "U1", "forum": "F1"}},
+	}
+	for i := 0; i < 3; i++ {
+		calls = append(calls, workload.Call{ReqID: fmt.Sprintf("R%d", i+3), Handler: "sendMessage",
+			Args: runtime.Args{"recipient": fmt.Sprintf("u%d@x", i), "body": "hi"}})
+	}
+	if err := workload.Overlap(app, calls); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	reqIDs := make([]string, len(calls))
+	for i, c := range calls {
+		reqIDs[i] = c.ReqID
+	}
+	rt := New(prod, tr.Writer())
+	pruned, err := rt.Run(reqIDs, register, Options{MaxSchedules: 256, SinglePhase: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := rt.Run(reqIDs, register, Options{MaxSchedules: 256, SinglePhase: true, DisableConflictPruning: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pruned.Schedules) >= len(naive.Schedules) {
+		t.Errorf("pruning did not reduce schedules: pruned %d, naive %d", len(pruned.Schedules), len(naive.Schedules))
+	}
+	if pruned.BranchedPoints >= naive.BranchedPoints {
+		t.Errorf("pruning did not reduce branch points: pruned %d, naive %d", pruned.BranchedPoints, naive.BranchedPoints)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -152,7 +153,7 @@ type App struct {
 	observer  Observer
 	intercept TxnInterceptor
 
-	reqCounter uint64
+	reqCounter atomic.Uint64
 	logical    uint64 // logical event clock (deterministic "timestamp")
 
 	// externalResults lets tests and retro runs stub external services.
@@ -206,7 +207,7 @@ func (app *App) NextLogical() uint64 { return atomic.AddUint64(&app.logical, 1) 
 
 // NewReqID allocates the next request ID ("R1", "R2", ...).
 func (app *App) NewReqID() string {
-	n := atomic.AddUint64(&app.reqCounter, 1)
+	n := app.reqCounter.Add(1)
 	return fmt.Sprintf("R%d", n)
 }
 
@@ -262,13 +263,37 @@ var ErrUnknownHandler = errors.New("runtime: unknown handler")
 // Invoke serves a new top-level request: it assigns a fresh request ID and
 // runs the named handler.
 func (app *App) Invoke(handler string, args Args) (any, error) {
-	return app.InvokeWithReqID(app.NewReqID(), handler, args)
+	return app.invoke(app.NewReqID(), handler, args)
 }
 
 // InvokeWithReqID serves a request under an explicit request ID. Replay and
 // retroactive programming use this to re-serve past requests under their
-// original IDs.
+// original IDs. An ID in the allocator's own "R<n>" form reserves n, so a
+// later Invoke never reuses it.
 func (app *App) InvokeWithReqID(reqID, handler string, args Args) (any, error) {
+	app.reserveReqID(reqID)
+	return app.invoke(reqID, handler, args)
+}
+
+// reserveReqID advances the request-ID allocator past reqID when reqID has
+// the "R<n>" form NewReqID produces.
+func (app *App) reserveReqID(reqID string) {
+	if len(reqID) < 2 || reqID[0] != 'R' {
+		return
+	}
+	n, err := strconv.ParseUint(reqID[1:], 10, 64)
+	if err != nil {
+		return
+	}
+	for {
+		cur := app.reqCounter.Load()
+		if cur >= n || app.reqCounter.CompareAndSwap(cur, n) {
+			return
+		}
+	}
+}
+
+func (app *App) invoke(reqID, handler string, args Args) (any, error) {
 	app.mu.RLock()
 	h, ok := app.handlers[handler]
 	app.mu.RUnlock()

@@ -109,6 +109,28 @@ func TestReqIDsAreUniqueAndSequential(t *testing.T) {
 	}
 }
 
+// An explicit ID in the allocator's "R<n>" form must not be handed out again
+// by Invoke: the tracer keys trod_requests by request ID, so a repeat made
+// the whole provenance batch holding it fail to commit.
+func TestExplicitReqIDReservesAllocatorID(t *testing.T) {
+	app := newApp(t)
+	app.Register("noop", func(*Ctx, Args) (any, error) { return nil, nil })
+	obs := &recObserver{}
+	app.SetObserver(obs)
+	app.InvokeWithReqID("R2", "noop", nil)
+	app.InvokeWithReqID("Q7", "noop", nil)
+	for i := 0; i < 3; i++ {
+		app.Invoke("noop", nil)
+	}
+	var got []string
+	for _, s := range obs.starts {
+		got = append(got, s.ReqID)
+	}
+	if want := "[R2 Q7 R3 R4 R5]"; fmt.Sprint(got) != want {
+		t.Errorf("req ids = %v, want %s", got, want)
+	}
+}
+
 func TestWorkflowRPCPropagation(t *testing.T) {
 	app := newApp(t)
 	obs := &recObserver{}

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/db"
 	"repro/internal/provenance"
@@ -203,111 +202,12 @@ func registerMediaWikiCommon(app *runtime.App) {
 	})
 }
 
-// RaceHandlers drives two concurrent requests of the same handler through a
-// forced interleaving: both requests pause before their transaction with
-// label gateLabel until both have arrived. It generalises RaceSubscribe to
-// the MediaWiki bugs.
-func RaceHandlers(app *runtime.App, handler, gateLabel string, reqA, reqB string, argsA, argsB runtime.Args) error {
-	release := make(chan struct{})
-	arrived := make(chan struct{}, 2)
-	app.SetTxnInterceptor(labelGate{label: gateLabel, arrived: arrived, release: release})
-	defer app.SetTxnInterceptor(nil)
-
-	errs := make(chan error, 2)
-	go func() {
-		_, err := app.InvokeWithReqID(reqA, handler, argsA)
-		errs <- err
-	}()
-	go func() {
-		_, err := app.InvokeWithReqID(reqB, handler, argsB)
-		errs <- err
-	}()
-	<-arrived
-	<-arrived
-	close(release)
-	var first error
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
+// NoDuplicateSiteLink is MW-44325's retroactive invariant: no URL is linked
+// twice.
+func NoDuplicateSiteLink(dev *db.DB) error {
+	r, err := firstRow(dev, `SELECT url FROM sitelinks GROUP BY url HAVING COUNT(*) > 1`)
+	if r != nil {
+		err = fmt.Errorf("duplicate site link %s", r[0].AsText())
 	}
-	return first
+	return err
 }
-
-type labelGate struct {
-	label   string
-	arrived chan struct{}
-	release chan struct{}
-}
-
-// Before implements runtime.TxnInterceptor.
-func (g labelGate) Before(c *runtime.Ctx, label string) error {
-	if label == g.label {
-		g.arrived <- struct{}{}
-		<-g.release
-	}
-	return nil
-}
-
-// After implements runtime.TxnInterceptor.
-func (g labelGate) After(*runtime.Ctx, string, error) {}
-
-// Call is one request for Overlap.
-type Call struct {
-	ReqID, Handler string
-	Args           runtime.Args
-}
-
-// Overlap runs calls concurrently and holds each request's first
-// transaction until every request has reached its own, so the recorded
-// execution intervals overlap into one concurrent phase. Every handler must
-// run at least one transaction. It returns after all requests finish, with
-// the first error; the interceptor is reset afterwards.
-func Overlap(app *runtime.App, calls []Call) error {
-	app.SetTxnInterceptor(&firstTxnGate{need: len(calls), arrived: make(map[string]bool), release: make(chan struct{})})
-	defer app.SetTxnInterceptor(nil)
-
-	errs := make(chan error, len(calls))
-	for _, c := range calls {
-		go func(c Call) {
-			_, err := app.InvokeWithReqID(c.ReqID, c.Handler, c.Args)
-			errs <- err
-		}(c)
-	}
-	var first error
-	for range calls {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// firstTxnGate blocks every request's first transaction until need requests
-// have reached theirs.
-type firstTxnGate struct {
-	mu      sync.Mutex
-	need    int
-	arrived map[string]bool
-	release chan struct{}
-}
-
-// Before implements runtime.TxnInterceptor.
-func (g *firstTxnGate) Before(c *runtime.Ctx, _ string) error {
-	g.mu.Lock()
-	first := !g.arrived[c.ReqID]
-	if first {
-		g.arrived[c.ReqID] = true
-		if len(g.arrived) == g.need {
-			close(g.release)
-		}
-	}
-	g.mu.Unlock()
-	if first {
-		<-g.release
-	}
-	return nil
-}
-
-// After implements runtime.TxnInterceptor.
-func (g *firstTxnGate) After(*runtime.Ctx, string, error) {}

@@ -194,51 +194,12 @@ func registerMoodleCommon(app *runtime.App) {
 	})
 }
 
-// RaceSubscribe drives two concurrent subscribeUser requests for the same
-// (user, forum) through the MDL-59854 interleaving: both existence checks
-// run before either insert. It returns after both requests finish. The gate
-// uses the runtime's transaction interceptor, which is reset afterwards.
-func RaceSubscribe(app *runtime.App, reqA, reqB, user, forum string) error {
-	release := make(chan struct{})
-	arrived := make(chan struct{}, 2)
-	app.SetTxnInterceptor(raceGate{arrived: arrived, release: release})
-	defer app.SetTxnInterceptor(nil)
-
-	errs := make(chan error, 2)
-	for _, req := range []string{reqA, reqB} {
-		go func(r string) {
-			_, err := app.InvokeWithReqID(r, "subscribeUser", runtime.Args{"userId": user, "forum": forum})
-			errs <- err
-		}(req)
+// NoDuplicateSubscription is MDL-59854's retroactive invariant: no user is
+// subscribed to the same forum twice.
+func NoDuplicateSubscription(dev *db.DB) error {
+	r, err := firstRow(dev, `SELECT userId, forum FROM forum_sub GROUP BY userId, forum HAVING COUNT(*) > 1`)
+	if r != nil {
+		err = fmt.Errorf("duplicate subscription (%s, %s)", r[0].AsText(), r[1].AsText())
 	}
-	// Wait for both requests to pass their check transaction, then release
-	// the inserts.
-	<-arrived
-	<-arrived
-	close(release)
-	var first error
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return err
 }
-
-// raceGate blocks every DB.insert transaction until release is closed.
-type raceGate struct {
-	arrived chan struct{}
-	release chan struct{}
-}
-
-// Before implements runtime.TxnInterceptor.
-func (g raceGate) Before(c *runtime.Ctx, label string) error {
-	if label == "DB.insert" || label == "subscribeAtomic" {
-		g.arrived <- struct{}{}
-		<-g.release
-	}
-	return nil
-}
-
-// After implements runtime.TxnInterceptor.
-func (g raceGate) After(*runtime.Ctx, string, error) {}

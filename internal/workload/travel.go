@@ -263,3 +263,13 @@ func registerTravelCommon(app *runtime.App) {
 		return true, nil
 	})
 }
+
+// NoOversoldFlight is the overbooking race's retroactive invariant: no
+// flight has more bookings than seats.
+func NoOversoldFlight(dev *db.DB) error {
+	r, err := firstRow(dev, `SELECT flightId FROM flights WHERE booked > seats`)
+	if r != nil {
+		err = fmt.Errorf("flight %s oversold", r[0].AsText())
+	}
+	return err
+}

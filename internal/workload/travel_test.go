@@ -78,25 +78,24 @@ func TestTravelCancelFreesSeat(t *testing.T) {
 	}
 }
 
-// raceLastSeat races two bookings for the single remaining seat through
-// the TOCTOU window: both availability checks pass before either booking
-// records.
-func raceLastSeat(t *testing.T, app *runtime.App, gateLabel string) {
+// takeFirstSeat books one of flight F100's two seats, leaving the last one
+// for the racers.
+func takeFirstSeat(t *testing.T, app *runtime.App) {
 	t.Helper()
-	// Take one of the two seats first.
 	if _, err := app.Invoke("bookTrip", runtime.Args{"flightId": "F100", "customer": "early"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := RaceHandlers(app, "bookTrip", gateLabel, "R100", "R101",
-		runtime.Args{"flightId": "F100", "customer": "alice"},
-		runtime.Args{"flightId": "F100", "customer": "bob"}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+var alice, bob = runtime.Args{"flightId": "F100", "customer": "alice"}, runtime.Args{"flightId": "F100", "customer": "bob"}
+
 func TestTravelOverbookingRace(t *testing.T) {
 	app := newTravel(t, false)
-	raceLastSeat(t, app, "recordBooking")
+	takeFirstSeat(t, app)
+	// Both availability checks pass before either booking records.
+	if err := Race(app, "bookTrip", "recordBooking", "R100", "R101", alice, bob); err != nil {
+		t.Fatal(err)
+	}
 	_, err := app.Invoke("auditFlight", runtime.Args{"flightId": "F100"})
 	if err == nil || !strings.Contains(err.Error(), "oversold") {
 		t.Fatalf("expected oversell, got %v", err)
@@ -108,20 +107,26 @@ func TestTravelOverbookingRace(t *testing.T) {
 }
 
 func TestTravelFixedSurvivesRace(t *testing.T) {
-	app := newTravel(t, true)
-	raceLastSeat(t, app, "bookAtomic")
-	audit, err := app.Invoke("auditFlight", runtime.Args{"flightId": "F100"})
-	if err != nil {
-		t.Fatalf("fixed variant oversold: %v", err)
+	setup := func() *runtime.App {
+		app := newTravel(t, true)
+		takeFirstSeat(t, app)
+		return app
 	}
-	if audit != "2/2" {
-		t.Errorf("audit = %v", audit)
-	}
-	// Exactly one of the racers got the seat; the loser's payment voided.
-	rows, _ := app.DB().Query(`SELECT COUNT(*) FROM payments WHERE state = 'voided'`)
-	if rows.Rows[0][0].AsInt() != 1 {
-		t.Errorf("voided payments = %v, want 1", rows.Rows[0][0])
-	}
+	raceAtomic(t, setup, "bookAtomic", Call{"R100", "bookTrip", alice}, Call{"R101", "bookTrip", bob},
+		func(app *runtime.App) {
+			audit, err := app.Invoke("auditFlight", runtime.Args{"flightId": "F100"})
+			if err != nil {
+				t.Fatalf("fixed variant oversold: %v", err)
+			}
+			if audit != "2/2" {
+				t.Errorf("audit = %v", audit)
+			}
+			// Exactly one of the racers got the seat; the loser's payment voided.
+			rows, _ := app.DB().Query(`SELECT COUNT(*) FROM payments WHERE state = 'voided'`)
+			if rows.Rows[0][0].AsInt() != 1 {
+				t.Errorf("voided payments = %v, want 1", rows.Rows[0][0])
+			}
+		})
 }
 
 func TestTravelWorkflowTracing(t *testing.T) {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	goruntime "runtime"
 	"strings"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestMoodleHappyPath(t *testing.T) {
 
 func TestMoodleRaceReproducesMDL59854(t *testing.T) {
 	app := newMoodle(t, false)
-	if err := RaceSubscribe(app, "R1", "R2", "U1", "F2"); err != nil {
+	if err := Race(app, "subscribeUser", "DB.insert", "R1", "R2", u1f2, u1f2); err != nil {
 		t.Fatal(err)
 	}
 	// The duplicate exists and fetchSubscribers raises the Figure 1 error.
@@ -67,23 +68,38 @@ func TestMoodleRaceReproducesMDL59854(t *testing.T) {
 }
 
 func TestMoodleFixedSurvivesRace(t *testing.T) {
-	app := newMoodle(t, true)
-	if err := RaceSubscribe(app, "R1", "R2", "U1", "F2"); err != nil {
+	raceAtomic(t, func() *runtime.App { return newMoodle(t, true) }, "subscribeAtomic",
+		Call{"R1", "subscribeUser", u1f2}, Call{"R2", "subscribeUser", u1f2},
+		func(app *runtime.App) {
+			res, err := app.Invoke("fetchSubscribers", runtime.Args{"forum": "F2"})
+			if err != nil {
+				t.Fatalf("fixed variant still produced duplicates: %v", err)
+			}
+			if users := res.([]string); len(users) != 1 {
+				t.Errorf("subscribers = %v", users)
+			}
+		})
+}
+
+// A racer that finishes without reaching the gate (here: already
+// subscribed, so no insert) must not leave Race waiting for it.
+func TestRaceRequestThatSkipsTheGate(t *testing.T) {
+	app := newMoodle(t, false)
+	if _, err := app.Invoke("subscribeUser", u1f2); err != nil {
 		t.Fatal(err)
 	}
-	res, err := app.Invoke("fetchSubscribers", runtime.Args{"forum": "F2"})
-	if err != nil {
-		t.Fatalf("fixed variant still produced duplicates: %v", err)
+	if err := Race(app, "subscribeUser", "DB.insert", "R5", "R6", u1f2, u1f2); err != nil {
+		t.Fatal(err)
 	}
-	if users := res.([]string); len(users) != 1 {
-		t.Errorf("subscribers = %v", users)
+	if _, err := app.Invoke("fetchSubscribers", runtime.Args{"forum": "F2"}); err != nil {
+		t.Errorf("no racer should have inserted: %v", err)
 	}
 }
 
 func TestMoodleMDL60669RestoreBug(t *testing.T) {
 	app := newMoodle(t, false)
 	// Create a duplicate inside course C1 (the old bug's leftovers).
-	if err := RaceSubscribe(app, "R1", "R2", "U1", "F2"); err != nil {
+	if err := Race(app, "subscribeUser", "DB.insert", "R1", "R2", u1f2, u1f2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := app.Invoke("deleteCourse", runtime.Args{"course": "C1"}); err != nil {
@@ -134,35 +150,27 @@ func TestMediaWikiHappyPath(t *testing.T) {
 
 func TestMediaWikiRaceMW39225WrongSizes(t *testing.T) {
 	app := newWiki(t, false)
-	// Two concurrent edits of page 1: both insert revisions, then both
-	// update the cached size — the slower updatePageSize wins, which may
-	// not be the latest revision.
-	err := RaceHandlers(app, "editPage", "updatePageSize", "R1", "R2",
+	// Two concurrent edits of page 1: both insert revisions, then R2 updates
+	// the cached size before R1 does, so the cache holds R1's size while the
+	// latest revision is R2's.
+	err := Race(app, "editPage", "updatePageSize", "R1", "R2",
 		runtime.Args{"pageId": 1, "content": "short"},
 		runtime.Args{"pageId": 1, "content": "a much longer article body"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The race makes cached size nondeterministic vs the latest revision;
-	// run pageInfo and accept either manifestation, but the revisions table
-	// must hold both revisions.
 	rows, _ := app.DB().Query(`SELECT COUNT(*) FROM revisions WHERE pageId = 1`)
 	if rows.Rows[0][0].AsInt() != 3 { // seed + 2 edits
 		t.Errorf("revisions = %v", rows.Rows[0][0])
 	}
-	if _, err := app.Invoke("pageInfo", runtime.Args{"pageId": 1}); err != nil {
-		if !strings.Contains(err.Error(), "does not match") {
-			t.Errorf("unexpected pageInfo error: %v", err)
-		}
-		return // bug manifested, as MW-39225 describes
+	if _, err := app.Invoke("pageInfo", runtime.Args{"pageId": 1}); err == nil || !strings.Contains(err.Error(), "does not match") {
+		t.Errorf("pageInfo after the race = %v, want a size mismatch", err)
 	}
-	// If sizes happened to agree, the interleaving hid the bug this run —
-	// still a valid outcome ("rarely and randomly returns wrong sizes").
 }
 
 func TestMediaWikiRaceMW44325DuplicateLinks(t *testing.T) {
 	app := newWiki(t, false)
-	err := RaceHandlers(app, "addSiteLink", "insertSiteLink", "R1", "R2",
+	err := Race(app, "addSiteLink", "insertSiteLink", "R1", "R2",
 		runtime.Args{"pageId": 1, "url": "https://dup"},
 		runtime.Args{"pageId": 1, "url": "https://dup"})
 	if err != nil {
@@ -175,23 +183,22 @@ func TestMediaWikiRaceMW44325DuplicateLinks(t *testing.T) {
 }
 
 func TestMediaWikiFixedSurvivesRaces(t *testing.T) {
-	app := newWiki(t, true)
-	if err := RaceHandlers(app, "addSiteLink", "siteLinkAtomic", "R1", "R2",
-		runtime.Args{"pageId": 1, "url": "https://dup"},
-		runtime.Args{"pageId": 1, "url": "https://dup"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := app.Invoke("checkSiteLinks", nil); err != nil {
-		t.Errorf("fixed addSiteLink still duplicated: %v", err)
-	}
-	if err := RaceHandlers(app, "editPage", "editAtomic", "R3", "R4",
-		runtime.Args{"pageId": 1, "content": "short"},
-		runtime.Args{"pageId": 1, "content": "a much longer article body"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := app.Invoke("pageInfo", runtime.Args{"pageId": 1}); err != nil {
-		t.Errorf("fixed editPage still inconsistent: %v", err)
-	}
+	fixed := func() *runtime.App { return newWiki(t, true) }
+	link := runtime.Args{"pageId": 1, "url": "https://dup"}
+	raceAtomic(t, fixed, "siteLinkAtomic", Call{"R1", "addSiteLink", link}, Call{"R2", "addSiteLink", link},
+		func(app *runtime.App) {
+			if _, err := app.Invoke("checkSiteLinks", nil); err != nil {
+				t.Errorf("fixed addSiteLink still duplicated: %v", err)
+			}
+		})
+	raceAtomic(t, fixed, "editAtomic",
+		Call{"R3", "editPage", runtime.Args{"pageId": 1, "content": "short"}},
+		Call{"R4", "editPage", runtime.Args{"pageId": 1, "content": "a much longer article body"}},
+		func(app *runtime.App) {
+			if _, err := app.Invoke("pageInfo", runtime.Args{"pageId": 1}); err != nil {
+				t.Errorf("fixed editPage still inconsistent: %v", err)
+			}
+		})
 }
 
 func TestProfilesAndExfiltration(t *testing.T) {
@@ -271,3 +278,33 @@ func TestMicroserviceWorkload(t *testing.T) {
 		}
 	}
 }
+
+// raceAtomic races requests a and b of a fixed handler on fresh apps from
+// setup: both are held before their gate transaction and released together,
+// and check asserts the invariant after each round. It repeats until a round
+// ran the two atomic blocks at once and the database rejected one with a
+// serialization conflict, so the fix is seen surviving a conflict and retry
+// and not only two calls in a row.
+func raceAtomic(t *testing.T, setup func() *runtime.App, gate string, a, b Call, check func(*runtime.App)) {
+	t.Helper()
+	rounds := 500
+	if goruntime.GOMAXPROCS(0) == 1 {
+		rounds = 1 // with one P the two blocks run one after the other
+	}
+	for i := 0; i < rounds; i++ {
+		app := setup()
+		if err := overlapAt(app, gate, []Call{a, b}); err != nil {
+			t.Fatal(err)
+		}
+		check(app)
+		if _, conflicts := app.DB().CommitStats(); conflicts > 0 || t.Failed() {
+			return
+		}
+	}
+	if rounds > 1 {
+		t.Errorf("%s: no round of %d ran the two atomic blocks at once", gate, rounds)
+	}
+}
+
+// u1f2 is the racing requests' arguments in the MDL-59854 scenario.
+var u1f2 = runtime.Args{"userId": "U1", "forum": "F2"}

@@ -29,7 +29,8 @@ func TestEndToEndDebuggingStory(t *testing.T) {
 	sys := newForumSystem(t)
 
 	// 1. Production: the MDL-59854 race happens; a later fetch fails.
-	if err := workload.RaceSubscribe(sys.App, "R1", "R2", "U1", "F2"); err != nil {
+	sub := trod.Args{"userId": "U1", "forum": "F2"}
+	if err := workload.Race(sys.App, "subscribeUser", "DB.insert", "R1", "R2", sub, sub); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sys.App.InvokeWithReqID("R3", "fetchSubscribers", trod.Args{"forum": "F2"}); err == nil {
@@ -66,18 +67,8 @@ func TestEndToEndDebuggingStory(t *testing.T) {
 	}
 
 	// 4. Retroactive programming: the fix passes every interleaving.
-	retroReport, err := sys.Retro().Run([]string{"R1", "R2", "R3"}, workload.RegisterMoodleFixed, trod.RetroOptions{
-		Invariant: func(dev *trod.DB) error {
-			rows, err := dev.Query(`SELECT COUNT(*) FROM forum_sub WHERE userId = 'U1' AND forum = 'F2'`)
-			if err != nil {
-				return err
-			}
-			if rows.Rows[0][0].AsInt() > 1 {
-				return errDuplicate
-			}
-			return nil
-		},
-	})
+	retroReport, err := sys.Retro().Run([]string{"R1", "R2", "R3"}, workload.RegisterMoodleFixed,
+		trod.RetroOptions{Invariant: workload.NoDuplicateSubscription})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +76,6 @@ func TestEndToEndDebuggingStory(t *testing.T) {
 		t.Fatal("the fix should pass all interleavings")
 	}
 }
-
-var errDuplicate = &dupErr{}
-
-type dupErr struct{}
-
-func (*dupErr) Error() string { return "duplicate subscription" }
 
 func TestSystemWithDiskDatabase(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "prod.wal")
@@ -135,9 +120,15 @@ func TestSecurityDetectorsThroughPublicAPI(t *testing.T) {
 	defer sys.Close()
 	workload.RegisterProfiles(sys.App)
 
-	sys.App.InvokeWithReqID("R1", "updateProfile", trod.Args{"userName": "alice", "caller": "mallory", "bio": "x"})
-	sys.App.InvokeWithReqID("R2", "exfiltrate", trod.Args{"docId": 1, "dropbox": "evil@x"})
-	sys.Flush()
+	if _, err := sys.App.InvokeWithReqID("R1", "updateProfile", trod.Args{"userName": "alice", "caller": "mallory", "bio": "x"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.App.InvokeWithReqID("R2", "exfiltrate", trod.Args{"docId": 1, "dropbox": "evil@x"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
 	violations, err := trod.DetectUserProfiles(sys.Tracer, "profiles", "UserName", "UpdatedBy")
 	if err != nil || len(violations) != 1 || violations[0].ReqID != "R1" {
@@ -164,8 +155,12 @@ func TestConfigErrors(t *testing.T) {
 
 func TestGDPRForgetThroughPublicAPI(t *testing.T) {
 	sys := newForumSystem(t)
-	sys.App.InvokeWithReqID("R1", "subscribeUser", trod.Args{"userId": "U9", "forum": "F1"})
-	sys.Flush()
+	if _, err := sys.App.InvokeWithReqID("R1", "subscribeUser", trod.Args{"userId": "U9", "forum": "F1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	n, err := sys.Tracer.Writer().Forget("userId", "U9")
 	if err != nil || n == 0 {
 		t.Fatalf("Forget = %d, %v", n, err)
@@ -192,7 +187,9 @@ func TestTracedTableNamesAreCaseInsensitive(t *testing.T) {
 	if _, err := sys.App.Invoke("w", nil); err != nil {
 		t.Fatal(err)
 	}
-	sys.Flush()
+	if err := sys.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	rows, err := sys.Prov.Query(`SELECT Type FROM MixedEvents`)
 	if err != nil || len(rows.Rows) == 0 {
 		t.Errorf("mixed-case trace rows = %v, %v", rows, err)
