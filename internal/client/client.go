@@ -10,7 +10,6 @@
 package client
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -85,14 +84,12 @@ type Client struct {
 	closed bool
 }
 
-// conn is one protocol connection.
+// conn is one pooled protocol connection; its frame buffers live as long as
+// it does.
 type conn struct {
-	nc       net.Conn
-	br       *bufio.Reader
+	*protocol.Conn
 	idleFrom time.Time // when the conn was returned to the pool
 }
-
-func (c *conn) close() { c.nc.Close() }
 
 // Dial connects to a trod-server and verifies liveness with a Ping.
 func Dial(addr string, opts Options) (*Client, error) {
@@ -128,7 +125,7 @@ func (c *Client) get() (*conn, error) {
 	}
 	c.mu.Unlock()
 	for _, s := range stale {
-		s.close()
+		s.Close()
 	}
 	if cn != nil {
 		return cn, nil
@@ -137,7 +134,7 @@ func (c *Client) get() (*conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &conn{nc: nc, br: bufio.NewReader(nc)}, nil
+	return &conn{Conn: protocol.NewConn(nc)}, nil
 }
 
 func (c *Client) put(cn *conn) {
@@ -149,26 +146,26 @@ func (c *Client) put(cn *conn) {
 		return
 	}
 	c.mu.Unlock()
-	cn.close()
+	cn.Close()
 }
 
 // roundtrip sends req and reads one response on cn. ErrFrameTooLarge is
 // local (nothing was written): the connection remains clean and usable.
 func (c *Client) roundtrip(cn *conn, req *protocol.Message) (*protocol.Message, error) {
-	cn.nc.SetDeadline(time.Now().Add(c.opts.RequestTimeout))
-	if werr := protocol.WriteMessage(cn.nc, req); werr != nil {
+	cn.SetDeadline(time.Now().Add(c.opts.RequestTimeout))
+	if werr := cn.WriteMessage(req, protocol.MaxFrame); werr != nil {
 		if errors.Is(werr, protocol.ErrFrameTooLarge) {
 			return nil, werr // local encoding failure; no bytes on the wire
 		}
 		// The server rejects not-admitted connections (busy/shutdown) without
 		// reading a request and closes them, which can break this write; the
 		// typed rejection may still be sitting in the receive buffer.
-		if resp, rerr := protocol.ReadMessage(cn.br, c.opts.MaxFrame); rerr == nil && resp.Type == protocol.MsgError {
+		if resp, rerr := cn.ReadMessage(c.opts.MaxFrame); rerr == nil && resp.Type == protocol.MsgError {
 			return resp, nil
 		}
 		return nil, werr
 	}
-	return protocol.ReadMessage(cn.br, c.opts.MaxFrame)
+	return cn.ReadMessage(c.opts.MaxFrame)
 }
 
 // traced starts a client-side span buffer for req when tracing is enabled
@@ -269,12 +266,12 @@ func (c *Client) doRequest(req *protocol.Message, buf *span.Buf) (*protocol.Mess
 			c.put(cn) // local failure; the connection is untouched
 			return nil, err
 		}
-		cn.close()
+		cn.Close()
 		return nil, err
 	}
 	if resp.Type == protocol.MsgError {
 		if connRefused(resp.Code) {
-			cn.close() // admission refusal: the server closed this conn
+			cn.Close() // admission refusal: the server closed this conn
 		} else {
 			c.put(cn) // session-level error: the session is still healthy
 		}
@@ -372,7 +369,7 @@ func (c *Client) Stats() (protocol.Stats, error) {
 	if resp.Type != protocol.MsgStatsResult {
 		return protocol.Stats{}, fmt.Errorf("client: unexpected stats response type %d", resp.Type)
 	}
-	return resp.Stats, nil
+	return *resp.Stats, nil
 }
 
 // Close closes all pooled connections. In-flight transactions on dedicated
@@ -386,7 +383,7 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	for _, cn := range c.idle {
-		cn.close()
+		cn.Close()
 	}
 	c.idle = nil
 	return nil
@@ -435,19 +432,19 @@ func (c *Client) begin(req *protocol.Message, buf *span.Buf) (*Tx, error) {
 		buf.Record(span.StageRTT, span.RootID, t0, time.Since(t0))
 	}
 	if err != nil {
-		cn.close()
+		cn.Close()
 		return nil, err
 	}
 	if resp.Type == protocol.MsgError {
 		if connRefused(resp.Code) {
-			cn.close()
+			cn.Close()
 		} else {
 			c.put(cn)
 		}
 		return nil, &protocol.ServerError{Code: resp.Code, Msg: resp.Err}
 	}
 	if resp.Type != protocol.MsgTxState {
-		cn.close()
+		cn.Close()
 		return nil, fmt.Errorf("client: unexpected begin response type %d", resp.Type)
 	}
 	return &Tx{c: c, cn: cn, id: resp.TxnID}, nil
@@ -488,7 +485,7 @@ func (t *Tx) doPinned(req *protocol.Message, buf *span.Buf) (*protocol.Message, 
 			return nil, err // local failure; transaction and conn stay live
 		}
 		t.done = true
-		t.cn.close()
+		t.cn.Close()
 		return nil, err
 	}
 	if resp.Type == protocol.MsgError {

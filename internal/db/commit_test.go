@@ -47,7 +47,7 @@ func TestCommitEntriesShareOneStageSequence(t *testing.T) {
 		stages  []span.Stage
 	}{
 		{"primary", func(id int64, sp *span.Buf) error {
-			_, err := d.ExecMeta(TxMeta{Spans: sp}, `INSERT INTO t VALUES (?, 'x')`, id)
+			_, err := d.ExecMeta(TxMeta{Spans: sp}, `INSERT INTO t VALUES (?, 'x')`, value.Row{value.Int(id)})
 			return err
 		}, true, true, 1, []span.Stage{span.StageOCCValidate, span.StageWALAppend, span.StageQuorumWait}},
 		{"batch", func(id int64, _ *span.Buf) error {

@@ -765,13 +765,17 @@ func convertArgs(args []any) ([]value.Value, error) {
 // Exec runs a statement in autocommit mode (its own transaction, retried on
 // serialization conflict). DDL executes directly.
 func (db *DB) Exec(query string, args ...any) (*Rows, error) {
-	return db.exec(TxMeta{}, query, args...)
+	vals, err := convertArgs(args)
+	if err != nil {
+		return nil, err
+	}
+	return db.exec(TxMeta{}, query, vals)
 }
 
-// ExecMeta is Exec with transaction metadata attached (used by the runtime
-// for single-statement transactions).
-func (db *DB) ExecMeta(meta TxMeta, query string, args ...any) (*Rows, error) {
-	return db.exec(meta, query, args...)
+// ExecMeta is Exec with transaction metadata attached and the arguments
+// already values (the server passes the row it decoded from the request).
+func (db *DB) ExecMeta(meta TxMeta, query string, args value.Row) (*Rows, error) {
+	return db.exec(meta, query, args)
 }
 
 // readOnlyViolation rejects non-SELECT statements on a read-only or fenced
@@ -790,7 +794,7 @@ func (db *DB) readOnlyViolation(stmt sqlparse.Statement) error {
 	return ErrReadOnly
 }
 
-func (db *DB) exec(meta TxMeta, query string, args ...any) (*Rows, error) {
+func (db *DB) exec(meta TxMeta, query string, vals []value.Value) (*Rows, error) {
 	// parse_plan covers the parse and the plan-cache lookup; compilation on
 	// a miss nests under it as plan_compile (recorded inside planFor). The
 	// span ID is reserved up front so the child can parent under it before
@@ -819,11 +823,6 @@ func (db *DB) exec(meta TxMeta, query string, args ...any) (*Rows, error) {
 	case *sqlparse.Begin, *sqlparse.Commit, *sqlparse.Rollback:
 		sp.Complete(ppID, ppStart, time.Since(ppStart))
 		return nil, errors.New("db: use Begin()/Tx.Commit()/Tx.Rollback() for transaction control")
-	}
-	vals, err := convertArgs(args)
-	if err != nil {
-		sp.Complete(ppID, ppStart, time.Since(ppStart))
-		return nil, err
 	}
 	if _, isSelect := stmt.(*sqlparse.Select); isSelect {
 		// Auto-commit SELECT: a read-only snapshot transaction. No read-set
@@ -1095,6 +1094,15 @@ func (tx *Tx) Inner() *txn.Txn { return tx.inner }
 // transaction it fails with ErrTxnExpired once the deadline watcher has
 // rolled the transaction back.
 func (tx *Tx) Exec(query string, args ...any) (*Rows, error) {
+	vals, err := convertArgs(args)
+	if err != nil {
+		return nil, err
+	}
+	return tx.ExecRow(query, vals)
+}
+
+// ExecRow is Exec with the arguments already values.
+func (tx *Tx) ExecRow(query string, vals value.Row) (*Rows, error) {
 	if err := tx.enter(); err != nil {
 		return nil, err
 	}
@@ -1108,10 +1116,6 @@ func (tx *Tx) Exec(query string, args ...any) (*Rows, error) {
 	}
 	if isDDL(stmt) {
 		return nil, errors.New("db: DDL is not allowed inside a transaction")
-	}
-	vals, err := convertArgs(args)
-	if err != nil {
-		return nil, err
 	}
 	var plan *sqlexec.Plan
 	if isPlannable(stmt) {

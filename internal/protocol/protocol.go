@@ -18,14 +18,24 @@
 // frame and reads exactly one response frame. Sessions are connection-scoped
 // — an interactive transaction opened with MsgBegin lives on its connection
 // and dies with it.
+//
+// One routine writes frames and one reads them. A frame goes out as a single
+// Write of header and payload encoded into one buffer, and frames come in
+// through a bufio.Reader into a payload buffer. A Conn owns both buffers and
+// the reader for one connection and reuses them frame after frame; a buffer
+// that grew past maxKeptBuffer for one large frame is dropped afterwards.
+// Decoding copies everything it keeps, so a decoded Message never aliases
+// the payload buffer the next frame overwrites.
 package protocol
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
 
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -234,8 +244,8 @@ type Message struct {
 	TxnID uint64
 	Seq   uint64
 
-	// MsgStatsResult.
-	Stats Stats
+	// MsgStatsResult. A nil Stats encodes as all zeroes.
+	Stats *Stats
 
 	// MsgError.
 	Code ErrCode
@@ -407,11 +417,15 @@ func EncodeMessage(dst []byte, m *Message) []byte {
 		dst = binary.AppendUvarint(dst, m.TxnID)
 		dst = binary.AppendUvarint(dst, m.Seq)
 	case MsgStatsResult:
-		for i := range StatFields {
-			dst = binary.AppendUvarint(dst, *StatFields[i].Field(&m.Stats))
+		st := m.Stats
+		if st == nil {
+			st = &noStats
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(m.Stats.SubscriberLags)))
-		for _, l := range m.Stats.SubscriberLags {
+		for i := range StatFields {
+			dst = binary.AppendUvarint(dst, *StatFields[i].Field(st))
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(st.SubscriberLags)))
+		for _, l := range st.SubscriberLags {
 			dst = binary.AppendUvarint(dst, l.AckedSeq)
 			dst = binary.AppendUvarint(dst, l.LagSeqs)
 			dst = binary.AppendUvarint(dst, l.LastAckAgeMs)
@@ -491,7 +505,8 @@ func appendTraceContext(dst []byte, m *Message) []byte {
 
 // decodeTraceContext probes for the trailing trace context on a request
 // payload. A missing ParentSpan after a present TraceID is corrupt: the two
-// are always written together.
+// are always written together. So is a present TraceID of zero, which no
+// encoder writes.
 func decodeTraceContext(m *Message, payload []byte, off int) (int, error) {
 	if off >= len(payload) {
 		return off, nil
@@ -499,6 +514,9 @@ func decodeTraceContext(m *Message, payload []byte, off int) (int, error) {
 	var err error
 	if m.TraceID, off, err = readUvarint(payload, off); err != nil {
 		return 0, err
+	}
+	if m.TraceID == 0 {
+		return 0, fmt.Errorf("protocol: trace context with zero trace ID")
 	}
 	if m.ParentSpan, off, err = readUvarint(payload, off); err != nil {
 		return 0, err
@@ -592,8 +610,10 @@ func DecodeMessage(payload []byte) (*Message, error) {
 			return nil, err
 		}
 	case MsgStatsResult:
+		st := &Stats{}
+		m.Stats = st
 		for i := range StatFields {
-			if *StatFields[i].Field(&m.Stats), off, err = readUvarint(payload, off); err != nil {
+			if *StatFields[i].Field(st), off, err = readUvarint(payload, off); err != nil {
 				return nil, err
 			}
 		}
@@ -607,7 +627,7 @@ func DecodeMessage(payload []byte) (*Message, error) {
 		if n > uint64(len(payload)-off)/3 {
 			return nil, fmt.Errorf("protocol: subscriber count %d exceeds payload", n)
 		}
-		m.Stats.SubscriberLags = make([]SubscriberLag, 0, preallocCap(n, 4096))
+		st.SubscriberLags = make([]SubscriberLag, 0, preallocCap(n, 4096))
 		for i := uint64(0); i < n; i++ {
 			var l SubscriberLag
 			if l.AckedSeq, off, err = readUvarint(payload, off); err != nil {
@@ -619,7 +639,7 @@ func DecodeMessage(payload []byte) (*Message, error) {
 			if l.LastAckAgeMs, off, err = readUvarint(payload, off); err != nil {
 				return nil, err
 			}
-			m.Stats.SubscriberLags = append(m.Stats.SubscriberLags, l)
+			st.SubscriberLags = append(st.SubscriberLags, l)
 		}
 	case MsgError:
 		if off >= len(payload) {
@@ -749,17 +769,7 @@ func WriteMessage(w io.Writer, m *Message) error {
 // WriteMessageLimit is WriteMessage with an explicit frame cap (replication
 // streams use MaxReplFrame; both peers must agree on the limit).
 func WriteMessageLimit(w io.Writer, m *Message, maxFrame int) error {
-	payload := EncodeMessage(make([]byte, 0, 64), m)
-	if len(payload) > maxFrame {
-		return ErrFrameTooLarge
-	}
-	var hdr [frameHeader]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	_, err := writeFrame(w, make([]byte, 0, oneOffBuffer), m, maxFrame)
 	return err
 }
 
@@ -767,32 +777,122 @@ func WriteMessageLimit(w io.Writer, m *Message, maxFrame int) error {
 // maxFrame <= 0 applies the MaxFrame default. io.EOF at a frame boundary is
 // returned as-is (clean disconnect); a partial frame is ErrUnexpectedEOF.
 func ReadMessage(r io.Reader, maxFrame int) (*Message, error) {
+	m, _, err := readFrame(r, make([]byte, 0, oneOffBuffer), maxFrame)
+	return m, err
+}
+
+// oneOffBuffer sizes the buffer of a WriteMessage or ReadMessage call made
+// without a Conn, so that a typical frame costs one allocation.
+const oneOffBuffer = 128
+
+// maxKeptBuffer caps the frame buffers a Conn keeps between frames. A buffer
+// that grew past it for one large frame (a big result set, a snapshot chunk,
+// a log batch) is dropped once that frame is done instead of holding its
+// peak size for the rest of the connection's life.
+const maxKeptBuffer = 64 << 10
+
+// writeFrame encodes m's header and payload into buf, reusing its capacity,
+// and hands the frame to w in one Write. An encoding over maxFrame writes
+// nothing and returns ErrFrameTooLarge. The grown buffer is returned for
+// reuse either way.
+func writeFrame(w io.Writer, buf []byte, m *Message, maxFrame int) ([]byte, error) {
+	buf = append(buf[:0], make([]byte, frameHeader)...)
+	buf = EncodeMessage(buf, m)
+	payload := buf[frameHeader:]
+	if len(payload) > maxFrame {
+		return buf, ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
+	_, err := w.Write(buf)
+	return buf, err
+}
+
+// readFrame reads one frame from r into buf, reusing its capacity, verifies
+// it and decodes its message; the buffer is returned for reuse. The decoded
+// message copies what it keeps, so buf may be overwritten right away.
+func readFrame(r io.Reader, buf []byte, maxFrame int) (*Message, []byte, error) {
 	if maxFrame <= 0 {
 		maxFrame = MaxFrame
 	}
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return nil, err // clean EOF between frames stays io.EOF
+	buf = sized(buf, frameHeader)
+	// ReadFull reports io.EOF only when no byte arrived, so a clean
+	// disconnect between frames stays io.EOF and a cut header is
+	// ErrUnexpectedEOF.
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, buf, err
 	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[0:4])
+	n := binary.BigEndian.Uint32(buf[0:4])
+	sum := binary.BigEndian.Uint32(buf[4:8])
 	if n == 0 || n > uint32(maxFrame) {
-		return nil, fmt.Errorf("%w: payload length %d", ErrFrameCorrupt, n)
+		return nil, buf, fmt.Errorf("%w: payload length %d", ErrFrameCorrupt, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	buf = sized(buf, int(n))
+	if _, err := io.ReadFull(r, buf); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, err
+		return nil, buf, err
 	}
-	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(hdr[4:8]) {
-		return nil, fmt.Errorf("%w: CRC mismatch", ErrFrameCorrupt)
+	if crc32.Checksum(buf, crcTable) != sum {
+		return nil, buf, fmt.Errorf("%w: CRC mismatch", ErrFrameCorrupt)
 	}
-	return DecodeMessage(payload)
+	m, err := DecodeMessage(buf)
+	return m, buf, err
+}
+
+// sized returns buf resliced to n bytes, allocating only when its capacity
+// is short.
+func sized(buf []byte, n int) []byte {
+	if cap(buf) < n {
+		return make([]byte, n)
+	}
+	return buf[:n]
+}
+
+// kept returns buf emptied for the next frame, or nil when it grew past
+// maxKeptBuffer.
+func kept(buf []byte) []byte {
+	if cap(buf) > maxKeptBuffer {
+		return nil
+	}
+	return buf[:0]
+}
+
+// Conn is one end of a framed connection. It reads frames through its own
+// bufio.Reader and writes each frame with one Write, reusing its read and
+// write buffers across frames. One goroutine may read while another writes;
+// neither side is safe for concurrent use by itself.
+type Conn struct {
+	net.Conn // deadlines and Close; Read goes through the buffer below
+
+	br   *bufio.Reader
+	rbuf []byte // payload of the last frame read
+	wbuf []byte // the last frame written
+}
+
+// NewConn wraps nc. Every later read of nc must go through the Conn, or
+// bytes it has already buffered are skipped.
+func NewConn(nc net.Conn) *Conn {
+	return &Conn{Conn: nc, br: bufio.NewReader(nc)}
+}
+
+// Read reads through the Conn's buffer, so bytes it holds are never skipped.
+func (c *Conn) Read(p []byte) (int, error) { return c.br.Read(p) }
+
+// Buffered reports how many bytes have arrived but not yet been consumed.
+func (c *Conn) Buffered() int { return c.br.Buffered() }
+
+// ReadMessage reads one frame (see the package function of the same name).
+func (c *Conn) ReadMessage(maxFrame int) (*Message, error) {
+	m, buf, err := readFrame(c.br, c.rbuf, maxFrame)
+	c.rbuf = kept(buf)
+	return m, err
+}
+
+// WriteMessage writes m as one frame of at most maxFrame payload bytes.
+func (c *Conn) WriteMessage(m *Message, maxFrame int) error {
+	buf, err := writeFrame(c.Conn, c.wbuf, m, maxFrame)
+	c.wbuf = kept(buf)
+	return err
 }

@@ -74,9 +74,14 @@ func TestRoundTripAllMessages(t *testing.T) {
 	for i := range StatFields {
 		*StatFields[i].Field(&want) = uint64(i+1) << i
 	}
-	st := roundtrip(t, &Message{Type: MsgStatsResult, Stats: want})
-	if !reflect.DeepEqual(st.Stats, want) {
-		t.Fatalf("stats round trip: got %+v want %+v", st.Stats, want)
+	st := roundtrip(t, &Message{Type: MsgStatsResult, Stats: &want})
+	if !reflect.DeepEqual(*st.Stats, want) {
+		t.Fatalf("stats round trip: got %+v want %+v", *st.Stats, want)
+	}
+	// A nil Stats is all zeroes on the wire.
+	zero := roundtrip(t, &Message{Type: MsgStatsResult})
+	if zero.Stats == nil || !reflect.DeepEqual(*zero.Stats, Stats{SubscriberLags: []SubscriberLag{}}) {
+		t.Fatalf("nil stats round trip: got %+v", zero.Stats)
 	}
 
 	e := roundtrip(t, &Message{Type: MsgError, Code: CodeConflict, Err: "serialization conflict"})
@@ -289,7 +294,7 @@ func TestTruncatedFailoverPayloadsRejected(t *testing.T) {
 		{Type: MsgPromote, Epoch: 1 << 33},
 		{Type: MsgPromoted, Epoch: 1 << 33, Seq: 1 << 40},
 		{Type: MsgLogBatch, PrimarySeq: 1 << 40, Epoch: 1 << 33},
-		{Type: MsgStatsResult, Stats: Stats{Epoch: 1 << 33, Fenced: 1,
+		{Type: MsgStatsResult, Stats: &Stats{Epoch: 1 << 33, Fenced: 1,
 			SubscriberLags: []SubscriberLag{{AckedSeq: 1 << 40, LagSeqs: 9, LastAckAgeMs: 1 << 20}}}},
 	}
 	for _, m := range msgs {

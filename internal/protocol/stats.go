@@ -25,6 +25,10 @@ type Stats struct {
 	SubscriberLags []SubscriberLag
 }
 
+// noStats is what a MsgStatsResult with a nil Stats encodes: all zeroes.
+// Never written.
+var noStats Stats
+
 // StatKind says how a Stats field is exported.
 type StatKind uint8
 

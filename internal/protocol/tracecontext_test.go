@@ -53,12 +53,17 @@ func TestTraceContextZeroCostWhenAbsent(t *testing.T) {
 }
 
 // TestTraceContextTruncatedRejected: a TraceID without its ParentSpan is a
-// corrupt frame, not a silent partial decode.
+// corrupt frame, not a silent partial decode. So is a trace context whose
+// TraceID is zero: no encoder writes one, and its ParentSpan would be lost
+// on re-encoding.
 func TestTraceContextTruncatedRejected(t *testing.T) {
 	payload := []byte{byte(MsgCommit)}
 	payload = append(payload, 0x07) // TraceID = 7, then nothing
 	if _, err := DecodeMessage(payload); err == nil {
 		t.Fatal("truncated trace context accepted")
+	}
+	if _, err := DecodeMessage([]byte{byte(MsgCommit), 0x00, 0x05}); err == nil {
+		t.Fatal("trace context with zero trace ID accepted")
 	}
 }
 

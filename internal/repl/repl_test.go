@@ -513,7 +513,7 @@ func TestSlowSubscriberPinsLogWindow(t *testing.T) {
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
-		src.Serve(srvEnd, &protocol.Message{Type: protocol.MsgSubscribe, FromSeq: subscribedAt}, drain)
+		src.Serve(protocol.NewConn(srvEnd), &protocol.Message{Type: protocol.MsgSubscribe, FromSeq: subscribedAt}, drain)
 	}()
 
 	// One commit, and read its batch on the client end: once the frame

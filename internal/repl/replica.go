@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"bufio"
 	"fmt"
 	"math/rand"
 	"net"
@@ -281,15 +280,16 @@ func (r *Replica) setConn(c net.Conn) {
 // progress was made (snapshot applied or batch received), which resets the
 // reconnect backoff.
 func (r *Replica) session() (bool, error) {
-	conn, err := net.DialTimeout("tcp", r.Addr(), r.opts.DialTimeout)
+	nc, err := net.DialTimeout("tcp", r.Addr(), r.opts.DialTimeout)
 	if err != nil {
 		return false, err
 	}
-	r.setConn(conn)
+	r.setConn(nc)
 	defer func() {
 		r.setConn(nil)
-		conn.Close()
+		nc.Close()
 	}()
+	conn := protocol.NewConn(nc)
 
 	bootstrap := r.rebootstrap.Load()
 	sub := &protocol.Message{
@@ -299,16 +299,15 @@ func (r *Replica) session() (bool, error) {
 		Epoch:     r.epoch.Current(),
 	}
 	conn.SetWriteDeadline(time.Now().Add(r.opts.DialTimeout))
-	if err := protocol.WriteMessage(conn, sub); err != nil {
+	if err := conn.WriteMessage(sub, protocol.MaxFrame); err != nil {
 		return false, err
 	}
 
-	br := bufio.NewReaderSize(conn, 1<<16)
 	progressed := false
 	var snapBuf []byte
 	for {
 		conn.SetReadDeadline(time.Now().Add(r.opts.StaleAfter))
-		msg, err := protocol.ReadMessage(br, protocol.MaxReplFrame)
+		msg, err := conn.ReadMessage(protocol.MaxReplFrame)
 		if err != nil {
 			return progressed, err
 		}
@@ -320,10 +319,10 @@ func (r *Replica) session() (bool, error) {
 				// connection.
 				bootstrap = true
 				conn.SetWriteDeadline(time.Now().Add(r.opts.DialTimeout))
-				err := protocol.WriteMessage(conn, &protocol.Message{
+				err := conn.WriteMessage(&protocol.Message{
 					Type: protocol.MsgSubscribe, Bootstrap: true,
 					Epoch: r.epoch.Current(),
-				})
+				}, protocol.MaxFrame)
 				if err != nil {
 					return progressed, err
 				}
@@ -429,11 +428,11 @@ func (r *Replica) observeEpoch(epoch uint64) error {
 
 // sendAck confirms the replica's applied sequence on the subscription
 // stream (the primary's quorum watermark and lag stats feed on these).
-func (r *Replica) sendAck(conn net.Conn) error {
+func (r *Replica) sendAck(conn *protocol.Conn) error {
 	conn.SetWriteDeadline(time.Now().Add(r.opts.DialTimeout))
-	return protocol.WriteMessage(conn, &protocol.Message{
+	return conn.WriteMessage(&protocol.Message{
 		Type:  protocol.MsgAck,
 		Seq:   r.applied.Load(),
 		Epoch: r.epoch.Current(),
-	})
+	}, protocol.MaxFrame)
 }

@@ -20,10 +20,8 @@
 package repl
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -398,19 +396,17 @@ const streamWriteTimeout = 30 * time.Second
 // until the subscriber disconnects, the drain channel closes, or the stream
 // fails. Typed log-truncated refusals are answered by the subscriber with a
 // bootstrap re-subscribe on the same connection, which Serve handles
-// internally; when Serve returns, the connection is done.
-func (s *Source) Serve(conn net.Conn, req *protocol.Message, drain <-chan struct{}) {
+// internally; when Serve returns, the connection is done. conn is the
+// connection req was read from, so acks the subscriber sent right behind
+// its subscribe and already buffered there are read, not lost.
+func (s *Source) Serve(conn *protocol.Conn, req *protocol.Message, drain <-chan struct{}) {
 	s.subscribers.Add(1)
 	defer s.subscribers.Add(-1)
-	// One buffered reader for the connection's whole subscriber life: the
-	// ack reader and the re-subscribe reads share it, so no buffered bytes
-	// are stranded between them.
-	br := bufio.NewReaderSize(conn, 1<<12)
 	for {
-		if s.serveOne(br, conn, req, drain) {
+		if s.serveOne(conn, req, drain) {
 			return
 		}
-		next, err := s.awaitResubscribe(br, conn)
+		next, err := s.awaitResubscribe(conn)
 		if err != nil {
 			return
 		}
@@ -421,7 +417,7 @@ func (s *Source) Serve(conn net.Conn, req *protocol.Message, drain <-chan struct
 // serveOne runs one subscription attempt. It returns true when the
 // connection is finished, false after a typed refusal that invites a
 // re-subscribe on the same connection.
-func (s *Source) serveOne(br *bufio.Reader, conn net.Conn, req *protocol.Message, drain <-chan struct{}) (done bool) {
+func (s *Source) serveOne(conn *protocol.Conn, req *protocol.Message, drain <-chan struct{}) (done bool) {
 	// Epoch gate. A subscriber announcing a newer epoch proves a newer
 	// primary was promoted — this node is a zombie and fences itself. A
 	// fenced node must not feed anyone: its un-replicated suffix may have
@@ -431,11 +427,11 @@ func (s *Source) serveOne(br *bufio.Reader, conn net.Conn, req *protocol.Message
 	}
 	if s.epoch.Fenced() {
 		conn.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-		_ = protocol.WriteMessage(conn, &protocol.Message{
+		_ = conn.WriteMessage(&protocol.Message{
 			Type: protocol.MsgError, Code: protocol.CodeFenced,
 			Err: fmt.Sprintf("this node is fenced (epoch %d, epoch %d exists); subscribe to the current primary",
 				s.epoch.Current(), s.epoch.FencedBy()),
-		})
+		}, protocol.MaxFrame)
 		return true
 	}
 
@@ -459,21 +455,21 @@ func (s *Source) serveOne(br *bufio.Reader, conn net.Conn, req *protocol.Message
 		if req.Epoch < s.epoch.Current() && pos > s.epoch.StartSeq() {
 			s.store.UnpinSnapshot(pin)
 			conn.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-			_ = protocol.WriteMessage(conn, &protocol.Message{
+			_ = conn.WriteMessage(&protocol.Message{
 				Type: protocol.MsgError, Code: protocol.CodeLogTruncated,
 				Err: fmt.Sprintf("seq %d from epoch %d is past epoch %d's start (seq %d) and may be diverged; re-subscribe with bootstrap",
 					pos, req.Epoch, s.epoch.Current(), s.epoch.StartSeq()),
-			})
+			}, protocol.MaxFrame)
 			return false
 		}
 		if !s.canCatchUp(pos) {
 			s.store.UnpinSnapshot(pin)
 			conn.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-			_ = protocol.WriteMessage(conn, &protocol.Message{
+			_ = conn.WriteMessage(&protocol.Message{
 				Type: protocol.MsgError, Code: protocol.CodeLogTruncated,
 				Err: fmt.Sprintf("cannot catch up from seq %d (retained from %d); re-subscribe with bootstrap",
 					pos, s.store.LogRetainedFrom()),
-			})
+			}, protocol.MaxFrame)
 			return false
 		}
 	} else {
@@ -499,7 +495,7 @@ func (s *Source) serveOne(br *bufio.Reader, conn net.Conn, req *protocol.Message
 	dead := make(chan struct{})
 	readerDone := make(chan struct{})
 	var stopRead atomic.Bool
-	go s.readAcks(br, conn, sub, dead, &stopRead, readerDone)
+	go s.readAcks(conn, sub, dead, &stopRead, readerDone)
 
 	tooLarge := s.stream(conn, pos, pin, drain, dead)
 
@@ -523,11 +519,11 @@ func (s *Source) serveOne(br *bufio.Reader, conn net.Conn, req *protocol.Message
 		// the subscriber to re-subscribe with bootstrap, exactly like a
 		// truncated log window.
 		conn.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-		_ = protocol.WriteMessage(conn, &protocol.Message{
+		_ = conn.WriteMessage(&protocol.Message{
 			Type: protocol.MsgError, Code: protocol.CodeLogTruncated,
 			Err: fmt.Sprintf("a commit exceeds the %d-byte replication frame cap and cannot be log-shipped; re-subscribe with bootstrap",
 				s.opts.FrameLimit),
-		})
+		}, protocol.MaxFrame)
 		return false
 	}
 	return true
@@ -537,14 +533,14 @@ func (s *Source) serveOne(br *bufio.Reader, conn net.Conn, req *protocol.Message
 // subscriber goes silent past AckTimeout, or stop is set (the stream writer
 // is done and is joining the reader). Closing dead tells the stream loop
 // the subscriber failed.
-func (s *Source) readAcks(br *bufio.Reader, conn net.Conn, sub *subAck, dead chan struct{}, stop *atomic.Bool, done chan struct{}) {
+func (s *Source) readAcks(conn *protocol.Conn, sub *subAck, dead chan struct{}, stop *atomic.Bool, done chan struct{}) {
 	defer close(done)
 	for {
 		if stop.Load() {
 			return
 		}
 		conn.SetReadDeadline(time.Now().Add(s.opts.AckTimeout))
-		msg, err := protocol.ReadMessage(br, protocol.MaxFrame)
+		msg, err := conn.ReadMessage(protocol.MaxFrame)
 		if err != nil {
 			if !stop.Load() {
 				close(dead) // disconnected, corrupt stream, or silent too long
@@ -573,11 +569,11 @@ func (s *Source) readAcks(br *bufio.Reader, conn net.Conn, sub *subAck, dead cha
 // awaitResubscribe reads the follow-up bootstrap subscribe after a typed
 // refusal, skipping ack frames already in flight when the refusal crossed
 // them on the wire.
-func (s *Source) awaitResubscribe(br *bufio.Reader, conn net.Conn) (*protocol.Message, error) {
+func (s *Source) awaitResubscribe(conn *protocol.Conn) (*protocol.Message, error) {
 	deadline := time.Now().Add(streamWriteTimeout)
 	for {
 		conn.SetReadDeadline(deadline)
-		msg, err := protocol.ReadMessage(br, protocol.MaxFrame)
+		msg, err := conn.ReadMessage(protocol.MaxFrame)
 		if err != nil {
 			return nil, err
 		}
@@ -596,7 +592,7 @@ func (s *Source) awaitResubscribe(br *bufio.Reader, conn net.Conn) (*protocol.Me
 // sendSnapshot ships the full current state as compressed chunks and
 // returns the snapshot's commit sequence. The caller's pin (taken before
 // encoding) keeps the post-snapshot log window alive.
-func (s *Source) sendSnapshot(conn net.Conn) (uint64, error) {
+func (s *Source) sendSnapshot(conn *protocol.Conn) (uint64, error) {
 	raw, seq := s.store.EncodeSnapshot()
 	comp := storage.CompressSnapshot(raw)
 	for off := 0; ; off += s.opts.ChunkBytes {
@@ -606,7 +602,7 @@ func (s *Source) sendSnapshot(conn net.Conn) (uint64, error) {
 			end = len(comp)
 		}
 		conn.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-		err := protocol.WriteMessageLimit(conn, &protocol.Message{
+		err := conn.WriteMessage(&protocol.Message{
 			Type:  protocol.MsgSnapshotChunk,
 			Data:  comp[off:end],
 			Seq:   seq,
@@ -630,7 +626,7 @@ func (s *Source) sendSnapshot(conn net.Conn) (uint64, error) {
 // nothing). The returned bool reports the one failure log shipping cannot
 // recover from by itself: a single entry larger than the replication frame
 // cap (the caller then directs the subscriber to a snapshot bootstrap).
-func (s *Source) stream(conn net.Conn, pos, pin uint64, drain, dead <-chan struct{}) (tooLarge bool) {
+func (s *Source) stream(conn *protocol.Conn, pos, pin uint64, drain, dead <-chan struct{}) (tooLarge bool) {
 	defer func() { s.store.UnpinSnapshot(pin) }()
 	ch := make(chan struct{}, 1)
 	s.mu.Lock()
@@ -659,7 +655,7 @@ func (s *Source) stream(conn net.Conn, pos, pin uint64, drain, dead <-chan struc
 				break
 			}
 			conn.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-			err := protocol.WriteMessageLimit(conn, &protocol.Message{
+			err := conn.WriteMessage(&protocol.Message{
 				Type: protocol.MsgLogBatch, Entries: batch, PrimarySeq: head,
 				Epoch: s.epoch.Current(),
 			}, s.opts.FrameLimit)
@@ -685,7 +681,7 @@ func (s *Source) stream(conn net.Conn, pos, pin uint64, drain, dead <-chan struc
 		case <-ch:
 		case <-hb.C:
 			conn.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-			err := protocol.WriteMessageLimit(conn, &protocol.Message{
+			err := conn.WriteMessage(&protocol.Message{
 				Type: protocol.MsgLogBatch, PrimarySeq: s.store.CurrentSeq(),
 				Epoch: s.epoch.Current(),
 			}, s.opts.FrameLimit)

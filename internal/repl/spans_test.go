@@ -12,6 +12,7 @@ import (
 	"repro/internal/repl"
 	"repro/internal/server"
 	"repro/internal/span"
+	"repro/internal/value"
 )
 
 // TestReplicaTraceIDPropagation follows one traced write across the cluster:
@@ -143,7 +144,7 @@ func TestCatchUpShipsTraceIDOfOldCommits(t *testing.T) {
 	var firstSeq uint64
 	for i := 0; i <= later; i++ {
 		meta := db.TxMeta{Spans: span.NewBuf(uint64(1000+i), 0)}
-		if _, err := p.db.ExecMeta(meta, `INSERT INTO t VALUES (?, ?)`, i, i); err != nil {
+		if _, err := p.db.ExecMeta(meta, `INSERT INTO t VALUES (?, ?)`, value.Row{value.Int(int64(i)), value.Int(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {

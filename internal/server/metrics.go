@@ -34,8 +34,15 @@ func (t *timedConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// arm marks the next byte read as the start of a new frame.
-func (t *timedConn) arm() { t.armed = true }
+// arm marks the next byte read as the start of a new frame, or, when the
+// frame's first bytes are already buffered, stamps it now.
+func (t *timedConn) arm(buffered bool) {
+	if buffered {
+		t.armed, t.start = false, time.Now()
+		return
+	}
+	t.armed = true
+}
 
 // frameStart returns the current frame's first-byte time; ok is false when
 // no byte has arrived since arm (nothing was read).

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -287,8 +288,10 @@ func (s *Server) admit(conn net.Conn) {
 		}
 	}
 	s.accepted.Add(1)
-	sess := &session{srv: s, conn: &timedConn{Conn: conn}, id: s.nextSession.Add(1),
-		queueWait: time.Since(enqueued)}
+	tc := &timedConn{Conn: conn}
+	id := s.nextSession.Add(1)
+	sess := &session{srv: s, conn: protocol.NewConn(tc), tc: tc, id: id,
+		workflow: "session-" + strconv.FormatUint(id, 10), queueWait: time.Since(enqueued)}
 	s.mu.Lock()
 	s.sessions[sess] = struct{}{}
 	s.mu.Unlock()
@@ -481,18 +484,26 @@ func (s *Server) epochState() *repl.Epoch {
 // startRequest allocates a request ID and its completion callback — through
 // the runtime when attached (provenance parity with in-process requests),
 // otherwise from the fallback counter.
-func (s *Server) startRequest(handler string, args runtime.Args) (string, func(any, error)) {
+// sql, when not empty, is the statement text the runtime records as the
+// request's argument.
+func (s *Server) startRequest(handler, sql string) (string, func(any, error)) {
 	if s.cfg.App != nil {
+		var args runtime.Args
+		if sql != "" {
+			args = runtime.Args{"sql": sql}
+		}
 		return s.cfg.App.StartRemote(handler, args)
 	}
-	return fmt.Sprintf("S%d", s.nextReqID.Add(1)), func(any, error) {}
+	return "S" + strconv.FormatUint(s.nextReqID.Add(1), 10), func(any, error) {}
 }
 
 // session is one connection's server-side state.
 type session struct {
-	srv  *Server
-	conn net.Conn
-	id   uint64
+	srv      *Server
+	conn     *protocol.Conn // reads and writes every frame of the session
+	tc       *timedConn     // under conn: stamps each frame's first byte
+	id       uint64
+	workflow string // "session-<id>", the provenance workflow of its requests
 
 	// The interactive transaction, nil when none is open. Touched only by
 	// the session goroutine; the deadline watcher aborts the underlying
@@ -513,23 +524,20 @@ type session struct {
 	queueWait time.Duration
 }
 
-func (ss *session) workflow() string { return fmt.Sprintf("session-%d", ss.id) }
-
 // serve runs the session's request loop: one frame in, one frame out.
 // Request latency is measured from the first byte of the request frame
 // (stamped by timedConn) through the response write, so time a request
 // spends queued behind frame reads is part of what the histograms show.
 func (ss *session) serve() {
-	tc, _ := ss.conn.(*timedConn)
 	for {
 		if ss.srv.draining.Load() {
 			return
 		}
 		ss.conn.SetReadDeadline(time.Now().Add(ss.srv.cfg.IdleTimeout))
-		if tc != nil {
-			tc.arm()
-		}
-		req, err := protocol.ReadMessage(ss.conn, ss.srv.cfg.MaxFrame)
+		// Bytes already buffered from an earlier read belong to this frame:
+		// it started arriving no later than now.
+		ss.tc.arm(ss.conn.Buffered() > 0)
+		req, err := ss.conn.ReadMessage(ss.srv.cfg.MaxFrame)
 		if err != nil {
 			// Disconnect, idle timeout, drain wake-up, or corrupt stream:
 			// either way the session ends and cleanup rolls back any live
@@ -547,23 +555,22 @@ func (ss *session) serve() {
 			if src == nil {
 				resp := errMsg(protocol.CodeBadRequest, "this server is not a replication source")
 				ss.conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-				if protocol.WriteMessage(ss.conn, resp) != nil {
+				if ss.conn.WriteMessage(resp, protocol.MaxFrame) != nil {
 					return
 				}
 				continue
 			}
 			// Clear the idle deadline: the source owns the connection in both
 			// directions from here (stream writes and subscriber acks set
-			// their own deadlines) until the stream ends.
+			// their own deadlines) until the stream ends. It reads through
+			// the session's buffer, which may already hold its first acks.
 			ss.conn.SetReadDeadline(time.Time{})
 			src.Serve(ss.conn, req, ss.srv.drainCh)
 			return
 		}
 		start := time.Now()
-		if tc != nil {
-			if t0, ok := tc.frameStart(); ok {
-				start = t0
-			}
+		if t0, ok := ss.tc.frameStart(); ok {
+			start = t0
 		}
 		buf := ss.startTrace(req, start)
 		resp := ss.handle(req, buf)
@@ -572,13 +579,13 @@ func (ss *session) serve() {
 		if buf != nil {
 			wStart = time.Now()
 		}
-		wErr := protocol.WriteMessage(ss.conn, resp)
+		wErr := ss.conn.WriteMessage(resp, protocol.MaxFrame)
 		if wErr != nil && errors.Is(wErr, protocol.ErrFrameTooLarge) {
 			// Nothing was written; answer with a typed error instead of
 			// silently dropping the session over an oversized result.
 			big := errMsg(protocol.CodeSQL,
 				"result set exceeds the %d-byte frame cap; narrow the query or add LIMIT", protocol.MaxFrame)
-			if protocol.WriteMessage(ss.conn, big) == nil {
+			if ss.conn.WriteMessage(big, protocol.MaxFrame) == nil {
 				wErr = nil
 			}
 		}
@@ -632,7 +639,8 @@ func (ss *session) handle(req *protocol.Message, sp *span.Buf) *protocol.Message
 	case protocol.MsgPing:
 		return &protocol.Message{Type: protocol.MsgPong}
 	case protocol.MsgStats:
-		return &protocol.Message{Type: protocol.MsgStatsResult, Stats: ss.srv.Stats()}
+		st := ss.srv.Stats()
+		return &protocol.Message{Type: protocol.MsgStatsResult, Stats: &st}
 	case protocol.MsgBegin:
 		return ss.begin()
 	case protocol.MsgCommit:
@@ -677,8 +685,8 @@ func (ss *session) begin() *protocol.Message {
 		ss.lastStatus = "error"
 		return errMsg(protocol.CodeTxnState, "session already has an open transaction")
 	}
-	reqID, finish := ss.srv.startRequest("remote-txn", nil)
-	meta := db.TxMeta{ReqID: reqID, Handler: "remote", Func: "interactive", Workflow: ss.workflow()}
+	reqID, finish := ss.srv.startRequest("remote-txn", "")
+	meta := db.TxMeta{ReqID: reqID, Handler: "remote", Func: "interactive", Workflow: ss.workflow}
 	srv := ss.srv
 	ss.tx = srv.cfg.DB.BeginInteractive(meta, srv.cfg.TxnTimeout, func() { srv.expiredTxns.Add(1) })
 	ss.txFinish = finish
@@ -731,10 +739,6 @@ func (ss *session) execSQL(req *protocol.Message, sp *span.Buf) *protocol.Messag
 	if ss.srv.spanStore != nil && usesSpanTable(req.SQL) {
 		return ss.execSpansSQL(req)
 	}
-	args := make([]any, len(req.Args))
-	for i, v := range req.Args {
-		args[i] = v
-	}
 	var rows *db.Rows
 	var err error
 	if ss.tx != nil {
@@ -742,17 +746,17 @@ func (ss *session) execSQL(req *protocol.Message, sp *span.Buf) *protocol.Messag
 		// Each request's spans land in its own buffer; set (or clear) the
 		// transaction's buffer every statement.
 		ss.tx.SetSpanBuf(sp)
-		rows, err = ss.tx.Exec(req.SQL, args...)
+		rows, err = ss.tx.ExecRow(req.SQL, req.Args)
 		if errors.Is(err, db.ErrTxnExpired) {
 			// The deadline watcher already rolled the transaction back;
 			// release the session's handle so the client can Begin anew.
 			ss.endTxn(err)
 		}
 	} else {
-		reqID, finish := ss.srv.startRequest("remote", runtime.Args{"sql": req.SQL})
+		reqID, finish := ss.srv.startRequest("remote", req.SQL)
 		ss.lastReqID = reqID
-		meta := db.TxMeta{ReqID: reqID, Handler: "remote", Func: "autocommit", Workflow: ss.workflow(), Spans: sp}
-		rows, err = ss.srv.cfg.DB.ExecMeta(meta, req.SQL, args...)
+		meta := db.TxMeta{ReqID: reqID, Handler: "remote", Func: "autocommit", Workflow: ss.workflow, Spans: sp}
+		rows, err = ss.srv.cfg.DB.ExecMeta(meta, req.SQL, req.Args)
 		finish(nil, err)
 		if err == nil && rows != nil && rows.RowsAffected > 0 {
 			ss.srv.commits.Add(1)
@@ -772,16 +776,17 @@ func (ss *session) execSQL(req *protocol.Message, sp *span.Buf) *protocol.Messag
 }
 
 // statementStatus classifies a statement outcome for the slow-query log.
+// The errors.As target is declared past the nil check, so a successful
+// statement does not allocate it.
 func statementStatus(err error) string {
-	var conflict *storage.ConflictError
-	switch {
-	case err == nil:
+	if err == nil {
 		return "ok"
-	case errors.As(err, &conflict):
-		return "conflict"
-	default:
-		return "error"
 	}
+	var conflict *storage.ConflictError
+	if errors.As(err, &conflict) {
+		return "conflict"
+	}
+	return "error"
 }
 
 // sqlError maps an engine error to a typed protocol error.

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/protocol"
-	"repro/internal/runtime"
 	"repro/internal/span"
 	"repro/internal/sqlparse"
 )
@@ -107,13 +106,9 @@ func usesSpanTable(sql string) bool {
 // outside any interactive transaction — system-table reads never join
 // application transactions).
 func (ss *session) execSpansSQL(req *protocol.Message) *protocol.Message {
-	args := make([]any, len(req.Args))
-	for i, v := range req.Args {
-		args[i] = v
-	}
-	reqID, finish := ss.srv.startRequest("remote-spans", runtime.Args{"sql": req.SQL})
+	reqID, finish := ss.srv.startRequest("remote-spans", req.SQL)
 	ss.lastReqID = reqID
-	rows, err := ss.srv.spanStore.db.Exec(req.SQL, args...)
+	rows, err := ss.srv.spanStore.db.ExecMeta(db.TxMeta{}, req.SQL, req.Args)
 	finish(nil, err)
 	ss.lastStatus = statementStatus(err)
 	if err != nil {
