@@ -15,9 +15,11 @@
 // log catch-up), persists everything to its own WAL, serves SELECTs at its
 // applied sequence, and rejects writes with a typed read-only error.
 //
-// SIGINT/SIGTERM trigger a graceful shutdown: the listener closes, in-flight
-// requests drain, and the WAL is checkpointed so the next start recovers
-// from a snapshot. With -lame-duck, shutdown first flips /healthz to 503 and
+// The data and -prov databases checkpoint in the background every 64 MiB of
+// WAL, so the log and the next start's replay stay bounded. SIGINT/SIGTERM
+// trigger a graceful shutdown: the listener closes, in-flight requests
+// drain, and the WAL is checkpointed so the next start recovers from a
+// snapshot. With -lame-duck, shutdown first flips /healthz to 503 and
 // keeps serving for the given window so load balancers stop routing before
 // the drain begins.
 //
@@ -43,8 +45,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
@@ -64,53 +68,83 @@ import (
 	"repro/internal/wal"
 )
 
-var (
-	dbPath      = flag.String("db", "", "path to the database WAL file (required)")
-	addr        = flag.String("addr", ":7654", "listen address (port 0 picks a free port)")
-	portFile    = flag.String("portfile", "", "write the bound address to this file once listening")
-	syncEach    = flag.Bool("sync", false, "fsync each commit before acknowledging (group commit)")
-	maxConns    = flag.Int("max-conns", 64, "max concurrently served sessions")
-	queueDepth  = flag.Int("queue", 0, "admission queue depth beyond -max-conns (0 = 2*max-conns)")
-	idleTimeout = flag.Duration("idle-timeout", 2*time.Minute, "disconnect idle sessions after this long")
-	txnTimeout  = flag.Duration("txn-timeout", 15*time.Second, "abort interactive transactions open longer than this")
-	drainWait   = flag.Duration("drain", 10*time.Second, "max graceful-shutdown drain time")
-	replicaOf   = flag.String("replica-of", "", "primary address to replicate from (this server becomes a read-only replica)")
-	syncRepl    = flag.Int("sync-replicas", 0, "block each commit ack until this many replicas confirm it (0 = async replication)")
-	quorumWait  = flag.Duration("quorum-timeout", 5*time.Second, "max wait for -sync-replicas confirmations before failing the commit")
-	metricsAddr = flag.String("metrics-addr", "", "serve GET /metrics and /healthz on this address (empty = disabled)")
-	metricsPort = flag.String("metrics-portfile", "", "write the bound metrics address to this file once listening")
-	slowQueryMs = flag.Int("slow-query-ms", 0, "log statements slower than this many milliseconds as JSON lines on stderr (0 = disabled)")
-	provPath    = flag.String("prov", "", "provenance WAL path; attaches the always-on tracer (empty = disabled)")
-	lameDuck    = flag.Duration("lame-duck", 0, "on shutdown signal, answer /healthz with 503 for this long before draining")
-	traceSample = flag.Float64("trace-sample", 0, "probability (0..1) of keeping a request's span trace; errors and conflicts are always kept once tracing is on")
-	traceKeepMs = flag.Int("trace-keep-ms", 0, "always keep span traces of requests at least this slow (0 = disabled)")
-)
+// checkpointBytes is the WAL growth after which the data database and the
+// -prov database checkpoint in the background: recovery then loads a
+// snapshot and replays at most this much log, and each checkpoint releases
+// the log generation before the last.
+const checkpointBytes = 64 << 20
+
+// errUsage marks a command line run rejects; main exits 2 on it.
+var errUsage = errors.New("usage")
 
 func main() {
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "trod-server: unexpected arguments: %v\n", flag.Args())
-		flag.Usage()
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
 		os.Exit(2)
+	default:
+		fmt.Fprintf(os.Stderr, "trod-server: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole server: it parses args, serves until SIGINT or SIGTERM,
+// drains and returns. Log lines and the slow-query log go to stderr; stdout
+// is unused.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("trod-server", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		dbPath      = fs.String("db", "", "path to the database WAL file (required)")
+		addr        = fs.String("addr", ":7654", "listen address (port 0 picks a free port)")
+		portFile    = fs.String("portfile", "", "write the bound address to this file once listening")
+		syncEach    = fs.Bool("sync", false, "fsync each commit before acknowledging (group commit)")
+		maxConns    = fs.Int("max-conns", 64, "max concurrently served sessions")
+		queueDepth  = fs.Int("queue", 0, "admission queue depth beyond -max-conns (0 = 2*max-conns)")
+		idleTimeout = fs.Duration("idle-timeout", 2*time.Minute, "disconnect idle sessions after this long")
+		txnTimeout  = fs.Duration("txn-timeout", 15*time.Second, "abort interactive transactions open longer than this")
+		drainWait   = fs.Duration("drain", 10*time.Second, "max graceful-shutdown drain time")
+		replicaOf   = fs.String("replica-of", "", "primary address to replicate from (this server becomes a read-only replica)")
+		syncRepl    = fs.Int("sync-replicas", 0, "block each commit ack until this many replicas confirm it (0 = async replication)")
+		quorumWait  = fs.Duration("quorum-timeout", 5*time.Second, "max wait for -sync-replicas confirmations before failing the commit")
+		metricsAddr = fs.String("metrics-addr", "", "serve GET /metrics and /healthz on this address (empty = disabled)")
+		metricsPort = fs.String("metrics-portfile", "", "write the bound metrics address to this file once listening")
+		slowQueryMs = fs.Int("slow-query-ms", 0, "log statements slower than this many milliseconds as JSON lines on stderr (0 = disabled)")
+		provPath    = fs.String("prov", "", "provenance WAL path; attaches the always-on tracer (empty = disabled)")
+		lameDuck    = fs.Duration("lame-duck", 0, "on shutdown signal, answer /healthz with 503 for this long before draining")
+		traceSample = fs.Float64("trace-sample", 0, "probability (0..1) of keeping a request's span trace; errors and conflicts are always kept once tracing is on")
+		traceKeepMs = fs.Int("trace-keep-ms", 0, "always keep span traces of requests at least this slow (0 = disabled)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "trod-server: unexpected arguments: %v\n", fs.Args())
+		fs.Usage()
+		return errUsage
 	}
 	if *dbPath == "" {
-		fmt.Fprintln(os.Stderr, "trod-server: -db is required")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "trod-server: -db is required")
+		fs.Usage()
+		return errUsage
 	}
-	sync := wal.SyncNever
+	logger := log.New(stderr, "", log.LstdFlags)
+	syncPolicy := wal.SyncNever
 	if *syncEach {
-		sync = wal.SyncEachCommit
+		syncPolicy = wal.SyncEachCommit
 	}
-	d, err := trod.OpenDB(trod.DBOptions{Mode: db.Disk, Path: *dbPath, Sync: sync})
+	d, err := trod.OpenDB(trod.DBOptions{Mode: db.Disk, Path: *dbPath, Sync: syncPolicy, CheckpointBytes: checkpointBytes})
 	if err != nil {
-		log.Fatalf("open %s: %v", *dbPath, err)
+		return fmt.Errorf("open %s: %w", *dbPath, err)
 	}
 	defer d.Close()
 	if rec := d.Recovery(); rec.TotalRecords > 0 || rec.SnapshotLoaded {
-		log.Printf("recovered %s: snapshot=%v tail=%d records", *dbPath, rec.SnapshotLoaded, rec.TailRecords)
+		logger.Printf("recovered %s: snapshot=%v tail=%d records", *dbPath, rec.SnapshotLoaded, rec.TailRecords)
 	}
-
 	cfg := server.Config{
 		DB:          d,
 		MaxConns:    *maxConns,
@@ -120,7 +154,7 @@ func main() {
 	}
 	if *slowQueryMs > 0 {
 		cfg.SlowQueryThreshold = time.Duration(*slowQueryMs) * time.Millisecond
-		cfg.SlowQueryOutput = os.Stderr
+		cfg.SlowQueryOutput = stderr
 	}
 	// Request-scoped span tracing: tail-sampled traces land in the trod_spans
 	// system table (SELECT ... FROM trod_spans, or trod-query -trace <req_id>).
@@ -133,34 +167,34 @@ func main() {
 		// restarts) don't collide in cross-node trace queries.
 		spanCol.SeedTraceIDs(uint64(time.Now().UnixNano()))
 		cfg.Spans = spanCol
-		log.Printf("span tracing enabled: sample=%g keep-over=%dms", *traceSample, *traceKeepMs)
+		logger.Printf("span tracing enabled: sample=%g keep-over=%dms", *traceSample, *traceKeepMs)
 	}
 	// Always-on tracing: requests, statements, and row provenance land in
 	// a second database, queryable with the same SQL engine. Slow-query
 	// request IDs resolve there.
 	var tracer *trace.Tracer
 	if *provPath != "" {
-		prov, err := trod.OpenDB(trod.DBOptions{Mode: db.Disk, Path: *provPath})
+		prov, err := trod.OpenDB(trod.DBOptions{Mode: db.Disk, Path: *provPath, CheckpointBytes: checkpointBytes})
 		if err != nil {
-			log.Fatalf("open provenance db %s: %v", *provPath, err)
+			return fmt.Errorf("open provenance db %s: %w", *provPath, err)
 		}
 		defer prov.Close()
 		app := runtime.New(d)
 		tracer, err = trace.Attach(app, prov, trace.Config{})
 		if err != nil {
-			log.Fatalf("attach tracer: %v", err)
+			return fmt.Errorf("attach tracer: %w", err)
 		}
 		defer tracer.Close()
 		cfg.App = app
 		cfg.TracerStats = tracer.Counters
-		log.Printf("always-on tracing to %s", *provPath)
+		logger.Printf("always-on tracing to %s", *provPath)
 	}
 	// The replication epoch lives next to the WAL and fences a deposed
 	// primary across restarts: a node whose epoch file records a newer
 	// epoch elsewhere boots fenced and rejects writes and subscribers.
 	epoch, err := repl.OpenEpoch(*dbPath + ".epoch")
 	if err != nil {
-		log.Fatalf("open epoch: %v", err)
+		return fmt.Errorf("open epoch: %w", err)
 	}
 	var replica *repl.Replica
 	if *replicaOf != "" {
@@ -180,7 +214,7 @@ func main() {
 		replica = repl.StartReplica(d, *replicaOf, ropts)
 		defer replica.Stop()
 		cfg.Replica = replica
-		log.Printf("replicating from %s (resuming at seq %d, epoch %d)", *replicaOf, replica.AppliedSeq(), epoch.Current())
+		logger.Printf("replicating from %s (resuming at seq %d, epoch %d)", *replicaOf, replica.AppliedSeq(), epoch.Current())
 	}
 	// Every node serves replication subscribers — a replica must be able to
 	// feed peers the moment it is promoted, and a deposed primary must
@@ -192,11 +226,11 @@ func main() {
 		QuorumTimeout: *quorumWait,
 	})
 	if epoch.Fenced() {
-		log.Printf("fenced: epoch %d is superseded by %d; this node cannot accept writes", epoch.Current(), epoch.FencedBy())
+		logger.Printf("fenced: epoch %d is superseded by %d; this node cannot accept writes", epoch.Current(), epoch.FencedBy())
 	}
 	srv, err := server.New(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// The metrics endpoint rides a second listener so scrapes never compete
@@ -218,30 +252,34 @@ func main() {
 			return nil
 		})
 		if err != nil {
-			log.Fatalf("metrics listen %s: %v", *metricsAddr, err)
+			return fmt.Errorf("metrics listen %s: %w", *metricsAddr, err)
 		}
 		defer ms.Close()
-		log.Printf("metrics on http://%s/metrics", ms.Addr())
+		logger.Printf("metrics on http://%s/metrics", ms.Addr())
 		if *metricsPort != "" {
 			if err := os.WriteFile(*metricsPort, []byte(ms.Addr()), 0o644); err != nil {
-				log.Fatalf("metrics portfile: %v", err)
+				return fmt.Errorf("metrics portfile: %w", err)
 			}
 		}
 	}
 
+	// Signals are caught before the portfile appears, so a supervisor that
+	// waits for it can always stop the server cleanly.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sigc)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		log.Fatalf("listen %s: %v", *addr, err)
+		return fmt.Errorf("listen %s: %w", *addr, err)
 	}
-	log.Printf("trod-server listening on %s (db %s)", ln.Addr(), *dbPath)
+	logger.Printf("trod-server listening on %s (db %s)", ln.Addr(), *dbPath)
 	if *portFile != "" {
 		if err := os.WriteFile(*portFile, []byte(ln.Addr().String()), 0o644); err != nil {
-			log.Fatalf("portfile: %v", err)
+			ln.Close()
+			return fmt.Errorf("portfile: %w", err)
 		}
 	}
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 
@@ -249,15 +287,15 @@ func main() {
 	case sig := <-sigc:
 		if *lameDuck > 0 {
 			lameDucking.Store(true)
-			log.Printf("received %v; lame-duck for %v (healthz now 503), then draining", sig, *lameDuck)
+			logger.Printf("received %v; lame-duck for %v (healthz now 503), then draining", sig, *lameDuck)
 			time.Sleep(*lameDuck)
 		} else {
-			log.Printf("received %v; draining sessions and checkpointing", sig)
+			logger.Printf("received %v; draining sessions and checkpointing", sig)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
-			log.Fatalf("shutdown: %v", err)
+			return fmt.Errorf("shutdown: %w", err)
 		}
 		<-done
 		if replica != nil {
@@ -265,15 +303,16 @@ func main() {
 		}
 		st := srv.Stats()
 		if st.IsReplica == 1 {
-			log.Printf("drained cleanly: %d requests served, applied seq %d (lag %d)",
+			logger.Printf("drained cleanly: %d requests served, applied seq %d (lag %d)",
 				st.Requests, st.AppliedSeq, st.ReplLag)
 		} else {
-			log.Printf("drained cleanly: %d requests served, %d commits, %d WAL syncs",
+			logger.Printf("drained cleanly: %d requests served, %d commits, %d WAL syncs",
 				st.Requests, st.Commits, st.WALSyncs)
 		}
 	case err := <-done:
 		if err != nil {
-			log.Fatalf("serve: %v", err)
+			return fmt.Errorf("serve: %w", err)
 		}
 	}
+	return nil
 }

@@ -1,0 +1,117 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/client"
+	"repro/internal/db"
+)
+
+// TestMain lets the test binary run the real server when re-executed by a
+// test, so the server can be killed like a real process.
+func TestMain(m *testing.M) {
+	if os.Getenv("TROD_SERVER_RUN_MAIN") == "1" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// startServer runs the server in a child process and returns it with the
+// address it listens on.
+func startServer(t *testing.T, args ...string) (*exec.Cmd, *bytes.Buffer, string) {
+	t.Helper()
+	portFile := filepath.Join(t.TempDir(), "addr")
+	cmd := exec.Command(os.Args[0], append(args, "-addr", "127.0.0.1:0", "-portfile", portFile)...)
+	cmd.Env = append(os.Environ(), "TROD_SERVER_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if cmd.ProcessState == nil {
+			cmd.Process.Kill()
+			cmd.Wait()
+		}
+	})
+	for deadline := time.Now().Add(20 * time.Second); ; {
+		if addr, err := os.ReadFile(portFile); err == nil && len(addr) > 0 {
+			return cmd, &stderr, string(addr)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server never wrote its portfile; stderr:\n%s", stderr.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestServerCheckpointsPastThreshold: a server written past its checkpoint
+// threshold checkpoints while it runs, so after a kill -9 (no shutdown
+// checkpoint) the restart loads that snapshot and replays only the tail.
+func TestServerCheckpointsPastThreshold(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "s.wal")
+	cmd, stderr, addr := startServer(t, "-db", walPath, "-sync")
+	c, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Exec(`CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Exec(`INSERT INTO kv VALUES (1, '')`); err != nil {
+		t.Fatal(err)
+	}
+	// Rewriting one row keeps the snapshot small while the log grows.
+	const valueBytes = 1 << 20
+	writes := 0
+	var last string
+	for written := 0; written < checkpointBytes+4*valueBytes; written += valueBytes {
+		last = strings.Repeat(string(rune('a'+writes%26)), valueBytes)
+		if _, err := c.Exec(`UPDATE kv SET v = ? WHERE k = 1`, last); err != nil {
+			t.Fatal(err)
+		}
+		writes++
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		st, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Checkpoints > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no checkpoint after %d MiB of writes; stderr:\n%s", writes, stderr.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	cmd.Wait()
+
+	d, err := db.Open(db.Options{Mode: db.Disk, Path: walPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	rec := d.Recovery()
+	if !rec.SnapshotLoaded || rec.TailRecords >= writes {
+		t.Fatalf("recovery after %d writes: %+v, want the snapshot and a shorter tail", writes, rec)
+	}
+	res, err := d.Query(`SELECT v FROM kv WHERE k = 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].AsText() != last {
+		t.Fatal("the last acknowledged write did not survive the kill")
+	}
+}

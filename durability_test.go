@@ -3,7 +3,9 @@ package trod_test
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	trod "repro"
 	"repro/internal/workload"
@@ -187,6 +189,11 @@ func TestCheckpointedDebuggingStorySurvivesRestart(t *testing.T) {
 		// An explicit checkpoint on the production side too.
 		if err := prod.Checkpoint(); err != nil {
 			t.Fatal(err)
+		}
+		// Automatic checkpoints run in the background: give the first
+		// rotation a bounded window to land instead of reading it once.
+		for deadline := time.Now().Add(10 * time.Second); prov.WALStats().Rotations == 0 && time.Now().Before(deadline); {
+			runtime.Gosched()
 		}
 		if prov.WALStats().Rotations == 0 {
 			t.Fatal("provenance WAL never auto-checkpointed")

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/wal"
 )
@@ -21,6 +23,33 @@ func openDisk(t *testing.T, path string, opts ...func(*Options)) *DB {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// waitCheckpointerIdle blocks until the background checkpointer has nothing
+// left to do: no signal pending, no checkpoint in flight, and the WAL under
+// its thresholds. It fails the test after a deadline instead of hanging.
+func waitCheckpointerIdle(t testing.TB, d *DB) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		d.ckptMu.Lock() // waits out a checkpoint in flight
+		idle := len(d.ckptKick) == 0 && !d.checkpointDue()
+		d.ckptMu.Unlock()
+		if idle {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("checkpointer still busy after 10s: %+v (last error %v)", d.WALStats(), d.lastCheckpointErr())
+		}
+		runtime.Gosched()
+	}
+}
+
+// lastCheckpointErr reads the last automatic checkpoint's error.
+func (db *DB) lastCheckpointErr() error {
+	db.ckptErrMu.Lock()
+	defer db.ckptErrMu.Unlock()
+	return db.ckptErr
 }
 
 // findSnapshot returns the single snapshot file a checkpoint left next to
@@ -146,6 +175,7 @@ func TestCheckpointAutoTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedKV(t, d, 1, 40)
+	waitCheckpointerIdle(t, d)
 	st := d.WALStats()
 	if st.Rotations == 0 {
 		t.Fatalf("no automatic checkpoint after 41 records: %+v", st)
@@ -176,6 +206,7 @@ func TestCheckpointByteTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedKV(t, d, 1, 60) // well past 512 bytes of records
+	waitCheckpointerIdle(t, d)
 	if d.WALStats().Rotations == 0 {
 		t.Error("byte threshold never triggered")
 	}
@@ -185,6 +216,144 @@ func TestCheckpointByteTrigger(t *testing.T) {
 	defer mem.Close()
 	if err := mem.Checkpoint(); err != nil {
 		t.Errorf("Memory-mode Checkpoint = %v, want nil no-op", err)
+	}
+}
+
+// TestCommitDoesNotWaitForCheckpoint: commits that cross the threshold while
+// the checkpointer is held off (the test holds the checkpoint lock's read
+// side, as a DDL statement does) still return; once the lock is released the
+// signal they left is enough to run the checkpoint, with no further commit.
+func TestCommitDoesNotWaitForCheckpoint(t *testing.T) {
+	d := openDisk(t, filepath.Join(t.TempDir(), "h.wal"), func(o *Options) { o.CheckpointRecords = 10 })
+	defer d.Close()
+	if _, err := d.Exec(`CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)`); err != nil {
+		t.Fatal(err)
+	}
+	d.ckptMu.RLock()
+	done := make(chan error, 1)
+	go func() {
+		for i := 1; i <= 40; i++ {
+			if _, err := d.Exec(`INSERT INTO kv VALUES (?, 'x')`, i); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			d.ckptMu.RUnlock()
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		d.ckptMu.RUnlock()
+		t.Fatal("commits past the checkpoint threshold waited for the checkpoint")
+	}
+	if rot := d.WALStats().Rotations; rot != 0 {
+		d.ckptMu.RUnlock()
+		t.Fatalf("%d rotations while the checkpointer was held off", rot)
+	}
+	d.ckptMu.RUnlock()
+	waitCheckpointerIdle(t, d)
+	if st := d.WALStats(); st.Rotations == 0 || st.RecordsSinceCheckpoint > 10 {
+		t.Fatalf("signalled checkpoint never ran: %+v", st)
+	}
+}
+
+// TestCheckpointerCatchesUpAfterCommitsStop: concurrent committers cross the
+// threshold many times over, mostly while a checkpoint is already running.
+// Signals that find one pending are dropped, yet once commits stop the
+// checkpointer has brought the log back under its threshold.
+func TestCheckpointerCatchesUpAfterCommitsStop(t *testing.T) {
+	const threshold = 16
+	d := openDisk(t, filepath.Join(t.TempDir(), "u.wal"), func(o *Options) { o.CheckpointRecords = threshold })
+	defer d.Close()
+	if _, err := d.Exec(`CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)`); err != nil {
+		t.Fatal(err)
+	}
+	const writers, each = 4, 150
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		go func(base int) {
+			for i := 0; i < each; i++ {
+				if _, err := d.Exec(`INSERT INTO kv VALUES (?, 'x')`, base+i); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}(w * each)
+	}
+	for w := 0; w < writers; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitCheckpointerIdle(t, d)
+	st := d.WALStats()
+	if st.Rotations == 0 {
+		t.Fatalf("no checkpoint over %d commits: %+v", writers*each, st)
+	}
+	if st.RecordsSinceCheckpoint > threshold {
+		t.Fatalf("records since checkpoint = %d after commits stopped, want <= %d", st.RecordsSinceCheckpoint, threshold)
+	}
+	if got := countKV(t, d); got != writers*each {
+		t.Fatalf("rows = %d, want %d", got, writers*each)
+	}
+}
+
+// TestCloseWaitsForCheckpointAndSurfacesItsError: Close called while the
+// checkpointer is inside a checkpoint waits for it, the checkpointer exits,
+// and the checkpoint's failure comes back from Close. The log the failed
+// checkpoint left alone still recovers every commit.
+func TestCloseWaitsForCheckpointAndSurfacesItsError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "w.wal")
+	d := openDisk(t, path, func(o *Options) { o.CheckpointRecords = 10 })
+	if _, err := d.Exec(`CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)`); err != nil {
+		t.Fatal(err)
+	}
+	d.ckptMu.RLock()
+	seedKV(t, d, 1, 20)
+	// The checkpoint will encode at this sequence; a directory squatting on
+	// its snapshot temp file makes the write fail.
+	if err := os.Mkdir(fmt.Sprintf("%s.snap.%d.tmp", path, d.Store().CurrentSeq()), 0o755); err != nil {
+		d.ckptMu.RUnlock()
+		t.Fatal(err)
+	}
+	// A pending writer makes TryRLock fail: the checkpointer is blocked
+	// inside Checkpoint, waiting for the read side this test holds.
+	deadline := time.Now().Add(10 * time.Second)
+	for d.ckptMu.TryRLock() {
+		d.ckptMu.RUnlock()
+		if time.Now().After(deadline) {
+			d.ckptMu.RUnlock()
+			t.Fatal("checkpointer never started the signalled checkpoint")
+		}
+		runtime.Gosched()
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- d.Close() }()
+	// Close holds the database mutex until it returns.
+	for d.mu.TryLock() {
+		d.mu.Unlock()
+		runtime.Gosched()
+	}
+	d.ckptMu.RUnlock()
+	err := <-closed
+	if err == nil || !strings.Contains(err.Error(), "snapshot") {
+		t.Fatalf("Close = %v, want the failed checkpoint's error", err)
+	}
+	select {
+	case <-d.ckptDone:
+	default:
+		t.Fatal("checkpointer goroutine still running after Close")
+	}
+
+	re := openDisk(t, path)
+	defer re.Close()
+	if got := countKV(t, re); got != 20 {
+		t.Fatalf("recovered rows = %d, want 20", got)
 	}
 }
 

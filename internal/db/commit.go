@@ -55,7 +55,8 @@ type commitOp struct {
 //     record.
 //  4. observe: the commit and conflict counters and the interposition hook.
 //     Each earlier stage records its span as it ends.
-//  5. checkpoint trigger.
+//  5. checkpoint trigger: signal the background checkpointer when the WAL
+//     has outgrown a threshold. The commit never waits for the checkpoint.
 //
 // A failed store apply goes straight to observe. A read-only or no-op
 // transaction (commit sequence 0) appended nothing and skips 2, 3 and 5.
@@ -142,7 +143,7 @@ func (db *DB) commit(op *commitOp) (uint64, error) {
 		return seq, fmt.Errorf("db: commit %d: %w", seq, ackErr)
 	}
 	if seq > 0 {
-		db.maybeCheckpoint()
+		db.signalCheckpoint()
 	}
 	return seq, nil
 }

@@ -74,6 +74,7 @@ func TestCommitEntriesShareOneStageSequence(t *testing.T) {
 			t.Fatalf("%s: %v", e.name, err)
 		}
 		seq := d.Store().CurrentSeq()
+		waitCheckpointerIdle(t, d)
 
 		wantBarriers := 0
 		if e.barrier {

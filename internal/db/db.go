@@ -57,6 +57,8 @@ type Options struct {
 	// WAL grows past this many bytes since the last checkpoint (Disk mode).
 	// A checkpoint snapshots the full committed state next to the WAL
 	// (<path>.snap.<seq>) and truncates the log, bounding recovery time.
+	// Automatic checkpoints run on a background goroutine; the commit that
+	// crosses the threshold does not wait for one.
 	CheckpointBytes int64
 	// CheckpointRecords, when > 0, triggers an automatic checkpoint once the
 	// WAL holds this many records since the last checkpoint (Disk mode).
@@ -168,7 +170,15 @@ type DB struct {
 	cdcRetain   int
 	histRetain  int
 	ckptErrMu   sync.Mutex
-	ckptErr     error // last automatic-checkpoint failure, surfaced on Close
+	ckptErr     error         // last automatic-checkpoint failure, surfaced on Close
+	ckptSeq     atomic.Uint64 // commit sequence the newest snapshot captured
+
+	// The checkpointer goroutine (Disk mode with a threshold set): commits
+	// signal ckptKick, Close closes ckptStop and waits on ckptDone. All three
+	// are nil when there is no checkpointer.
+	ckptKick chan struct{}
+	ckptStop chan struct{}
+	ckptDone chan struct{}
 
 	// plans caches parsed statements together with their compiled physical
 	// plans, keyed by query text (plan validity keyed by schema epoch); see
@@ -258,6 +268,12 @@ func Open(opts Options) (*DB, error) {
 	}
 	db.log = log
 	db.store.SetDDLHook(db.ddlFired)
+	if db.ckptBytes > 0 || db.ckptRecords > 0 {
+		db.ckptKick = make(chan struct{}, 1)
+		db.ckptStop = make(chan struct{})
+		db.ckptDone = make(chan struct{})
+		go db.checkpointer()
+	}
 	return db, nil
 }
 
@@ -418,7 +434,7 @@ func (db *DB) Recovery() RecoveryInfo { return db.recovery }
 // carries; RegisterMetrics exports it when a metrics endpoint is wired.
 func newCheckpointHist() *metrics.Histogram {
 	return metrics.NewHistogram("trod_db_checkpoint_seconds",
-		"Duration of checkpoint runs: snapshot encode + write + verify, log rotation, and vacuum.", nil)
+		"Duration of checkpoint runs: snapshot encode + write + CRC read-back, log rotation, and vacuum.", nil)
 }
 
 // CommitStats reports the facade-level commit counters: write commits
@@ -484,18 +500,14 @@ func (db *DB) ApplyCommit(req storage.CommitRequest) (uint64, error) {
 // truncates the log to a checkpoint pointer plus the commits that landed
 // after the snapshot, bounding recovery to the snapshot load plus a short
 // tail. The previous log generation is kept as <path>.old so a later
-// unreadable snapshot still has a full-replay fallback. No-op in Memory
-// mode.
+// unreadable snapshot still has a full-replay fallback. It is also the
+// routine the background checkpointer runs. No-op in Memory mode.
 func (db *DB) Checkpoint() error {
 	if db.log == nil {
 		return nil
 	}
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
-	return db.checkpointLocked()
-}
-
-func (db *DB) checkpointLocked() error {
 	ckptStart := time.Now()
 	data, seq := db.store.EncodeSnapshot()
 	// Each checkpoint gets its own snapshot file: overwriting a single name
@@ -504,14 +516,11 @@ func (db *DB) checkpointLocked() error {
 	// that matches the head pointer. With unique names the previous
 	// snapshot stays valid until the rotation lands; a crash in between
 	// merely leaves an orphan file that the next checkpoint cleans up.
+	// WriteSnapshotFile reads the file back and checks its CRC before the
+	// rename, so rotation below only ever trusts the encoder's exact bytes.
 	snapPath := fmt.Sprintf("%s.snap.%d", db.walPath, seq)
 	if err := storage.WriteSnapshotFile(snapPath, data); err != nil {
 		return err
-	}
-	// Read the snapshot back before truncating anything: rotation is only
-	// safe once the bytes on disk are known to decode.
-	if _, err := storage.LoadSnapshotFile(snapPath); err != nil {
-		return fmt.Errorf("db: checkpoint verification failed: %w", err)
 	}
 	// Collect the post-snapshot commit tail and rotate under the store's
 	// commit lock, so no commit can land between tail capture and rotation.
@@ -521,6 +530,7 @@ func (db *DB) checkpointLocked() error {
 	if err != nil {
 		return err
 	}
+	db.ckptSeq.Store(seq)
 	db.cleanupSnapshots(filepath.Base(snapPath))
 	// With the pre-checkpoint history durable in the snapshot, the in-memory
 	// CDC prefix is only needed by replay/time-travel windows; release
@@ -577,35 +587,60 @@ func (db *DB) cleanupSnapshots(current string) {
 	}
 }
 
-// maybeCheckpoint runs an automatic checkpoint when the WAL has outgrown the
-// configured thresholds. Failures don't fail the (already durable) commit
-// that tripped the trigger; the error is kept and surfaced on Close.
-func (db *DB) maybeCheckpoint() {
-	if db.log == nil || (db.ckptBytes <= 0 && db.ckptRecords <= 0) {
-		return
-	}
+// checkpointDue reports whether the WAL has outgrown a configured threshold
+// since the last checkpoint and a commit has landed since that checkpoint's
+// snapshot. The second test keeps a threshold smaller than the rotated log's
+// own checkpoint record from asking for checkpoints of an unchanged state.
+func (db *DB) checkpointDue() bool {
 	st := db.log.Stats()
-	if (db.ckptBytes <= 0 || st.BytesSinceCheckpoint < db.ckptBytes) &&
-		(db.ckptRecords <= 0 || st.RecordsSinceCheckpoint < db.ckptRecords) {
+	return ((db.ckptBytes > 0 && st.BytesSinceCheckpoint >= db.ckptBytes) ||
+		(db.ckptRecords > 0 && st.RecordsSinceCheckpoint >= db.ckptRecords)) &&
+		db.store.CurrentSeq() > db.ckptSeq.Load()
+}
+
+// signalCheckpoint is the commit path's checkpoint trigger: when a threshold
+// is crossed it wakes the checkpointer and returns at once. A signal sent
+// while one is already pending is dropped; the checkpointer re-checks the
+// threshold after every run, so no crossing goes unserved.
+func (db *DB) signalCheckpoint() {
+	if db.ckptKick == nil || !db.checkpointDue() {
 		return
 	}
-	if !db.ckptMu.TryLock() {
-		return // a checkpoint is already running
+	select {
+	case db.ckptKick <- struct{}{}:
+	default:
 	}
-	defer db.ckptMu.Unlock()
-	// Re-check under the lock: the checkpoint that just finished may have
-	// already truncated the log.
-	st = db.log.Stats()
-	if (db.ckptBytes <= 0 || st.BytesSinceCheckpoint < db.ckptBytes) &&
-		(db.ckptRecords <= 0 || st.RecordsSinceCheckpoint < db.ckptRecords) {
-		return
+}
+
+// checkpointer runs automatic checkpoints off the commit path until Close.
+// Failures don't fail the (already durable) commits that crossed the
+// threshold; the error is kept and surfaced on Close, and the next signal
+// retries.
+func (db *DB) checkpointer() {
+	defer close(db.ckptDone)
+	for {
+		select {
+		case <-db.ckptStop:
+			return
+		case <-db.ckptKick:
+		}
+		for db.checkpointDue() {
+			select {
+			case <-db.ckptStop:
+				return
+			default:
+			}
+			err := db.Checkpoint()
+			db.ckptErrMu.Lock()
+			// A later successful checkpoint supersedes an earlier transient
+			// failure (the log is truncated and consistent again).
+			db.ckptErr = err
+			db.ckptErrMu.Unlock()
+			if err != nil {
+				break
+			}
+		}
 	}
-	err := db.checkpointLocked()
-	db.ckptErrMu.Lock()
-	// A later successful checkpoint supersedes an earlier transient failure
-	// (the log is truncated and consistent again), so the error resets.
-	db.ckptErr = err
-	db.ckptErrMu.Unlock()
 }
 
 // MustOpenMemory returns an in-memory database, panicking on error (which
@@ -618,8 +653,9 @@ func MustOpenMemory() *DB {
 	return db
 }
 
-// Close flushes and closes the WAL. It also surfaces the last automatic
-// checkpoint failure, if any (automatic checkpoints never fail the commit
+// Close stops the checkpointer, waiting for a checkpoint in flight, then
+// flushes and closes the WAL. It also surfaces the last automatic
+// checkpoint failure, if any (automatic checkpoints never fail the commits
 // that triggered them).
 func (db *DB) Close() error {
 	db.mu.Lock()
@@ -628,6 +664,10 @@ func (db *DB) Close() error {
 		return nil
 	}
 	db.closed = true
+	if db.ckptStop != nil {
+		close(db.ckptStop)
+		<-db.ckptDone
+	}
 	var err error
 	if db.log != nil {
 		err = db.log.Close()
@@ -1423,6 +1463,7 @@ func (db *DB) BootstrapFromSnapshot(data []byte) error {
 	if err := db.log.Rotate(wal.Checkpoint{Seq: seq, Snapshot: filepath.Base(snapPath)}, nil); err != nil {
 		return err
 	}
+	db.ckptSeq.Store(seq)
 	db.cleanupSnapshots(filepath.Base(snapPath))
 	return nil
 }

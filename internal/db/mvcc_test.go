@@ -202,6 +202,7 @@ func TestHistoryRetentionBoundsResidency(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	waitCheckpointerIdle(t, d)
 	totals := d.Store().VacuumTotals()
 	if totals.Runs == 0 || totals.DroppedRowVersions == 0 {
 		t.Fatalf("checkpoints never vacuumed: %+v", totals)
@@ -316,6 +317,7 @@ func TestReadOnlyScansUnderConcurrentTransfers(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+	waitCheckpointerIdle(t, d)
 
 	vac := d.Store().VacuumTotals()
 	if vac.Runs == 0 {

@@ -267,11 +267,18 @@ func (r *Replica) run() {
 	}
 }
 
-// setConn tracks the live connection so Stop can interrupt a blocked read.
-func (r *Replica) setConn(c net.Conn) {
+// setConn tracks the live connection so Stop and Redirect can interrupt a
+// blocked read. It refuses a connection dialed to addr once a Redirect has
+// moved the replica elsewhere: Redirect closed whatever was tracked while the
+// dial ran, so the new connection would otherwise outlive it.
+func (r *Replica) setConn(c net.Conn, addr string) bool {
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	if c != nil && r.addr != addr {
+		return false
+	}
 	r.conn = c
-	r.mu.Unlock()
+	return true
 }
 
 // session runs one subscription: dial, subscribe from the locally-applied
@@ -280,13 +287,17 @@ func (r *Replica) setConn(c net.Conn) {
 // progress was made (snapshot applied or batch received), which resets the
 // reconnect backoff.
 func (r *Replica) session() (bool, error) {
-	nc, err := net.DialTimeout("tcp", r.Addr(), r.opts.DialTimeout)
+	addr := r.Addr()
+	nc, err := net.DialTimeout("tcp", addr, r.opts.DialTimeout)
 	if err != nil {
 		return false, err
 	}
-	r.setConn(nc)
+	if !r.setConn(nc, addr) {
+		nc.Close()
+		return false, fmt.Errorf("repl: redirected away from %s while dialing it", addr)
+	}
 	defer func() {
-		r.setConn(nil)
+		r.setConn(nil, "")
 		nc.Close()
 	}()
 	conn := protocol.NewConn(nc)
