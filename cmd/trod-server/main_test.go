@@ -6,11 +6,13 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/db"
+	"repro/internal/protocol"
 )
 
 // TestMain lets the test binary run the real server when re-executed by a
@@ -114,4 +116,67 @@ func TestServerCheckpointsPastThreshold(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0].AsText() != last {
 		t.Fatal("the last acknowledged write did not survive the kill")
 	}
+}
+
+// stopServer sends SIGTERM and checks the server drained and exited cleanly.
+func stopServer(t *testing.T, cmd *exec.Cmd, stderr *bytes.Buffer) {
+	t.Helper()
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("exit after SIGTERM: %v; stderr:\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "drained cleanly") {
+		t.Fatalf("no clean drain after SIGTERM; stderr:\n%s", stderr.String())
+	}
+}
+
+// TestReplicationSmoke runs a primary and a -replica-of replica as two
+// processes: DDL and a write on the primary become visible on the replica,
+// a write on the replica fails with the typed read-only error, the
+// replica's Stats report its role and applied sequence, and both exit
+// cleanly on SIGTERM.
+func TestReplicationSmoke(t *testing.T) {
+	dir := t.TempDir()
+	prim, primErr, paddr := startServer(t, "-db", filepath.Join(dir, "prim.wal"))
+	repl, replErr, raddr := startServer(t, "-db", filepath.Join(dir, "repl.wal"), "-replica-of", paddr)
+	pc, err := client.Dial(paddr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	if _, err := pc.Exec(`CREATE TABLE smoke (id INTEGER PRIMARY KEY, v TEXT)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pc.Exec(`INSERT INTO smoke VALUES (1, 'replicated')`); err != nil {
+		t.Fatal(err)
+	}
+	rc, err := client.Dial(raddr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	for deadline := time.Now().Add(20 * time.Second); ; {
+		res, err := rc.Query(`SELECT v FROM smoke WHERE id = 1`)
+		if err == nil && len(res.Rows) == 1 && res.Rows[0][0].AsText() == "replicated" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the write never reached the replica (last: %v, %v); replica stderr:\n%s", res, err, replErr.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if _, err := rc.Exec(`INSERT INTO smoke VALUES (2, 'nope')`); !protocol.IsCode(err, protocol.CodeReadOnly) {
+		t.Fatalf("write on the replica = %v, want the typed read-only error", err)
+	}
+	st, err := rc.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.IsReplica != 1 || st.AppliedSeq < 1 {
+		t.Fatalf("replica stats: is_replica %d, applied_seq %d; want a replica that applied the write", st.IsReplica, st.AppliedSeq)
+	}
+	stopServer(t, repl, replErr)
+	stopServer(t, prim, primErr)
 }

@@ -174,7 +174,7 @@ func TestStoreDiff(t *testing.T) {
 	mk := func() *storage.Store {
 		s := storage.NewStore()
 		tbl := mustTable(t, "kv")
-		if err := s.CreateTable(tbl, false); err != nil {
+		if err := s.CreateTable(tbl, false, nil); err != nil {
 			t.Fatal(err)
 		}
 		row := value.Row{value.Text("a"), value.Int(1)}

@@ -3,7 +3,6 @@ package crashtest
 import (
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"repro/internal/db"
@@ -21,28 +20,24 @@ type replEntry struct {
 
 // captureStream runs the sweep workload on a fresh primary and returns its
 // replication stream — the exact entries a Subscribe session would ship —
-// plus the primary itself for final-state comparison. The DDL and CDC hooks
-// both fire under the store's commit lock, so the combined slice is in exact
-// serialization order.
+// plus the primary itself for final-state comparison. The primary's change
+// log holds DDL and commits in one serialization order; the stream is all
+// of it.
 func captureStream(t *testing.T) (*db.DB, []replEntry) {
 	t.Helper()
 	p := db.MustOpenMemory()
-	var mu sync.Mutex
-	var entries []replEntry
-	p.SubscribeDDL(func(seq uint64, stmt string) {
-		mu.Lock()
-		entries = append(entries, replEntry{seq: seq, ddl: stmt})
-		mu.Unlock()
-	})
-	p.Store().SubscribeCDC(func(rec storage.CommitRecord) {
-		mu.Lock()
-		entries = append(entries, replEntry{seq: rec.Seq, rec: rec})
-		mu.Unlock()
-	})
 	for _, op := range sweepOps() {
 		if _, err := p.Exec(op.sql, op.args...); err != nil {
 			t.Fatalf("primary op %q: %v", op.sql, err)
 		}
+	}
+	log, err := p.Store().ReadLog(0, p.Store().CurrentSeq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := make([]replEntry, len(log))
+	for i, e := range log {
+		entries[i] = replEntry{seq: e.Seq, ddl: e.DDL, rec: e.CommitRecord}
 	}
 	return p, entries
 }

@@ -13,7 +13,7 @@ import (
 func openRetentionDB(t *testing.T, retain int) *DB {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "cdc.wal")
-	d, err := Open(Options{Mode: Disk, Path: path, Sync: wal.SyncNever, CDCRetention: retain})
+	d, err := Open(Options{Mode: Disk, Path: path, Sync: wal.SyncNever, HistoryRetention: retain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,10 +21,10 @@ func openRetentionDB(t *testing.T, retain int) *DB {
 	return d
 }
 
-// TestCDCRetentionReleasesPrefix pins the PR 3 follow-up: after a checkpoint
-// the in-memory CDC log keeps only the configured retention window, while
-// time travel (version chains) still answers correctly at any sequence and
-// ChangesBetween stays complete inside the retained window.
+// TestCDCRetentionReleasesPrefix: after a checkpoint the in-memory change
+// log keeps only the HistoryRetention window, time travel answers correctly
+// inside it and refuses typed below it (the log and the version chains are
+// cut at one horizon), and ChangesBetween stays complete inside the window.
 func TestCDCRetentionReleasesPrefix(t *testing.T) {
 	const retain = 8
 	d := openRetentionDB(t, retain)
@@ -61,9 +61,8 @@ func TestCDCRetentionReleasesPrefix(t *testing.T) {
 		}
 	}
 
-	// Time travel inside (and before) the retained window still works:
-	// version chains are untouched by CDC release.
-	for _, seq := range []uint64{seqBefore, seqBefore - uint64(retain)/2, seqBefore - 20} {
+	// Time travel inside the retained window still works.
+	for _, seq := range []uint64{seqBefore, seqBefore - uint64(retain)/2} {
 		tx, err := d.BeginAt(seq)
 		if err != nil {
 			t.Fatal(err)
@@ -80,6 +79,10 @@ func TestCDCRetentionReleasesPrefix(t *testing.T) {
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// Below it the versions went with the log, and time travel says so.
+	if _, err := d.BeginAt(seqBefore - 20); !errors.Is(err, storage.ErrHistoryTruncated) {
+		t.Fatalf("time travel below the retained window: err = %v, want ErrHistoryTruncated", err)
 	}
 
 	// Recovery is unaffected: the WAL (not the in-memory CDC log) feeds it.

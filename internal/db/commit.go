@@ -47,7 +47,7 @@ type commitOp struct {
 //
 //  1. store apply: validate and apply (force-apply for a replicated record).
 //     The store runs the WAL append as its log step, under its commit lock
-//     and before any CDC subscriber sees the record, so the log's order is
+//     and before the record reaches the change log, so the WAL's order is
 //     the commit order.
 //  2. durable wait: block until the record is fsynced, sharing the fsync
 //     with every concurrent committer (group commit).

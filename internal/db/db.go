@@ -63,23 +63,16 @@ type Options struct {
 	// CheckpointRecords, when > 0, triggers an automatic checkpoint once the
 	// WAL holds this many records since the last checkpoint (Disk mode).
 	CheckpointRecords int
-	// CDCRetention, when > 0, releases in-memory CDC commit records after
-	// each checkpoint, keeping only the most recent CDCRetention commits
-	// behind the checkpoint sequence (Disk mode). Row version chains — and
-	// therefore time travel — are unaffected; replay windows that consume
-	// the commit log (ChangesBetween) must fit inside the retained suffix.
-	// Active transactions always pin their snapshots, so OCC validation is
-	// never truncated out from under a long-running transaction. 0 keeps the
-	// full log in memory.
-	CDCRetention int
 	// HistoryRetention, when > 0, garbage-collects MVCC version history on
 	// every checkpoint (and on explicit Vacuum calls): version chains are
 	// compacted to the versions visible within the most recent
 	// HistoryRetention commits, clamped to the oldest pinned snapshot so an
 	// active reader never loses versions it can see. Time travel (BeginAt,
 	// replay) below the resulting history floor fails with a typed error
-	// (storage.ErrHistoryTruncated). 0 keeps all history resident — version
-	// chains grow without bound under sustained updates.
+	// (storage.ErrHistoryTruncated). The in-memory change log is cut at the
+	// same horizon, so replication catch-up reaches back as far as time
+	// travel does. 0 keeps all history and the whole log resident — both
+	// grow without bound under sustained updates.
 	HistoryRetention int
 }
 
@@ -167,7 +160,6 @@ type DB struct {
 	ckptMu      sync.RWMutex
 	ckptBytes   int64
 	ckptRecords int
-	cdcRetain   int
 	histRetain  int
 	ckptErrMu   sync.Mutex
 	ckptErr     error         // last automatic-checkpoint failure, surfaced on Close
@@ -189,16 +181,6 @@ type DB struct {
 	// (0 = unlimited). The tracer sets it from its configuration to bound
 	// request-path tracing cost on scan-heavy statements.
 	readTraceLimit int
-
-	// DDL observation for replication: every DDL statement (live or
-	// replayed during recovery) updates the last-DDL position, and live DDL
-	// additionally fans out to subscribers (the replication source journals
-	// it there). Subscriber callbacks run under the store lock via the DDL
-	// hook — they must be fast and must not call back into the store.
-	ddlMu      sync.Mutex
-	ddlSubs    []func(seq uint64, stmt string)
-	lastDDLSeq uint64
-	ddlSeen    bool
 
 	// readOnly rejects writes and DDL arriving through the SQL layer with
 	// ErrReadOnly (replicas serve reads only; replicated apply bypasses it).
@@ -246,13 +228,11 @@ func Open(opts Options) (*DB, error) {
 		syncPolicy:  opts.Sync,
 		ckptBytes:   opts.CheckpointBytes,
 		ckptRecords: opts.CheckpointRecords,
-		cdcRetain:   opts.CDCRetention,
 		histRetain:  opts.HistoryRetention,
 		plans:       newPlanCache(defaultPlanCacheCap),
 		ckptHist:    newCheckpointHist(),
 	}
 	if opts.Mode == Memory {
-		db.store.SetDDLHook(db.ddlFired)
 		return db, nil
 	}
 	if opts.Path == "" {
@@ -267,7 +247,6 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.log = log
-	db.store.SetDDLHook(db.ddlFired)
 	if db.ckptBytes > 0 || db.ckptRecords > 0 {
 		db.ckptKick = make(chan struct{}, 1)
 		db.ckptStop = make(chan struct{})
@@ -275,55 +254,6 @@ func Open(opts Options) (*DB, error) {
 		go db.checkpointer()
 	}
 	return db, nil
-}
-
-// ddlFired is the store's DDL hook: it persists the statement to the WAL
-// (Disk mode), records the DDL position, and fans out to subscribers. It
-// runs under the store's commit lock, so subscribers observe DDL in exact
-// serialization order relative to commits.
-func (db *DB) ddlFired(seq uint64, stmt string) {
-	if db.log != nil {
-		// Errors here are surfaced on Close/Flush; DDL is rare and the log
-		// write failing means the disk is gone.
-		_ = db.log.AppendDDL(stmt)
-	}
-	db.ddlMu.Lock()
-	db.lastDDLSeq = seq
-	db.ddlSeen = true
-	subs := db.ddlSubs
-	db.ddlMu.Unlock()
-	for _, fn := range subs {
-		fn(seq, stmt)
-	}
-}
-
-// noteDDL records a DDL position without fanning out (recovery replay: the
-// statement predates any subscriber and is already in the WAL).
-func (db *DB) noteDDL(seq uint64) {
-	db.ddlMu.Lock()
-	db.lastDDLSeq = seq
-	db.ddlSeen = true
-	db.ddlMu.Unlock()
-}
-
-// SubscribeDDL registers fn to receive every future DDL statement together
-// with the commit sequence it executed at. fn runs under the store's commit
-// lock (like CDC subscribers): it must be fast and must not call back into
-// the store. The replication source uses it to journal DDL for log shipping.
-func (db *DB) SubscribeDDL(fn func(seq uint64, stmt string)) {
-	db.ddlMu.Lock()
-	db.ddlSubs = append(db.ddlSubs, fn)
-	db.ddlMu.Unlock()
-}
-
-// LastDDL reports the commit sequence of the most recent DDL statement this
-// database has applied (live or replayed during recovery), and whether any
-// DDL has been applied at all. The replication source uses it to refuse
-// log catch-up from positions that might be missing a DDL it cannot resend.
-func (db *DB) LastDDL() (uint64, bool) {
-	db.ddlMu.Lock()
-	defer db.ddlMu.Unlock()
-	return db.lastDDLSeq, db.ddlSeen
 }
 
 // recover rebuilds the store from the WAL (and snapshot) at path.
@@ -373,11 +303,8 @@ func (db *DB) replayLog(path string) error {
 				return fmt.Errorf("db: recovering DDL %q: %w", rec.DDL, err)
 			}
 			db.recovery.TailRecords++
-			if err := db.applyDDL(stmt, true); err != nil {
-				return err
-			}
-			db.noteDDL(db.store.CurrentSeq())
-			return nil
+			_, _, err = db.applyDDL(stmt, true)
+			return err
 		case wal.RecordCommit:
 			if rec.Commit.Seq <= db.store.CurrentSeq() {
 				return nil // duplicate of already-recovered state
@@ -509,6 +436,9 @@ func (db *DB) Checkpoint() error {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
 	ckptStart := time.Now()
+	// Pin the snapshot's seq until the rotation has the tail after it: a
+	// concurrent Vacuum cannot cut records the rotated log must carry.
+	pin := db.store.PinSnapshot()
 	data, seq := db.store.EncodeSnapshot()
 	// Each checkpoint gets its own snapshot file: overwriting a single name
 	// would destroy the snapshot the current log head still points to, so a
@@ -519,29 +449,25 @@ func (db *DB) Checkpoint() error {
 	// WriteSnapshotFile reads the file back and checks its CRC before the
 	// rename, so rotation below only ever trusts the encoder's exact bytes.
 	snapPath := fmt.Sprintf("%s.snap.%d", db.walPath, seq)
-	if err := storage.WriteSnapshotFile(snapPath, data); err != nil {
-		return err
+	err := storage.WriteSnapshotFile(snapPath, data)
+	if err == nil {
+		// Collect the post-snapshot commit tail and rotate under the store's
+		// commit lock, so no commit can land between tail capture and
+		// rotation.
+		err = db.store.CheckpointTail(seq, func(tail []storage.CommitRecord) error {
+			return db.log.Rotate(wal.Checkpoint{Seq: seq, Snapshot: filepath.Base(snapPath)}, tail)
+		})
 	}
-	// Collect the post-snapshot commit tail and rotate under the store's
-	// commit lock, so no commit can land between tail capture and rotation.
-	err := db.store.CheckpointTail(seq, func(tail []storage.CommitRecord) error {
-		return db.log.Rotate(wal.Checkpoint{Seq: seq, Snapshot: filepath.Base(snapPath)}, tail)
-	})
+	db.store.UnpinSnapshot(pin)
 	if err != nil {
 		return err
 	}
 	db.ckptSeq.Store(seq)
 	db.cleanupSnapshots(filepath.Base(snapPath))
-	// With the pre-checkpoint history durable in the snapshot, the in-memory
-	// CDC prefix is only needed by replay/time-travel windows; release
-	// everything older than the configured retention (active transactions
-	// pin their own validation windows regardless).
-	if db.cdcRetain > 0 && seq > uint64(db.cdcRetain) {
-		db.store.TruncateLog(seq - uint64(db.cdcRetain))
-	}
-	// With the snapshot durable, version chains older than the retention
-	// window serve no read that is still allowed: compact them. Vacuum clamps
-	// to the oldest pinned snapshot itself, so long-running readers are safe.
+	// With the snapshot durable, version chains and log entries older than
+	// the retention window serve no read that is still allowed: compact
+	// them. Vacuum clamps to the oldest pinned snapshot itself, so
+	// long-running readers are safe.
 	db.Vacuum()
 	db.checkpoints.Add(1)
 	db.ckptHist.ObserveSince(ckptStart)
@@ -552,7 +478,8 @@ func (db *DB) Checkpoint() error {
 // HistoryRetention window (a no-op when HistoryRetention is 0): version
 // chains compact to what is visible within the last HistoryRetention
 // commits, tombstoned rows older than that are physically removed, and the
-// history floor (Store.HistoryRetainedFrom) rises to the vacuum horizon.
+// history floor (Store.HistoryRetainedFrom) and the change log's start
+// rise to the vacuum horizon.
 // Checkpoints call it automatically; Memory-mode databases (no checkpoints)
 // call it directly when they want the same bound.
 func (db *DB) Vacuum() storage.VacuumStats {
@@ -711,56 +638,75 @@ func (db *DB) parse(query string) (sqlparse.Statement, error) {
 // execDDL applies a live SQL-layer DDL statement and, like a write commit,
 // holds its acknowledgement behind the replication barrier: schema changes
 // ride the same replicated log as commits, so an acked DDL must clear the
-// same quorum an acked commit does. The DDL hook already made the statement
-// locally durable (AppendDDL waits under SyncEachCommit) before applyDDL
-// returns. Replicated and recovery-replayed DDL bypass the barrier, exactly
-// like ApplyReplicatedCommit.
+// same quorum an acked commit does. Replicated and recovery-replayed DDL
+// bypass the barrier, exactly like ApplyReplicatedCommit.
 func (db *DB) execDDL(stmt sqlparse.Statement) error {
-	if err := db.applyDDL(stmt, false); err != nil {
+	seq, logged, err := db.applyDDL(stmt, false)
+	if err != nil || !logged {
 		return err
 	}
-	seq, _ := db.LastDDL()
 	if err := db.barrier(seq, nil); err != nil {
 		return fmt.Errorf("db: ddl at commit seq %d: %w", seq, err)
 	}
 	return nil
 }
 
-// applyDDL executes a schema statement directly against the store. Outside
-// recovery it holds the checkpoint lock's read side, so a schema change can
-// never land between a checkpoint's snapshot and its log rotation (the
-// rotated tail carries only commit records, not DDL).
-func (db *DB) applyDDL(stmt sqlparse.Statement, recovering bool) error {
+// applyDDL executes a schema statement against the store and returns the
+// position it took in the change log (logged is false when the statement
+// changed nothing). The store runs the WAL append as the statement's log
+// step, under its commit lock, so the WAL's order is the execution order;
+// the durable wait runs here, after the lock is released, and a statement
+// whose record is not durable fails like a commit whose record is not.
+// Outside recovery it holds the checkpoint lock's read side, so a schema
+// change can never land between a checkpoint's snapshot and its log
+// rotation (the rotated tail carries only commit records, not DDL).
+func (db *DB) applyDDL(stmt sqlparse.Statement, recovering bool) (seq uint64, logged bool, err error) {
 	if !recovering {
 		db.ckptMu.RLock()
 		defer db.ckptMu.RUnlock()
 	}
+	var op commitOp
+	step := func(at uint64, text string) {
+		seq, logged = at, true
+		if db.log != nil {
+			op.lsn, op.walErr = db.log.AppendDDLLSN(text)
+		}
+	}
 	switch s := stmt.(type) {
 	case *sqlparse.CreateTable:
-		tbl, err := TableFromAST(s)
-		if err != nil {
-			return err
+		tbl, terr := TableFromAST(s)
+		if terr != nil {
+			return 0, false, terr
 		}
-		return db.store.CreateTable(tbl, s.IfNotExists)
+		err = db.store.CreateTable(tbl, s.IfNotExists, step)
 	case *sqlparse.CreateIndex:
 		tbl := db.store.Table(s.Table)
 		if tbl == nil {
-			return fmt.Errorf("db: CREATE INDEX on unknown table %q", s.Table)
+			return 0, false, fmt.Errorf("db: CREATE INDEX on unknown table %q", s.Table)
 		}
 		cols := make([]int, len(s.Columns))
 		for i, c := range s.Columns {
 			pos := tbl.ColumnIndex(c)
 			if pos < 0 {
-				return fmt.Errorf("db: index column %q not in table %q", c, s.Table)
+				return 0, false, fmt.Errorf("db: index column %q not in table %q", c, s.Table)
 			}
 			cols[i] = pos
 		}
-		return db.store.CreateIndex(&schema.Index{Name: s.Name, Table: tbl.Name, Columns: cols, Unique: s.Unique})
+		err = db.store.CreateIndex(&schema.Index{Name: s.Name, Table: tbl.Name, Columns: cols, Unique: s.Unique}, step)
 	case *sqlparse.DropTable:
-		return db.store.DropTable(s.Name, s.IfExists)
+		err = db.store.DropTable(s.Name, s.IfExists, step)
 	default:
-		return fmt.Errorf("db: %T is not DDL", stmt)
+		return 0, false, fmt.Errorf("db: %T is not DDL", stmt)
 	}
+	if err != nil || !logged {
+		return seq, logged, err
+	}
+	if _, err := db.waitDurable(&op); err != nil {
+		// Applied in memory, but durability could not be confirmed (sticky
+		// WAL failure): callers must treat the database as failed.
+		return seq, true, fmt.Errorf("db: ddl at commit seq %d not durable: %w", seq, err)
+	}
+	return seq, true, nil
 }
 
 // TableFromAST converts a parsed CREATE TABLE into a schema.Table.
@@ -1323,9 +1269,7 @@ func (db *DB) Flush() error {
 // TROD replay and retroactive-programming engines use it to build
 // development databases from restored snapshots.
 func NewFromStore(s *storage.Store) *DB {
-	db := &DB{store: s, mode: Memory, plans: newPlanCache(defaultPlanCacheCap), ckptHist: newCheckpointHist()}
-	s.SetDDLHook(db.ddlFired)
-	return db
+	return &DB{store: s, mode: Memory, plans: newPlanCache(defaultPlanCacheCap), ckptHist: newCheckpointHist()}
 }
 
 // CloneAt materialises a full copy of the database as of snapshot seq — the
@@ -1408,7 +1352,7 @@ func (db *DB) ApplyReplicatedCommit(rec storage.CommitRecord, sp *span.Buf) erro
 // Re-applying the full suffix converges: later statements overwrite earlier
 // ones, and a table dropped-and-recreated at the same position is empty on
 // the primary too (its rows arrive as later commits). The statement is
-// persisted to the replica's WAL through the normal DDL hook.
+// persisted to the replica's WAL through the normal DDL log step.
 func (db *DB) ApplyReplicatedDDL(stmt string) error {
 	parsed, err := sqlparse.Parse(stmt)
 	if err != nil {
@@ -1428,7 +1372,8 @@ func (db *DB) ApplyReplicatedDDL(stmt string) error {
 	default:
 		return fmt.Errorf("db: replicated statement %q is not DDL", stmt)
 	}
-	return db.applyDDL(parsed, false)
+	_, _, err = db.applyDDL(parsed, false)
+	return err
 }
 
 // BootstrapFromSnapshot replaces the database's entire state with a

@@ -85,7 +85,6 @@ func DefaultConfig() *Config {
 	c.Lockhold.Mutexes = []string{
 		"repro/internal/storage.Store.mu",
 		"repro/internal/wal.Log.mu",
-		"repro/internal/repl.Source.mu",
 	}
 	c.Lockhold.Blocking = []string{
 		"repro/internal/wal.Log.WaitDurable",

@@ -333,7 +333,7 @@ func TestDetachedReplicaFallsBackToBootstrap(t *testing.T) {
 	dir := t.TempDir()
 	p := startPrimary(t, db.Options{
 		Mode: db.Disk, Path: filepath.Join(dir, "primary.wal"),
-		Sync: wal.SyncNever, CDCRetention: 4,
+		Sync: wal.SyncNever, HistoryRetention: 4,
 	})
 	mustExec(t, p.db, `CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)`)
 	for i := 0; i < 20; i++ {
@@ -345,7 +345,7 @@ func TestDetachedReplicaFallsBackToBootstrap(t *testing.T) {
 	waitCaughtUp(t, p, n.r)
 	n.stop() // detach
 	// Wait for the source to notice the dead stream: until it does, the
-	// subscriber's pin (correctly) clamps log truncation.
+	// subscriber's pin (correctly) clamps the log cut.
 	for i := 0; p.src.Subscribers() > 0; i++ {
 		if i > 5000 {
 			t.Fatal("source never released the detached subscriber")
@@ -354,7 +354,8 @@ func TestDetachedReplicaFallsBackToBootstrap(t *testing.T) {
 	}
 
 	// The primary moves on far past the retained window and checkpoints,
-	// which truncates the in-memory CDC log down to CDCRetention commits.
+	// whose vacuum cuts the in-memory change log down to HistoryRetention
+	// commits.
 	for i := 20; i < 120; i++ {
 		mustExec(t, p.db, `INSERT INTO kv VALUES (?, ?)`, i, "b")
 	}
@@ -492,7 +493,7 @@ func TestPoolSplitsReadsAndWrites(t *testing.T) {
 func TestSlowSubscriberPinsLogWindow(t *testing.T) {
 	dir := t.TempDir()
 	d, err := db.Open(db.Options{
-		Mode: db.Disk, Path: filepath.Join(dir, "primary.wal"), CDCRetention: 2,
+		Mode: db.Disk, Path: filepath.Join(dir, "primary.wal"), HistoryRetention: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -525,9 +526,9 @@ func TestSlowSubscriberPinsLogWindow(t *testing.T) {
 		t.Fatalf("first batch: %v", err)
 	}
 
-	// Commit far past the retention window, then checkpoint: TruncateLog
-	// must clamp to the stalled subscriber's pin instead of dropping records
-	// it still needs.
+	// Commit far past the retention window, then checkpoint: the vacuum's
+	// log cut must clamp to the stalled subscriber's pin instead of dropping
+	// records it still needs.
 	for i := 9; i < 48; i++ {
 		mustExec(t, d, `INSERT INTO kv VALUES (?, ?)`, i, "y")
 	}

@@ -5,13 +5,12 @@
 // secondary indexes, provenance tables, and the schema epoch evolve on every
 // replica exactly as they did on the primary.
 //
-// The stream reuses the engine's existing commit order end to end: the
-// store's in-memory CDC log supplies catch-up for recently-disconnected
-// subscribers, live commits are pushed as they land, and a subscriber too
-// far behind the retained log window (or from before the primary's current
-// process lifetime, where DDL ordering can no longer be proven) receives a
-// typed log-truncated error and re-bootstraps from a full snapshot shipped
-// over the wire with the checkpoint codec.
+// The stream reuses the engine's existing commit order end to end: every
+// stream reads the store's change log (commits and DDL in execution order),
+// which supplies both catch-up for recently-disconnected subscribers and
+// live entries as they land. A subscriber behind the retained log window
+// receives a typed log-truncated error and re-bootstraps from a full
+// snapshot shipped over the wire with the checkpoint codec.
 //
 // Consistency: a replica always sits at a commit-order prefix of the
 // primary's history, so every read served at its applied sequence is a
@@ -100,27 +99,15 @@ func (o *SourceOptions) withDefaults() SourceOptions {
 	return out
 }
 
-// ddlEntry positions one DDL statement in the replication stream: it
-// executed after commit seq and before commit seq+1. Journal order is
-// execution order; seqs are non-decreasing.
-type ddlEntry struct {
-	seq  uint64
-	stmt string
-}
-
-// Source is the primary-side replication endpoint: it journals DDL, watches
-// the CDC feed, and serves Subscribe streams. One Source serves any number
-// of concurrent subscribers; attach it once, right after opening the
-// database and before serving traffic.
+// Source is the primary-side replication endpoint: it serves Subscribe
+// streams from the store's change log. One Source serves any number of
+// concurrent subscribers; attach it once, right after opening the database
+// and before serving traffic.
 type Source struct {
 	db    *db.DB
 	store *storage.Store
 	opts  SourceOptions
 	epoch *Epoch
-
-	mu      sync.Mutex
-	journal []ddlEntry
-	subs    map[chan struct{}]struct{}
 
 	subscribers atomic.Int64
 	streamed    atomic.Uint64 // commit records shipped, all subscribers
@@ -131,17 +118,11 @@ type Source struct {
 
 	// Ack tracking: one subAck per live subscriber stream, updated by its
 	// ack-reader goroutine. ackWait is closed-and-replaced on every update
-	// (a broadcast quorum waiters and Stats can select on with a timeout,
-	// which sync.Cond cannot express).
+	// and on fencing (a broadcast quorum waiters, streams and Stats can
+	// select on with a timeout, which sync.Cond cannot express).
 	ackMu   sync.Mutex
 	ackSubs map[*subAck]struct{}
 	ackWait chan struct{}
-
-	// DDL executed before this Source attached is not in the journal and
-	// cannot be resent; catch-up from a position at or before the last such
-	// statement is refused (the subscriber re-bootstraps instead).
-	preDDLSeq  uint64
-	preDDLSeen bool
 }
 
 // subAck is one subscriber's acknowledgement state (guarded by Source.ackMu).
@@ -151,14 +132,13 @@ type subAck struct {
 }
 
 // NewSource attaches a replication source to a database. Must be called
-// before the database serves concurrent traffic (the DDL journal starts
-// here; see preDDLSeq).
+// before the database serves concurrent traffic (it installs the commit
+// barrier).
 func NewSource(d *db.DB, opts SourceOptions) *Source {
 	s := &Source{
 		db:      d,
 		store:   d.Store(),
 		opts:    (&opts).withDefaults(),
-		subs:    make(map[chan struct{}]struct{}),
 		ackSubs: make(map[*subAck]struct{}),
 		ackWait: make(chan struct{}),
 	}
@@ -174,33 +154,7 @@ func NewSource(d *db.DB, opts SourceOptions) *Source {
 	if s.opts.SyncReplicas > 0 {
 		d.SetCommitBarrier(s.waitQuorum)
 	}
-	// Subscribe before snapshotting the pre-attach DDL position: a statement
-	// racing the attach lands in both (journaled and counted pre-attach),
-	// which is merely conservative, never lossy.
-	d.SubscribeDDL(func(seq uint64, stmt string) {
-		s.mu.Lock()
-		s.journal = append(s.journal, ddlEntry{seq: seq, stmt: stmt})
-		s.wakeLocked()
-		s.mu.Unlock()
-	})
-	s.store.SubscribeCDC(func(storage.CommitRecord) {
-		s.mu.Lock()
-		s.wakeLocked()
-		s.mu.Unlock()
-	})
-	s.preDDLSeq, s.preDDLSeen = d.LastDDL()
 	return s
-}
-
-// wakeLocked nudges every subscriber's signal channel (non-blocking; a
-// pending signal is enough). Caller holds s.mu.
-func (s *Source) wakeLocked() {
-	for ch := range s.subs {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
 }
 
 // Subscribers reports the number of live replication streams.
@@ -221,9 +175,6 @@ func (s *Source) fenceFrom(foreign uint64) {
 		return
 	}
 	s.db.SetFenced(true)
-	s.mu.Lock()
-	s.wakeLocked()
-	s.mu.Unlock()
 	s.broadcastAcksLocked(false)
 }
 
@@ -340,55 +291,6 @@ func (s *Source) SubscriberLags(head uint64) []protocol.SubscriberLag {
 	return out
 }
 
-// canCatchUp reports whether a subscriber at commit sequence `from` can be
-// served by log shipping alone: the retained CDC window must reach back to
-// it, the position must not be from a divergent/future history, and no DDL
-// the journal cannot resend may sit at or after it.
-func (s *Source) canCatchUp(from uint64) bool {
-	if from > s.store.CurrentSeq() {
-		return false
-	}
-	if from+1 < s.store.LogRetainedFrom() {
-		return false
-	}
-	if s.preDDLSeen && from <= s.preDDLSeq {
-		return false
-	}
-	return true
-}
-
-// ddlCursorFor returns the journal index of the first entry a subscriber at
-// `from` needs: everything positioned at or after its sequence. Entries at
-// exactly `from` may already be applied on the subscriber; re-application is
-// idempotent (see db.ApplyReplicatedDDL).
-func (s *Source) ddlCursorFor(from uint64) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, e := range s.journal {
-		if e.seq >= from {
-			return i
-		}
-	}
-	return len(s.journal)
-}
-
-// pendingDDL returns journal entries from cursor positioned at or before
-// head, i.e. safe to ship without reordering against unshipped commits.
-func (s *Source) pendingDDL(cursor int, head uint64) []ddlEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	end := cursor
-	for end < len(s.journal) && s.journal[end].seq <= head {
-		end++
-	}
-	if end == cursor {
-		return nil
-	}
-	out := make([]ddlEntry, end-cursor)
-	copy(out, s.journal[cursor:end])
-	return out
-}
-
 const streamWriteTimeout = 30 * time.Second
 
 // Serve handles one MsgSubscribe request on conn, owning the connection in
@@ -426,18 +328,14 @@ func (s *Source) serveOne(conn *protocol.Conn, req *protocol.Message, drain <-ch
 		s.fenceFrom(req.Epoch)
 	}
 	if s.epoch.Fenced() {
-		conn.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-		_ = conn.WriteMessage(&protocol.Message{
-			Type: protocol.MsgError, Code: protocol.CodeFenced,
-			Err: fmt.Sprintf("this node is fenced (epoch %d, epoch %d exists); subscribe to the current primary",
-				s.epoch.Current(), s.epoch.FencedBy()),
-		}, protocol.MaxFrame)
+		refuse(conn, protocol.CodeFenced, "this node is fenced (epoch %d, epoch %d exists); subscribe to the current primary",
+			s.epoch.Current(), s.epoch.FencedBy())
 		return true
 	}
 
 	// Pin the log window before validating the position: between a
-	// retention check and an unpinned stream start, a checkpoint could
-	// truncate the very records the subscriber was promised. From here on
+	// retention check and an unpinned stream start, a checkpoint's vacuum
+	// could cut the very entries the subscriber was promised. From here on
 	// exactly one function owns the pin at a time; stream() takes it over
 	// and releases it when the stream ends.
 	pin := s.store.PinSnapshot()
@@ -454,25 +352,39 @@ func (s *Source) serveOne(conn *protocol.Conn, req *protocol.Message, drain <-ch
 		// puts it back on this timeline.
 		if req.Epoch < s.epoch.Current() && pos > s.epoch.StartSeq() {
 			s.store.UnpinSnapshot(pin)
-			conn.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-			_ = conn.WriteMessage(&protocol.Message{
-				Type: protocol.MsgError, Code: protocol.CodeLogTruncated,
-				Err: fmt.Sprintf("seq %d from epoch %d is past epoch %d's start (seq %d) and may be diverged; re-subscribe with bootstrap",
-					pos, req.Epoch, s.epoch.Current(), s.epoch.StartSeq()),
-			}, protocol.MaxFrame)
+			refuse(conn, protocol.CodeLogTruncated, "seq %d from epoch %d is past epoch %d's start (seq %d) and may be diverged; re-subscribe with bootstrap",
+				pos, req.Epoch, s.epoch.Current(), s.epoch.StartSeq())
 			return false
 		}
-		if !s.canCatchUp(pos) {
+		// A position past the head is from a divergent history; one before
+		// the retained log cannot be caught up. The read is the one the
+		// stream makes, and the pin keeps its answer valid.
+		_, err := s.store.ReadLog(pos, pos)
+		if head := s.store.CurrentSeq(); err == nil && pos > head {
+			err = fmt.Errorf("seq %d is past this node's head %d", pos, head)
+		}
+		if err != nil {
 			s.store.UnpinSnapshot(pin)
-			conn.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-			_ = conn.WriteMessage(&protocol.Message{
-				Type: protocol.MsgError, Code: protocol.CodeLogTruncated,
-				Err: fmt.Sprintf("cannot catch up from seq %d (retained from %d); re-subscribe with bootstrap",
-					pos, s.store.LogRetainedFrom()),
-			}, protocol.MaxFrame)
+			refuse(conn, protocol.CodeLogTruncated, "cannot catch up: %v; re-subscribe with bootstrap", err)
 			return false
 		}
 	} else {
+		// A store restored from a TRODSNP1 image cannot be read at its base,
+		// where the DDL is unknown, so no stream could follow an image taken
+		// there: wait for the first commit to move the head past it.
+		for {
+			wake := s.store.LogSignal()
+			head := s.store.CurrentSeq()
+			if _, err := s.store.ReadLog(head, head); err == nil {
+				break
+			}
+			select {
+			case <-wake:
+			case <-drain:
+				s.store.UnpinSnapshot(pin)
+				return true
+			}
+		}
 		snapSeq, err := s.sendSnapshot(conn)
 		if err != nil {
 			s.store.UnpinSnapshot(pin)
@@ -497,7 +409,7 @@ func (s *Source) serveOne(conn *protocol.Conn, req *protocol.Message, drain <-ch
 	var stopRead atomic.Bool
 	go s.readAcks(conn, sub, dead, &stopRead, readerDone)
 
-	tooLarge := s.stream(conn, pos, pin, drain, dead)
+	refusal := s.stream(conn, pos, pin, drain, dead)
 
 	// Join the reader before anything else may read the connection. The
 	// deadline poke repeats: a reader that re-armed its own deadline just
@@ -513,20 +425,19 @@ func (s *Source) serveOne(conn *protocol.Conn, req *protocol.Message, drain <-ch
 	}
 	conn.SetReadDeadline(time.Time{})
 
-	if tooLarge {
-		// A single commit too large for the replication frame cap cannot be
-		// log-shipped, but a snapshot (chunked, any size) covers it: tell
-		// the subscriber to re-subscribe with bootstrap, exactly like a
-		// truncated log window.
-		conn.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-		_ = conn.WriteMessage(&protocol.Message{
-			Type: protocol.MsgError, Code: protocol.CodeLogTruncated,
-			Err: fmt.Sprintf("a commit exceeds the %d-byte replication frame cap and cannot be log-shipped; re-subscribe with bootstrap",
-				s.opts.FrameLimit),
-		}, protocol.MaxFrame)
+	if refusal != "" {
+		// What log shipping cannot serve a snapshot (chunked, any size)
+		// covers: tell the subscriber to re-subscribe with bootstrap.
+		refuse(conn, protocol.CodeLogTruncated, "%s; re-subscribe with bootstrap", refusal)
 		return false
 	}
 	return true
+}
+
+// refuse answers a subscription with a typed error frame.
+func refuse(conn *protocol.Conn, code protocol.ErrCode, format string, args ...any) {
+	conn.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
+	_ = conn.WriteMessage(&protocol.Message{Type: protocol.MsgError, Code: code, Err: fmt.Sprintf(format, args...)}, protocol.MaxFrame)
 }
 
 // readAcks consumes a subscriber's ack frames until the stream ends, the
@@ -621,64 +532,71 @@ func (s *Source) sendSnapshot(conn *protocol.Conn) (uint64, error) {
 // stream pushes log batches from pos until the connection or server dies,
 // the node is fenced, or the subscriber's ack reader declares it dead. It
 // owns the caller's pin: the pin starts at or below pos, advances batch
-// by batch (so TruncateLog can never drop a record this subscriber still
-// needs), and is released when the stream ends (a detached subscriber pins
-// nothing). The returned bool reports the one failure log shipping cannot
-// recover from by itself: a single entry larger than the replication frame
-// cap (the caller then directs the subscriber to a snapshot bootstrap).
-func (s *Source) stream(conn *protocol.Conn, pos, pin uint64, drain, dead <-chan struct{}) (tooLarge bool) {
+// by batch (so Vacuum can never cut an entry this subscriber still needs),
+// and is released when the stream ends (a detached subscriber pins
+// nothing). It returns why log shipping cannot go on by itself, or "" when
+// the stream just ended: a single entry larger than the replication frame
+// cap, or a log read that failed (the caller then directs the subscriber
+// to a snapshot bootstrap).
+func (s *Source) stream(conn *protocol.Conn, pos, pin uint64, drain, dead <-chan struct{}) (refusal string) {
 	defer func() { s.store.UnpinSnapshot(pin) }()
-	ch := make(chan struct{}, 1)
-	s.mu.Lock()
-	s.subs[ch] = struct{}{}
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.subs, ch)
-		s.mu.Unlock()
-	}()
-
-	cursor := s.ddlCursorFor(pos)
+	skip := 0 // DDL entries positioned at pos already shipped
 	hb := time.NewTicker(s.opts.Heartbeat)
 	defer hb.Stop()
 	for {
 		if s.epoch.Fenced() {
 			// A fenced node stops feeding subscribers mid-stream; they
 			// reconnect and get the typed fenced refusal.
-			return false
+			return ""
 		}
+		// Take both wake-ups before reading, so nothing that lands after
+		// the read goes unnoticed: the log's, and the ack broadcast, which
+		// fencing fires.
+		logged := s.store.LogSignal()
+		s.ackMu.Lock()
+		fenced := s.ackWait
+		s.ackMu.Unlock()
 		// Drain everything between pos and the current head, batch by batch.
 		head := s.store.CurrentSeq()
 		for {
-			batch, nPos, nCursor := s.buildBatch(pos, cursor, head)
+			batch, err := s.buildBatch(pos, skip, head)
+			if err != nil {
+				return err.Error()
+			}
 			if len(batch) == 0 {
 				break
 			}
 			conn.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-			err := conn.WriteMessage(&protocol.Message{
+			err = conn.WriteMessage(&protocol.Message{
 				Type: protocol.MsgLogBatch, Entries: batch, PrimarySeq: head,
 				Epoch: s.epoch.Current(),
 			}, s.opts.FrameLimit)
-			if err != nil {
+			if errors.Is(err, protocol.ErrFrameTooLarge) {
 				// Oversized entries ship alone (buildBatch's byte budget), so
-				// ErrFrameTooLarge means this single entry can never be
-				// log-shipped; nothing was written and the connection is
-				// still clean for the typed redirect.
-				return errors.Is(err, protocol.ErrFrameTooLarge)
+				// this single entry can never be log-shipped; nothing was
+				// written and the connection is still clean for the typed
+				// redirect.
+				return fmt.Sprintf("a commit exceeds the %d-byte replication frame cap and cannot be log-shipped", s.opts.FrameLimit)
+			}
+			if err != nil {
+				return ""
 			}
 			for i := range batch {
-				if !batch[i].IsDDL() {
+				if batch[i].IsDDL() {
+					skip++
+				} else {
+					pos, skip = batch[i].Commit.Seq, 0
 					s.streamed.Add(1)
 				}
 			}
-			pos, cursor = nPos, nCursor
 			if pos > pin {
 				s.store.MovePin(pin, pos)
 				pin = pos
 			}
 		}
 		select {
-		case <-ch:
+		case <-logged:
+		case <-fenced:
 		case <-hb.C:
 			conn.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
 			err := conn.WriteMessage(&protocol.Message{
@@ -686,56 +604,51 @@ func (s *Source) stream(conn *protocol.Conn, pos, pin uint64, drain, dead <-chan
 				Epoch: s.epoch.Current(),
 			}, s.opts.FrameLimit)
 			if err != nil {
-				return false
+				return ""
 			}
 		case <-drain:
-			return false
+			return ""
 		case <-dead:
-			return false
+			return ""
 		}
 	}
 }
 
-// buildBatch assembles the next LogBatch after position (pos, cursor), up to
-// the caps and never past head: DDL entries interleave with commits at their
-// recorded sequence (after commit seq, before commit seq+1), so the
+// buildBatch assembles the next LogBatch for a subscriber at pos that was
+// already sent the first skip DDL statements positioned there, up to the
+// caps and never past head. The store's log interleaves DDL with commits
+// at their positions (after commit seq, before commit seq+1), so the
 // subscriber applies schema changes exactly where the primary did.
-func (s *Source) buildBatch(pos uint64, cursor int, head uint64) ([]protocol.LogEntry, uint64, int) {
-	ddls := s.pendingDDL(cursor, head)
-	var commits []storage.CommitRecord
-	if pos < head {
-		to := head
-		if span := uint64(s.opts.BatchEntries); head-pos > span {
-			to = pos + span
-		}
-		commits = s.store.ChangesBetween(pos, to)
+func (s *Source) buildBatch(pos uint64, skip int, head uint64) ([]protocol.LogEntry, error) {
+	entries, err := s.store.ReadLog(pos, min(head, pos+uint64(s.opts.BatchEntries)))
+	if err != nil {
+		return nil, err
+	}
+	// The log lists the DDL at pos first; the first skip of them went out.
+	for ; skip > 0 && len(entries) > 0 && entries[0].DDL != ""; skip-- {
+		entries = entries[1:]
 	}
 	var batch []protocol.LogEntry
-	bytes, di, ci := 0, 0, 0
-	for len(batch) < s.opts.BatchEntries {
-		if di < len(ddls) && ddls[di].seq <= pos {
-			batch = append(batch, protocol.LogEntry{DDL: ddls[di].stmt})
-			bytes += len(ddls[di].stmt)
-			cursor++
-			di++
-			continue
-		}
-		if ci >= len(commits) {
+	bytes := 0
+	for _, e := range entries {
+		if len(batch) == s.opts.BatchEntries {
 			break
 		}
-		rec := commits[ci]
+		if e.DDL != "" {
+			batch = append(batch, protocol.LogEntry{DDL: e.DDL})
+			bytes += len(e.DDL)
+			continue
+		}
 		// Serialize once: the encoding both sizes the batch budget and ships
 		// verbatim on the wire (LogEntry.EncodedCommit fast path).
-		enc := wal.EncodeCommit(nil, rec)
+		enc := wal.EncodeCommit(nil, e.CommitRecord)
 		if len(batch) > 0 && bytes+len(enc) > s.opts.BatchBytes {
 			break // ship what we have; the big record opens the next frame
 		}
 		// A traced commit ships as a traced entry, so the replica can file
 		// its apply spans under the originating request's trace.
-		batch = append(batch, protocol.LogEntry{Commit: rec, EncodedCommit: enc, TraceID: rec.TraceID})
+		batch = append(batch, protocol.LogEntry{Commit: e.CommitRecord, EncodedCommit: enc, TraceID: e.TraceID})
 		bytes += len(enc)
-		pos = rec.Seq
-		ci++
 	}
-	return batch, pos, cursor
+	return batch, nil
 }

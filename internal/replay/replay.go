@@ -87,16 +87,17 @@ type Report struct {
 
 // interceptor drives breakpoints and foreign-write injection during replay.
 type interceptor struct {
-	mu        sync.Mutex
-	r         *Replayer
-	dev       *db.DB
-	execs     []provenance.Execution
-	applied   uint64 // prod commit seq up to which foreign writes are applied
-	ownTxns   map[uint64]bool
-	report    *Report
-	onBreak   func(Breakpoint)
-	devWrites []storage.Change // CDC capture of the dev DB, drained per step
-	step      int
+	mu      sync.Mutex
+	r       *Replayer
+	dev     *db.DB
+	execs   []provenance.Execution
+	prodLog []storage.LogEntry // the production log over the replay window
+	applied uint64             // prod commit seq up to which foreign writes are applied
+	ownTxns map[uint64]bool
+	report  *Report
+	onBreak func(Breakpoint)
+	devMark uint64 // dev commit seq before the current step ran
+	step    int
 }
 
 func (ic *interceptor) Before(c *runtime.Ctx, fnLabel string) error {
@@ -117,8 +118,8 @@ func (ic *interceptor) Before(c *runtime.Ctx, fnLabel string) error {
 		// Inject foreign committed writes the original transaction saw:
 		// everything committed in (applied, orig.Snapshot] by other txns.
 		if orig.Snapshot > ic.applied {
-			for _, rec := range ic.r.prod.Store().ChangesBetween(ic.applied, orig.Snapshot) {
-				if ic.ownTxns[rec.TxnID] {
+			for _, rec := range ic.prodLog {
+				if rec.DDL != "" || rec.Seq <= ic.applied || rec.Seq > orig.Snapshot || ic.ownTxns[rec.TxnID] {
 					continue
 				}
 				injected = append(injected, rec.Changes...)
@@ -134,9 +135,9 @@ func (ic *interceptor) Before(c *runtime.Ctx, fnLabel string) error {
 			}
 		}
 	}
-	// The injection commit above is observed by the dev CDC capture; it is
-	// not part of the re-executed transaction's write set.
-	ic.devWrites = nil
+	// The injection commit above is not part of the re-executed
+	// transaction's write set: the step's writes are what commits after it.
+	ic.devMark = ic.dev.Store().CurrentSeq()
 	st.Injected = injected
 	ic.report.Steps = append(ic.report.Steps, st)
 	if ic.onBreak != nil {
@@ -153,20 +154,22 @@ func (ic *interceptor) After(c *runtime.Ctx, fnLabel string, err error) {
 	if step >= len(ic.report.Steps) {
 		return
 	}
-	// Drain the dev writes this transaction produced and compare with the
-	// original transaction's write set from the production commit log.
-	devChanges := ic.devWrites
-	ic.devWrites = nil
+	// Read the dev writes this transaction produced from the dev store's
+	// log and compare with the original transaction's write set from the
+	// production log.
 	if step >= len(ic.execs) {
 		return
 	}
+	devStore := ic.dev.Store()
+	var devChanges []storage.Change
+	for _, rec := range devStore.ChangesBetween(ic.devMark, devStore.CurrentSeq()) {
+		devChanges = append(devChanges, rec.Changes...)
+	}
 	orig := ic.execs[step]
 	var origChanges []storage.Change
-	if orig.CommitSeq > 0 {
-		for _, rec := range ic.r.prod.Store().ChangesBetween(orig.CommitSeq-1, orig.CommitSeq) {
-			if rec.TxnID == orig.TxnID {
-				origChanges = rec.Changes
-			}
+	for _, rec := range ic.prodLog {
+		if rec.DDL == "" && rec.Seq == orig.CommitSeq && rec.TxnID == orig.TxnID {
+			origChanges = rec.Changes
 		}
 	}
 	diffs := diffChanges(origChanges, devChanges)
@@ -283,30 +286,31 @@ func (r *Replayer) Replay(reqID string, register func(app *runtime.App), opts Op
 	if len(execs) == 0 {
 		return nil, fmt.Errorf("replay: request %q has no committed transactions to replay", reqID)
 	}
-	baseSeq := execs[0].Snapshot
+	baseSeq, last := execs[0].Snapshot, execs[0].Snapshot
+	for _, e := range execs {
+		last = max(last, e.Snapshot, e.CommitSeq)
+	}
 	// Replay injects the foreign commits in (baseSeq, last snapshot] and
 	// compares write sets against the request's own commit records, all read
-	// from the production CDC log. Pin the production store at baseSeq for
-	// the replay's lifetime so a concurrent auto-checkpoint with CDC
-	// retention cannot truncate that window mid-replay, then check (after
-	// pinning — the order closes the check-then-act race) that the window
-	// was not already released; if it was, fail loudly instead of replaying
-	// against a silently incomplete history.
+	// from the production change log. Pin the production store at baseSeq
+	// for the replay's lifetime so a concurrent checkpoint's vacuum cannot
+	// cut that window mid-replay, then read it (after pinning — the order
+	// closes the check-then-act race); a window already released fails
+	// loudly instead of replaying against a silently incomplete history.
 	prodStore := r.prod.Store()
 	prodStore.MovePin(prodStore.PinSnapshot(), baseSeq)
 	defer prodStore.UnpinSnapshot(baseSeq)
-	if from := prodStore.LogRetainedFrom(); from > baseSeq+1 {
-		return nil, fmt.Errorf(
-			"replay: request %q needs production history from commit %d, but the CDC log is truncated to %d (CDC retention window passed); replay unavailable",
-			reqID, baseSeq+1, from)
-	}
-	// Same check-after-pin discipline for MVCC history: restoring the dev
-	// database reads row versions at baseSeq, which Vacuum (or a checkpointed
-	// restart) may have compacted away.
+	// Restoring the dev database reads row versions at baseSeq, which Vacuum
+	// (or a checkpointed restart) may have compacted away.
 	if floor := prodStore.HistoryRetainedFrom(); baseSeq < floor {
 		return nil, fmt.Errorf(
 			"replay: request %q needs row versions at snapshot %d: %w (history retained from %d)",
 			reqID, baseSeq, storage.ErrHistoryTruncated, floor)
+	}
+	prodLog, err := prodStore.ReadLog(baseSeq, last)
+	if err != nil {
+		return nil, fmt.Errorf("replay: request %q needs production history from commit %d: %w; replay unavailable",
+			reqID, baseSeq+1, err)
 	}
 
 	dev, err := r.restore(baseSeq, opts.Tables)
@@ -319,16 +323,12 @@ func (r *Replayer) Replay(reqID string, register func(app *runtime.App), opts Op
 		r:       r,
 		dev:     dev,
 		execs:   execs,
+		prodLog: prodLog,
 		applied: baseSeq,
 		ownTxns: ownTxns,
 		report:  report,
 		onBreak: opts.OnBreakpoint,
 	}
-	dev.Store().SubscribeCDC(func(rec storage.CommitRecord) {
-		// Replay is single-threaded; collect this step's writes.
-		ic.devWrites = append(ic.devWrites, rec.Changes...)
-	})
-
 	devApp := runtime.New(dev)
 	register(devApp)
 	devApp.SetTxnInterceptor(ic)
@@ -367,12 +367,12 @@ func (r *Replayer) restore(seq uint64, tables []string) (*db.DB, error) {
 	dev := storage.NewStore()
 	for _, name := range prodStore.Tables() {
 		tbl := prodStore.Table(name)
-		if err := dev.CreateTable(tbl.Clone(), false); err != nil {
+		if err := dev.CreateTable(tbl.Clone(), false, nil); err != nil {
 			return nil, err
 		}
 		for _, ix := range prodStore.Indexes(name) {
 			cp := *ix
-			if err := dev.CreateIndex(&cp); err != nil {
+			if err := dev.CreateIndex(&cp, nil); err != nil {
 				return nil, err
 			}
 		}

@@ -142,10 +142,10 @@ func TestReplayBreakpointOrdering(t *testing.T) {
 	}
 }
 
-// TestReplayFailsLoudlyOnTruncatedCDC pins the CDC-retention contract: when
-// the production commit log no longer reaches back to the replayed request's
-// snapshot (TruncateLog released the prefix), Replay must refuse with a
-// clear error instead of injecting a silently incomplete foreign history.
+// TestReplayFailsLoudlyOnTruncatedCDC pins the log-retention contract: when
+// the production change log no longer reaches back to the replayed
+// request's snapshot (a vacuum released the prefix), Replay must refuse with
+// a clear error instead of injecting a silently incomplete foreign history.
 func TestReplayFailsLoudlyOnTruncatedCDC(t *testing.T) {
 	prod, tr, late := travelScenario(t)
 	rp := New(prod, tr.Writer())
@@ -155,8 +155,9 @@ func TestReplayFailsLoudlyOnTruncatedCDC(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Release the whole CDC prefix, as a checkpoint with CDCRetention would.
-	prod.Store().TruncateLog(prod.Store().CurrentSeq())
+	// Release the whole log prefix, as a checkpoint's vacuum under
+	// HistoryRetention would.
+	prod.Store().Vacuum(prod.Store().CurrentSeq())
 	_, err := rp.Replay(late, workload.RegisterTravel, Options{})
 	if err == nil {
 		t.Fatal("replay over a truncated CDC log must fail loudly")

@@ -261,7 +261,7 @@ func TestApplyForeignUpsertSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.CreateTable(tbl, false); err != nil {
+	if err := dev.CreateTable(tbl, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	row := value.Row{value.Text("a"), value.Int(1)}

@@ -38,10 +38,10 @@ func benchStore(b *testing.B, nEvents, needleEvery int) *storage.Store {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := store.CreateTable(ev, false); err != nil {
+	if err := store.CreateTable(ev, false, nil); err != nil {
 		b.Fatal(err)
 	}
-	if err := store.CreateTable(exec, false); err != nil {
+	if err := store.CreateTable(exec, false, nil); err != nil {
 		b.Fatal(err)
 	}
 	err = txn.Run(store, func(t *txn.Txn) error {
@@ -140,7 +140,7 @@ func BenchmarkNestedLoopJoin(b *testing.B) {
 func BenchmarkIndexRangeScan(b *testing.B) {
 	store := benchStore(b, 50_000, 0)
 	tbl := store.Table("events")
-	if err := store.CreateIndex(&schema.Index{Name: "ev_txn", Table: tbl.Name, Columns: []int{1}}); err != nil {
+	if err := store.CreateIndex(&schema.Index{Name: "ev_txn", Table: tbl.Name, Columns: []int{1}}, nil); err != nil {
 		b.Fatal(err)
 	}
 	runPlanBench(b, store,

@@ -37,7 +37,7 @@ func (h *harness) ddl(src string) {
 			if err != nil {
 				h.t.Fatal(err)
 			}
-			if err := h.store.CreateTable(tbl, s.IfNotExists); err != nil {
+			if err := h.store.CreateTable(tbl, s.IfNotExists, nil); err != nil {
 				h.t.Fatal(err)
 			}
 		case *sqlparse.CreateIndex:
@@ -46,7 +46,7 @@ func (h *harness) ddl(src string) {
 			for i, c := range s.Columns {
 				cols[i] = tbl.ColumnIndex(c)
 			}
-			if err := h.store.CreateIndex(&schema.Index{Name: s.Name, Table: s.Table, Columns: cols, Unique: s.Unique}); err != nil {
+			if err := h.store.CreateIndex(&schema.Index{Name: s.Name, Table: s.Table, Columns: cols, Unique: s.Unique}, nil); err != nil {
 				h.t.Fatal(err)
 			}
 		default:

@@ -18,10 +18,10 @@ func emailTable(t *testing.T) (*Store, *schema.Table) {
 		{Name: "id", Type: value.KindInt},
 		{Name: "email", Type: value.KindText},
 	}, []string{"id"})
-	if err := s.CreateTable(tbl, false); err != nil {
+	if err := s.CreateTable(tbl, false, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CreateIndex(&schema.Index{Name: "u_email", Table: "emails", Columns: []int{1}, Unique: true}); err != nil {
+	if err := s.CreateIndex(&schema.Index{Name: "u_email", Table: "emails", Columns: []int{1}, Unique: true}, nil); err != nil {
 		t.Fatal(err)
 	}
 	return s, tbl
@@ -265,10 +265,10 @@ func TestIndexRangeOCCPrecision(t *testing.T) {
 		{Name: "id", Type: value.KindInt},
 		{Name: "v", Type: value.KindInt},
 	}, []string{"id"})
-	if err := s.CreateTable(tbl, false); err != nil {
+	if err := s.CreateTable(tbl, false, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CreateIndex(&schema.Index{Name: "iv", Table: "t", Columns: []int{1}}); err != nil {
+	if err := s.CreateIndex(&schema.Index{Name: "iv", Table: "t", Columns: []int{1}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	mkRow := func(id, v int64) value.Row { return value.Row{value.Int(id), value.Int(v)} }
@@ -328,7 +328,7 @@ func TestIndexRangeOCCPrecision(t *testing.T) {
 
 	// Unrelated-table writer never conflicts with an index range.
 	tbl2 := kvTable(t, "other")
-	if err := s.CreateTable(tbl2, false); err != nil {
+	if err := s.CreateTable(tbl2, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	snap = s.CurrentSeq()

@@ -25,8 +25,10 @@ import (
 //
 // Layout (all integers uvarint unless noted):
 //
-//	magic "TRODSNP1" (8 bytes)
-//	seq, nextTxn, tableCount
+//	magic "TRODSNP2" (8 bytes)
+//	seq, nextTxn
+//	ddlCount, per statement: stmt — the DDL positioned at seq, in order
+//	tableCount
 //	per table, sorted by lowercased name:
 //	  name, columnCount, per column: name, kind byte, notNull byte
 //	  pkCount, per pk: column position
@@ -37,9 +39,18 @@ import (
 // Secondary indexes are not serialized; DecodeSnapshot rebuilds them from
 // the row images through the normal CreateIndex backfill, so snapshot and
 // live index construction can never diverge.
+//
+// The DDL at seq ran after commit seq, so the restored store's change log
+// starts at seq and a reader there must still be sent it. "TRODSNP1" images
+// have no DDL section: they still load, with the DDL at their base unknown,
+// and a store in that state encodes as TRODSNP1 again.
 
-// snapMagic identifies and versions the snapshot format.
-const snapMagic = "TRODSNP1"
+// snapMagic identifies and versions the snapshot format; snapMagicV1 is
+// the format without the base DDL.
+const (
+	snapMagic   = "TRODSNP2"
+	snapMagicV1 = "TRODSNP1"
+)
 
 // snapFormatGzip is the file-level format byte introduced for compressed
 // snapshots: a snapshot file (or wire-shipped bootstrap image) starting with
@@ -66,9 +77,21 @@ func (s *Store) EncodeSnapshot() ([]byte, uint64) {
 	}
 	sort.Strings(names)
 
-	dst := append([]byte(nil), snapMagic...)
+	lost := s.baseDDLLost && s.seq == s.logBase
+	magic := snapMagic
+	if lost {
+		magic = snapMagicV1
+	}
+	dst := append([]byte(nil), magic...)
 	dst = binary.AppendUvarint(dst, s.seq)
 	dst = binary.AppendUvarint(dst, s.nextTxn)
+	if !lost {
+		base := sort.Search(len(s.ddl), func(i int) bool { return s.ddl[i].Seq >= s.seq })
+		dst = binary.AppendUvarint(dst, uint64(len(s.ddl)-base))
+		for _, e := range s.ddl[base:] {
+			dst = snapString(dst, e.DDL)
+		}
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(names)))
 	for _, tkey := range names {
 		tbl := s.catalog[tkey]
@@ -130,7 +153,11 @@ func (s *Store) EncodeSnapshot() ([]byte, uint64) {
 // have the WAL tail applied through ApplyCommitted. Validation failures
 // return ErrSnapshotCorrupt (wrapped).
 func DecodeSnapshot(data []byte) (*Store, error) {
-	if len(data) < len(snapMagic)+4 || string(data[:len(snapMagic)]) != snapMagic {
+	if len(data) < len(snapMagic)+4 {
+		return nil, fmt.Errorf("%w: bad magic", ErrSnapshotCorrupt)
+	}
+	v1 := string(data[:len(snapMagicV1)]) == snapMagicV1
+	if !v1 && string(data[:len(snapMagic)]) != snapMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrSnapshotCorrupt)
 	}
 	body, crc := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
@@ -146,6 +173,23 @@ func DecodeSnapshot(data []byte) (*Store, error) {
 	nextTxn, off, err := snapUvarint(src, off)
 	if err != nil {
 		return nil, err
+	}
+	var baseDDL []LogEntry
+	if !v1 {
+		var nDDL uint64
+		if nDDL, off, err = snapUvarint(src, off); err != nil {
+			return nil, err
+		}
+		if nDDL > uint64(len(src)-off) {
+			return nil, fmt.Errorf("%w: ddl count exceeds payload", ErrSnapshotCorrupt)
+		}
+		baseDDL = make([]LogEntry, nDDL)
+		for i := range baseDDL {
+			baseDDL[i].Seq = seq
+			if baseDDL[i].DDL, off, err = snapReadString(src, off); err != nil {
+				return nil, err
+			}
+		}
 	}
 	nTables, off, err := snapUvarint(src, off)
 	if err != nil {
@@ -213,7 +257,7 @@ func DecodeSnapshot(data []byte) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 		}
-		if err := dst.CreateTable(tbl, false); err != nil {
+		if err := dst.CreateTable(tbl, false, nil); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 		}
 		var nIdx uint64
@@ -278,7 +322,7 @@ func DecodeSnapshot(data []byte) (*Store, error) {
 		}
 		// Rebuild secondary indexes from the restored rows (backfill at seq).
 		for _, ix := range indexes {
-			if err := dst.CreateIndex(ix); err != nil {
+			if err := dst.CreateIndex(ix, nil); err != nil {
 				return nil, fmt.Errorf("%w: rebuilding index: %v", ErrSnapshotCorrupt, err)
 			}
 		}
@@ -286,6 +330,9 @@ func DecodeSnapshot(data []byte) (*Store, error) {
 	if off != len(src) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, len(src)-off)
 	}
+	// Rebuilding the catalog logged its statements; the log holds what the
+	// image says ran at its base instead.
+	dst.ddl, dst.baseDDLLost = baseDDL, v1
 	return dst, nil
 }
 
@@ -406,8 +453,8 @@ func SyncDir(dir string) {
 // records whose Seq is greater than from — the WAL tail a checkpoint at
 // `from` must preserve. While fn runs no commit can start, so rotating the
 // WAL inside fn cannot lose a record that raced the rotation. It fails if
-// the in-memory CDC log no longer reaches back to `from` (TruncateLog ran
-// past it), in which case the caller must leave the WAL untouched.
+// the change log no longer reaches back to `from` (Vacuum cut past it), in
+// which case the caller must leave the WAL untouched.
 func (s *Store) CheckpointTail(from uint64, fn func(tail []CommitRecord) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

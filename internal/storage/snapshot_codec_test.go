@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -77,7 +78,7 @@ func codecStore(t testing.TB, seed int64) *storage.Store {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.CreateTable(tbl, false); err != nil {
+			if err := s.CreateTable(tbl, false, nil); err != nil {
 				t.Fatal(err)
 			}
 			tables = append(tables, &live{tbl: tbl, rows: map[string]value.Row{}})
@@ -88,10 +89,10 @@ func codecStore(t testing.TB, seed int64) *storage.Store {
 			for i := 0; i < ncols; i++ {
 				ix.Columns = append(ix.Columns, 1+rng.Intn(len(lt.tbl.Columns)-1))
 			}
-			_ = s.CreateIndex(ix) // existing rows may already violate a unique index
+			_ = s.CreateIndex(ix, nil) // existing rows may already violate a unique index
 		case r == 3 && len(tables) > 1:
 			i := rng.Intn(len(tables))
-			if err := s.DropTable(tables[i].tbl.Name, false); err != nil {
+			if err := s.DropTable(tables[i].tbl.Name, false, nil); err != nil {
 				t.Fatal(err)
 			}
 			tables = append(tables[:i], tables[i+1:]...)
@@ -211,6 +212,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		img, _ := codecStore(f, seed).EncodeSnapshot()
 		f.Add(img[8 : len(img)-4])
 	}
+	img, _ = baseDDLStore(f).EncodeSnapshot()
+	f.Add(img[8 : len(img)-4])
 	f.Fuzz(func(t *testing.T, body []byte) {
 		in := sealSnapshot(magic, body)
 		var st *storage.Store
@@ -234,4 +237,108 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatalf("accepted image changed through re-encoding: %s", diff)
 		}
 	})
+}
+
+// baseDDLStore is a random store with two DDL statements positioned at its
+// current seq, after its last commit.
+func baseDDLStore(t testing.TB) *storage.Store {
+	t.Helper()
+	s := codecStore(t, 3)
+	tbl, err := schema.NewTable("late", []schema.Column{{Name: "id", Type: value.KindInt}, {Name: "v", Type: value.KindText}}, []string{"id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateTable(tbl, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateIndex(&schema.Index{Name: "late_v", Table: "late", Columns: []int{1}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// logNames renders change-log entries as DDL text or "commit N".
+func logNames(entries []storage.LogEntry) []string {
+	var out []string
+	for _, e := range entries {
+		if e.DDL != "" {
+			out = append(out, e.DDL)
+		} else {
+			out = append(out, fmt.Sprintf("commit %d", e.Seq))
+		}
+	}
+	return out
+}
+
+// TestSnapshotCarriesBaseDDL: the DDL positioned at a snapshot's seq ran
+// after the last commit the snapshot holds, so a reader at that seq still
+// needs it; the restored store's change log starts with it.
+func TestSnapshotCarriesBaseDDL(t *testing.T) {
+	src := baseDDLStore(t)
+	seq := src.CurrentSeq()
+	want, err := src.ReadLog(seq, seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) < 2 {
+		t.Fatalf("fixture has %d entries at its seq, want the two late DDL", len(want))
+	}
+	img, _ := src.EncodeSnapshot()
+	got, err := storage.DecodeSnapshot(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := got.ReadLog(seq, seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(logNames(entries)) != fmt.Sprint(logNames(want)) {
+		t.Fatalf("restored log at %d = %q, want %q", seq, logNames(entries), logNames(want))
+	}
+	if _, err := got.ReadLog(seq-1, seq); !errors.Is(err, storage.ErrLogTruncated) {
+		t.Fatalf("read below the restored base: err = %v, want ErrLogTruncated", err)
+	}
+}
+
+// TestLegacySnapshotBaseDDLUnknown: a TRODSNP1 image still loads, but it
+// does not say which DDL ran at its seq, so a read from exactly there is
+// refused until the log moves past it, and the store encodes as TRODSNP1
+// again while it stays there.
+func TestLegacySnapshotBaseDDLUnknown(t *testing.T) {
+	src := codecStore(t, 4)
+	img, seq := src.EncodeSnapshot()
+	// A TRODSNP1 body is the TRODSNP2 body without the DDL section, which
+	// this store leaves empty: drop the zero count after seq and nextTxn.
+	body := img[8 : len(img)-4]
+	_, n1 := binary.Uvarint(body)
+	_, n2 := binary.Uvarint(body[n1:])
+	if body[n1+n2] != 0 {
+		t.Fatal("fixture has DDL at its base")
+	}
+	legacy := sealSnapshot([]byte("TRODSNP1"), append(append([]byte(nil), body[:n1+n2]...), body[n1+n2+1:]...))
+	got, err := storage.DecodeSnapshot(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := crashtest.StoreDiff(got, src); diff != "" {
+		t.Fatal(diff)
+	}
+	if _, err := got.ReadLog(seq, seq); !errors.Is(err, storage.ErrLogTruncated) {
+		t.Fatalf("read at a TRODSNP1 base: err = %v, want ErrLogTruncated", err)
+	}
+	if again, _ := got.EncodeSnapshot(); !bytes.Equal(again, legacy) {
+		t.Fatal("a store at an unknown base must re-encode as the TRODSNP1 image it came from")
+	}
+	tbl := got.Table(got.Tables()[0])
+	row := make(value.Row, len(tbl.Columns))
+	for i := range row {
+		row[i] = value.Null
+	}
+	row[0] = value.Int(1 << 40)
+	if _, err := got.Commit(storage.CommitRequest{Snapshot: seq, Changes: []storage.Change{{Table: tbl.Name, Key: tbl.EncodePrimaryKey(row), Op: storage.OpInsert, After: row}}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if entries, err := got.ReadLog(seq+1, seq+1); err != nil || len(entries) != 0 {
+		t.Fatalf("read past the unknown base = %v, %v", entries, err)
+	}
 }

@@ -21,13 +21,13 @@ func snapshotFixture(t *testing.T) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CreateTable(users, false); err != nil {
+	if err := s.CreateTable(users, false, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CreateIndex(&schema.Index{Name: "users_name", Table: "Users", Columns: []int{1}}); err != nil {
+	if err := s.CreateIndex(&schema.Index{Name: "users_name", Table: "Users", Columns: []int{1}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CreateIndex(&schema.Index{Name: "users_uniq", Table: "Users", Columns: []int{1, 2}, Unique: true}); err != nil {
+	if err := s.CreateIndex(&schema.Index{Name: "users_uniq", Table: "Users", Columns: []int{1, 2}, Unique: true}, nil); err != nil {
 		t.Fatal(err)
 	}
 	rows := []value.Row{
@@ -243,7 +243,7 @@ func TestCheckpointTail(t *testing.T) {
 	}
 	// A truncated CDC log that no longer reaches the snapshot seq must
 	// refuse (the caller would otherwise rotate away unpreserved records).
-	s.TruncateLog(3)
+	s.Vacuum(3)
 	if err := s.CheckpointTail(2, func([]CommitRecord) error { return nil }); err == nil {
 		t.Fatal("CheckpointTail over a truncated log should fail")
 	}

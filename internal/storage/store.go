@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -55,17 +56,39 @@ type CommitRecord struct {
 	Changes []Change
 	// TraceID is the span trace of the request that produced the commit (0
 	// when untraced). It lives only in memory — the WAL encoding leaves it
-	// out — so a replication source catching a subscriber up from the CDC
-	// log can ship each commit with its originating trace.
+	// out — so a replication source catching a subscriber up from the
+	// change log can ship each commit with its originating trace.
 	TraceID uint64
 }
 
 // LogStep is a commit's write-ahead step. Commit and ApplyCommitted run it
 // under the commit lock, once the record's changes are applied and before
-// the record reaches the CDC log or any subscriber, so the write-ahead log's
-// order is the serialization order. The step must not call back into the
-// store; what it did (and whether it failed) is the caller's to carry back.
+// the record reaches the change log or any subscriber, so the write-ahead
+// log's order is the serialization order. The step must not call back into
+// the store; what it did (and whether it failed) is the caller's to carry
+// back.
 type LogStep func(rec CommitRecord)
+
+// DDLStep is a schema statement's write-ahead step, the DDL counterpart of
+// LogStep: CreateTable, DropTable and CreateIndex run it under the commit
+// lock with the statement and its position (after commit seq, before commit
+// seq+1) once the change is applied. A statement that changes nothing (IF
+// NOT EXISTS on an existing table, IF EXISTS on a missing one) does not run
+// it.
+type DDLStep func(seq uint64, stmt string)
+
+// LogEntry is one entry of the store's change log: a commit record, or a
+// schema statement (DDL set) that executed after commit Seq and before
+// commit Seq+1, whose record carries only that Seq.
+type LogEntry struct {
+	CommitRecord
+	DDL string
+}
+
+// ErrLogTruncated reports a ReadLog window that starts before the retained
+// change log: the entries it needs were cut (Vacuum) or folded into the
+// snapshot the store was restored from.
+var ErrLogTruncated = errors.New("storage: change log truncated")
 
 // ReadRange describes a scanned key interval for OCC validation. Hi == ""
 // means unbounded above.
@@ -222,19 +245,26 @@ type Store struct {
 	epoch    uint64 // bumped on every DDL; keys plan-cache validity
 	seq      uint64 // latest committed sequence
 	nextTxn  uint64
-	log      []CommitRecord
-	logBase  uint64 // seq of log[0]-1; supports truncation
-	cdcSubs  []func(CommitRecord)
-	// ddlHook is invoked (under lock) on DDL with the commit sequence the
-	// statement executed at — every commit <= seq happened before it, every
-	// commit > seq after. The WAL uses it for schema logging; replication
-	// uses the sequence to position DDL in the shipped log.
-	ddlHook func(seq uint64, stmt string)
 
-	// pins counts active transactions per snapshot sequence. TruncateLog
-	// never discards a record a pinned snapshot could still need for OCC
-	// validation (commits after the snapshot), so CDC memory release is safe
-	// under concurrent transactions of any age.
+	// The change log: commits in log, dense (log[i].Seq == logBase+i+1), and
+	// the DDL statements in ddl, each positioned at the commit it followed,
+	// in execution order. It holds every commit after logBase and every DDL
+	// positioned at or after it, except that baseDDLLost marks the DDL at
+	// logBase itself unknown (a store restored from a TRODSNP1 image, which
+	// does not carry it). ReadLog merges the two.
+	log         []CommitRecord
+	ddl         []LogEntry
+	logBase     uint64
+	baseDDLLost bool
+	// logWait is closed when the next entry reaches the log (LogSignal);
+	// nil while nobody waits.
+	logWait chan struct{}
+	cdcSubs []func(CommitRecord)
+
+	// pins counts active transactions per snapshot sequence. Vacuum never
+	// cuts a record a pinned snapshot could still need for OCC validation
+	// (commits after the snapshot), so releasing the log is safe under
+	// concurrent transactions of any age.
 	pins map[uint64]int
 
 	// historyFloor is the oldest snapshot at which version-chain reads are
@@ -265,8 +295,9 @@ func NewStore() *Store {
 // --- catalog ---------------------------------------------------------------
 
 // CreateTable installs a table. It fails if the name is taken unless
-// ifNotExists is set.
-func (s *Store) CreateTable(t *schema.Table, ifNotExists bool) error {
+// ifNotExists is set. log, when non-nil, runs on the statement as its
+// write-ahead step.
+func (s *Store) CreateTable(t *schema.Table, ifNotExists bool, log DDLStep) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	key := strings.ToLower(t.Name)
@@ -278,15 +309,12 @@ func (s *Store) CreateTable(t *schema.Table, ifNotExists bool) error {
 	}
 	s.catalog[key] = t
 	s.data[key] = &tableData{rows: newBTree[*entry](), indexes: make(map[string]*btree[*indexEntry])}
-	s.epoch++
-	if s.ddlHook != nil {
-		s.ddlHook(s.seq, t.String())
-	}
+	s.logDDL(t.String(), log)
 	return nil
 }
 
-// DropTable removes a table and its indexes.
-func (s *Store) DropTable(name string, ifExists bool) error {
+// DropTable removes a table and its indexes. log is as for CreateTable.
+func (s *Store) DropTable(name string, ifExists bool, log DDLStep) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	key := strings.ToLower(name)
@@ -299,16 +327,13 @@ func (s *Store) DropTable(name string, ifExists bool) error {
 	delete(s.catalog, key)
 	delete(s.data, key)
 	delete(s.indexDef, key)
-	s.epoch++
-	if s.ddlHook != nil {
-		s.ddlHook(s.seq, "DROP TABLE "+name)
-	}
+	s.logDDL("DROP TABLE "+name, log)
 	return nil
 }
 
 // CreateIndex installs a secondary index and backfills it from the current
-// table contents (at the latest sequence).
-func (s *Store) CreateIndex(ix *schema.Index) error {
+// table contents (at the latest sequence). log is as for CreateTable.
+func (s *Store) CreateIndex(ix *schema.Index, log DDLStep) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	tkey := strings.ToLower(ix.Table)
@@ -342,19 +367,28 @@ func (s *Store) CreateIndex(ix *schema.Index) error {
 	}
 	td.indexes[ikey] = tree
 	s.indexDef[tkey] = append(s.indexDef[tkey], ix)
-	s.epoch++
-	if s.ddlHook != nil {
-		uniq := ""
-		if ix.Unique {
-			uniq = "UNIQUE "
-		}
-		cols := make([]string, len(ix.Columns))
-		for i, c := range ix.Columns {
-			cols[i] = tbl.Columns[c].Name
-		}
-		s.ddlHook(s.seq, fmt.Sprintf("CREATE %sINDEX %s ON %s (%s)", uniq, ix.Name, ix.Table, strings.Join(cols, ", ")))
+	uniq := ""
+	if ix.Unique {
+		uniq = "UNIQUE "
 	}
+	cols := make([]string, len(ix.Columns))
+	for i, c := range ix.Columns {
+		cols[i] = tbl.Columns[c].Name
+	}
+	s.logDDL(fmt.Sprintf("CREATE %sINDEX %s ON %s (%s)", uniq, ix.Name, ix.Table, strings.Join(cols, ", ")), log)
 	return nil
+}
+
+// logDDL finishes an applied schema change: it bumps the schema epoch, runs
+// the write-ahead step and appends the statement to the change log at the
+// current position. Called under s.mu.
+func (s *Store) logDDL(stmt string, log DDLStep) {
+	s.epoch++
+	if log != nil {
+		log(s.seq, stmt)
+	}
+	s.ddl = append(s.ddl, LogEntry{CommitRecord: CommitRecord{Seq: s.seq}, DDL: stmt})
+	s.signalLocked()
 }
 
 // Table returns the schema for name, or nil.
@@ -385,12 +419,6 @@ func (s *Store) Indexes(table string) []*schema.Index {
 	copy(out, defs)
 	return out
 }
-
-// SetDDLHook installs a callback invoked for every DDL statement with the
-// commit sequence it executed at; the WAL uses it to persist schema changes
-// and replication to order DDL in the shipped log. Must be set before
-// concurrent use.
-func (s *Store) SetDDLHook(fn func(seq uint64, stmt string)) { s.ddlHook = fn }
 
 // SchemaEpoch returns a counter that increases on every successful DDL
 // statement (CREATE TABLE, CREATE INDEX, DROP TABLE). The SQL layer keys its
@@ -565,19 +593,19 @@ type CommitRequest struct {
 	Reads    *ReadSet
 	Changes  []Change // in execution order; at most one change per key
 	TraceID  uint64   // copied onto the CommitRecord
-	// Unlogged marks a commit nobody will read back from the CDC log — a
+	// Unlogged marks a commit nobody will read back from the change log — a
 	// provenance batch: replay and retro consume the production log. The
 	// store keeps its record out of the log when no subscriber and no pinned
 	// snapshot can need it, and otherwise releases the log up to it as
-	// TruncateLog would. Either way the Changes slice stays the caller's to
-	// reuse once Commit returns.
+	// Vacuum would. Either way the Changes slice stays the caller's to reuse
+	// once Commit returns.
 	Unlogged bool
 }
 
 // Commit validates the read set against everything committed after the
 // transaction's snapshot and, if valid, atomically applies the changes,
 // assigns the next commit sequence, runs log (when non-nil) on the record,
-// appends it to the CDC log, and notifies subscribers. On conflict it
+// appends it to the change log, and notifies subscribers. On conflict it
 // returns *ConflictError.
 //
 // Validation is precise at key granularity and phantom-safe: every commit in
@@ -614,13 +642,13 @@ func (s *Store) Commit(req CommitRequest, log LogStep) (uint64, error) {
 	rec := CommitRecord{Seq: newSeq, TxnID: req.TxnID, Changes: req.Changes, TraceID: req.TraceID}
 	if log != nil {
 		// Before the Unlogged shortcut: a record nobody reads back from the
-		// CDC log still has to reach the write-ahead log.
+		// change log still has to reach the write-ahead log.
 		log(rec)
 	}
 	if req.Unlogged && len(s.log) == 0 && len(s.cdcSubs) == 0 && len(s.pins) == 0 {
 		// Nobody can ask for this record: every pin is older than the commit,
 		// so none means no transaction's validation window reaches it.
-		s.logBase = newSeq
+		s.cutLog(newSeq)
 		return newSeq, nil
 	}
 	if req.Unlogged {
@@ -630,8 +658,9 @@ func (s *Store) Commit(req CommitRequest, log LogStep) (uint64, error) {
 	for _, sub := range s.cdcSubs {
 		sub(rec)
 	}
+	s.signalLocked()
 	if req.Unlogged {
-		s.truncateLog(newSeq)
+		s.cutLog(newSeq)
 	}
 	return newSeq, nil
 }
@@ -1012,11 +1041,12 @@ func (s *Store) logIndex(seq uint64) int {
 	return int(seq - s.logBase - 1)
 }
 
-// --- CDC and time travel -----------------------------------------------------
+// --- the change log and time travel -------------------------------------------
 
 // SubscribeCDC registers fn to receive every future commit record. fn runs
 // under the store lock: it must be fast and must not call back into the
-// store (the TROD tracer only appends to a buffer).
+// store (the TROD tracer only appends to a buffer). Readers that can pull
+// use ReadLog and LogSignal instead.
 func (s *Store) SubscribeCDC(fn func(CommitRecord)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1024,7 +1054,9 @@ func (s *Store) SubscribeCDC(fn func(CommitRecord)) {
 }
 
 // ChangesBetween returns the commit records with Seq in (from, to], i.e.
-// everything committed after snapshot `from` up to and including `to`.
+// everything committed after snapshot `from` up to and including `to`. It
+// is the commit half of ReadLog without its check: a window that starts
+// before the retained log comes back short.
 func (s *Store) ChangesBetween(from, to uint64) []CommitRecord {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -1041,11 +1073,68 @@ func (s *Store) ChangesBetween(from, to uint64) []CommitRecord {
 	return out
 }
 
+// ReadLog returns what a reader positioned at commit `from` has not seen, up
+// to commit `to`, in execution order: the commits with Seq in (from, to]
+// and the DDL statements positioned in [from, to]. DDL at exactly `from`
+// is included because a reader at `from` cannot know whether it already
+// applied it; replication re-applies it idempotently. A window that starts
+// before the retained log fails with ErrLogTruncated rather than coming
+// back short.
+func (s *Store) ReadLog(from, to uint64) ([]LogEntry, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	floor := s.logBase
+	if s.baseDDLLost {
+		floor++
+	}
+	if from < floor {
+		return nil, fmt.Errorf("%w: cannot read from seq %d, the log is complete from seq %d", ErrLogTruncated, from, floor)
+	}
+	var out []LogEntry
+	ci := s.logIndex(from + 1)
+	di := sort.Search(len(s.ddl), func(i int) bool { return s.ddl[i].Seq >= from })
+	for {
+		commit := ci < len(s.log) && s.log[ci].Seq <= to
+		ddl := di < len(s.ddl) && s.ddl[di].Seq <= to
+		switch {
+		case ddl && (!commit || s.ddl[di].Seq < s.log[ci].Seq):
+			out = append(out, s.ddl[di])
+			di++
+		case commit:
+			out = append(out, LogEntry{CommitRecord: s.log[ci]})
+			ci++
+		default:
+			return out, nil
+		}
+	}
+}
+
+// LogSignal returns a channel that is closed when the next entry, a commit
+// or a DDL statement, reaches the change log. A reader takes it before
+// ReadLog, so nothing appended after the read goes unnoticed.
+func (s *Store) LogSignal() <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.logWait == nil {
+		s.logWait = make(chan struct{})
+	}
+	return s.logWait
+}
+
+// signalLocked wakes LogSignal waiters; with none it costs a nil check.
+// Called under s.mu.
+func (s *Store) signalLocked() {
+	if s.logWait != nil {
+		close(s.logWait)
+		s.logWait = nil
+	}
+}
+
 // PinSnapshot registers the caller as an active reader at the current
 // committed sequence and returns it. Until the matching UnpinSnapshot,
-// TruncateLog keeps every commit record after that sequence, so a
-// transaction's OCC validation window can never be truncated out from under
-// it. The transaction layer pins at Begin and unpins at Commit/Abort.
+// Vacuum keeps every version and log entry from that sequence on, so a
+// transaction's OCC validation window can never be cut out from under it.
+// The transaction layer pins at Begin and unpins at Commit/Abort.
 func (s *Store) PinSnapshot() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1078,10 +1167,7 @@ func (s *Store) unpinLocked(seq uint64) {
 }
 
 // LogRetainedFrom returns the first commit sequence still present in the
-// in-memory CDC log. ChangesBetween windows that start before it would be
-// silently incomplete (TruncateLog released the prefix); consumers that
-// need a complete historical window — the replay engine — must check it
-// before iterating.
+// change log. ReadLog refuses windows that start before it.
 func (s *Store) LogRetainedFrom() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -1109,7 +1195,7 @@ func (s *Store) oldestPinLocked() (uint64, bool) {
 
 // HistoryRetainedFrom returns the oldest snapshot sequence at which version
 // chains are still complete — the analogue of LogRetainedFrom for MVCC
-// history rather than the CDC log. Time-travel reads (BeginAt, CloneAt,
+// history rather than the change log. Time-travel reads (BeginAt, CloneAt,
 // replay restore) below it must fail loudly: vacuum or a checkpointed
 // restart has discarded the versions they would need, and proceeding would
 // return plausible-but-empty results.
@@ -1119,31 +1205,24 @@ func (s *Store) HistoryRetainedFrom() uint64 {
 	return s.historyFloor
 }
 
-// TruncateLog discards commit records with Seq <= upTo, bounding CDC memory.
-// Version chains (time travel) are unaffected. The cut is clamped to the
-// oldest pinned snapshot: records in an active transaction's validation
-// window (anything after its snapshot) are always retained.
-func (s *Store) TruncateLog(upTo uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.truncateLog(upTo)
-}
-
-func (s *Store) truncateLog(upTo uint64) {
+// cutLog releases the change log up to upTo: commit records with Seq <=
+// upTo and DDL positioned before it. The cut is clamped to the oldest
+// pinned snapshot: entries in an active reader's window (anything after its
+// snapshot) are always retained. Called under s.mu.
+func (s *Store) cutLog(upTo uint64) {
 	for seq := range s.pins {
 		if seq < upTo {
 			upTo = seq
 		}
 	}
-	idx := s.logIndex(upTo + 1)
-	if idx <= 0 {
+	if upTo <= s.logBase {
 		return
 	}
-	if idx > len(s.log) {
-		idx = len(s.log)
-	}
+	idx := min(s.logIndex(upTo+1), len(s.log))
 	s.log = append([]CommitRecord(nil), s.log[idx:]...)
-	s.logBase = upTo
+	d := sort.Search(len(s.ddl), func(i int) bool { return s.ddl[i].Seq >= upTo })
+	s.ddl = append([]LogEntry(nil), s.ddl[d:]...)
+	s.logBase, s.baseDDLLost = upTo, false
 }
 
 // ApplyCommitted force-applies an already-serialized commit record, used by
@@ -1169,6 +1248,7 @@ func (s *Store) ApplyCommitted(rec CommitRecord, log LogStep) error {
 		log(rec)
 	}
 	s.log = append(s.log, rec)
+	s.signalLocked()
 	return nil
 }
 
@@ -1179,8 +1259,9 @@ func (s *Store) ApplyCommitted(rec CommitRecord, log LogStep) error {
 // primary's retained log window: the store object (and every handle held on
 // it by servers and sessions) stays valid while its contents jump forward.
 //
-// The in-memory CDC log restarts empty at the new sequence. CDC
-// subscriptions, the DDL hook, and snapshot pins are preserved; transactions
+// The change log restarts at the new sequence with src's (the DDL the
+// snapshot carried at its base). CDC subscriptions and snapshot pins are
+// preserved; transactions
 // begun before the reset keep running but read at snapshots below the new
 // base, where row versions no longer exist — they observe empty tables, and
 // any write commit fails validation. The schema epoch is advanced past both
@@ -1197,10 +1278,11 @@ func (s *Store) ResetTo(src *Store) {
 	if src.nextTxn > s.nextTxn {
 		s.nextTxn = src.nextTxn
 	}
-	s.log = nil
-	s.logBase = src.seq
+	s.log, s.ddl = nil, src.ddl
+	s.logBase, s.baseDDLLost = src.seq, src.baseDDLLost
 	s.historyFloor = src.historyFloor
 	s.epoch += src.epoch + 1
+	s.signalLocked()
 }
 
 // CloneAt materialises a new Store containing this store's schema and the
@@ -1222,12 +1304,12 @@ func (s *Store) CloneAt(seq uint64) (*Store, error) {
 	}
 	sort.Strings(tkeys)
 	for _, tkey := range tkeys {
-		if err := dst.CreateTable(s.catalog[tkey].Clone(), false); err != nil {
+		if err := dst.CreateTable(s.catalog[tkey].Clone(), false, nil); err != nil {
 			return nil, err
 		}
 		for _, ix := range s.indexDef[tkey] {
 			cp := *ix
-			if err := dst.CreateIndex(&cp); err != nil {
+			if err := dst.CreateIndex(&cp, nil); err != nil {
 				return nil, err
 			}
 		}

@@ -33,7 +33,7 @@ func newKVStore(t *testing.T) (*Store, *schema.Table) {
 	t.Helper()
 	s := NewStore()
 	tbl := kvTable(t, "kv")
-	if err := s.CreateTable(tbl, false); err != nil {
+	if err := s.CreateTable(tbl, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	return s, tbl
@@ -93,13 +93,13 @@ func TestOpString(t *testing.T) {
 func TestCreateDropTable(t *testing.T) {
 	s := NewStore()
 	tbl := kvTable(t, "t1")
-	if err := s.CreateTable(tbl, false); err != nil {
+	if err := s.CreateTable(tbl, false, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CreateTable(tbl, false); err == nil {
+	if err := s.CreateTable(tbl, false, nil); err == nil {
 		t.Error("duplicate create should fail")
 	}
-	if err := s.CreateTable(tbl, true); err != nil {
+	if err := s.CreateTable(tbl, true, nil); err != nil {
 		t.Error("IF NOT EXISTS should succeed")
 	}
 	if s.Table("T1") == nil {
@@ -108,13 +108,13 @@ func TestCreateDropTable(t *testing.T) {
 	if got := s.Tables(); len(got) != 1 || got[0] != "t1" {
 		t.Errorf("Tables() = %v", got)
 	}
-	if err := s.DropTable("t1", false); err != nil {
+	if err := s.DropTable("t1", false, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DropTable("t1", false); err == nil {
+	if err := s.DropTable("t1", false, nil); err == nil {
 		t.Error("dropping missing table should fail")
 	}
-	if err := s.DropTable("t1", true); err != nil {
+	if err := s.DropTable("t1", true, nil); err != nil {
 		t.Error("DROP IF EXISTS should succeed")
 	}
 }
@@ -323,7 +323,7 @@ func TestTruncateLog(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		seqs = append(seqs, insertKV(t, s, tbl, fmt.Sprintf("k%d", i), int64(i)))
 	}
-	s.TruncateLog(seqs[2])
+	s.Vacuum(seqs[2])
 	recs := s.ChangesBetween(0, seqs[4])
 	if len(recs) != 2 || recs[0].Seq != seqs[3] {
 		t.Errorf("after truncate, ChangesBetween = %+v", recs)
@@ -331,7 +331,7 @@ func TestTruncateLog(t *testing.T) {
 	// OCC validation across truncated history must still work for new snaps.
 	insertKV(t, s, tbl, "post", 9)
 	// Truncating again with a too-small bound is a no-op.
-	s.TruncateLog(1)
+	s.Vacuum(1)
 	if len(s.ChangesBetween(0, s.CurrentSeq())) != 3 {
 		t.Error("second truncate should be a no-op")
 	}
@@ -343,7 +343,7 @@ func TestSecondaryIndexMaintenance(t *testing.T) {
 		{Name: "id", Type: value.KindInt},
 		{Name: "city", Type: value.KindText},
 	}, []string{"id"})
-	if err := s.CreateTable(tbl, false); err != nil {
+	if err := s.CreateTable(tbl, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	mkRow := func(id int64, city string) value.Row {
@@ -363,10 +363,10 @@ func TestSecondaryIndexMaintenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := &schema.Index{Name: "by_city", Table: "users", Columns: []int{1}}
-	if err := s.CreateIndex(ix); err != nil {
+	if err := s.CreateIndex(ix, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CreateIndex(ix); err == nil {
+	if err := s.CreateIndex(ix, nil); err == nil {
 		t.Error("duplicate index should fail")
 	}
 	if err := commit(OpInsert, nil, mkRow(2, "sf")); err != nil {
@@ -425,10 +425,10 @@ func TestUniqueIndexEnforcement(t *testing.T) {
 		{Name: "id", Type: value.KindInt},
 		{Name: "email", Type: value.KindText},
 	}, []string{"id"})
-	if err := s.CreateTable(tbl, false); err != nil {
+	if err := s.CreateTable(tbl, false, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CreateIndex(&schema.Index{Name: "u_email", Table: "emails", Columns: []int{1}, Unique: true}); err != nil {
+	if err := s.CreateIndex(&schema.Index{Name: "u_email", Table: "emails", Columns: []int{1}, Unique: true}, nil); err != nil {
 		t.Fatal(err)
 	}
 	ins := func(id int64, email string) error {
@@ -458,7 +458,7 @@ func TestCreateIndexBackfillUniqueViolation(t *testing.T) {
 		{Name: "id", Type: value.KindInt},
 		{Name: "v", Type: value.KindInt},
 	}, []string{"id"})
-	if err := s.CreateTable(tbl, false); err != nil {
+	if err := s.CreateTable(tbl, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(1); i <= 2; i++ {
@@ -468,11 +468,11 @@ func TestCreateIndexBackfillUniqueViolation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	err := s.CreateIndex(&schema.Index{Name: "u", Table: "t", Columns: []int{1}, Unique: true})
+	err := s.CreateIndex(&schema.Index{Name: "u", Table: "t", Columns: []int{1}, Unique: true}, nil)
 	if err == nil {
 		t.Error("backfill over duplicates should fail")
 	}
-	if err := s.CreateIndex(&schema.Index{Name: "u2", Table: "missing", Columns: []int{0}}); err == nil {
+	if err := s.CreateIndex(&schema.Index{Name: "u2", Table: "missing", Columns: []int{0}}, nil); err == nil {
 		t.Error("index on missing table should fail")
 	}
 }
@@ -501,7 +501,7 @@ func TestApplyCommittedRecovery(t *testing.T) {
 
 func TestCloneAt(t *testing.T) {
 	s, tbl := newKVStore(t)
-	if err := s.CreateIndex(&schema.Index{Name: "by_v", Table: "kv", Columns: []int{1}}); err != nil {
+	if err := s.CreateIndex(&schema.Index{Name: "by_v", Table: "kv", Columns: []int{1}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	insertKV(t, s, tbl, "a", 1)
@@ -526,34 +526,47 @@ func TestCloneAt(t *testing.T) {
 	}
 }
 
-func TestDDLHook(t *testing.T) {
+// TestDDLLog: every DDL statement runs its write-ahead step with its
+// position and text, and lands in the change log at that position.
+func TestDDLLog(t *testing.T) {
 	s := NewStore()
 	var ddl []string
 	var seqs []uint64
-	s.SetDDLHook(func(seq uint64, stmt string) {
+	step := func(seq uint64, stmt string) {
 		ddl = append(ddl, stmt)
 		seqs = append(seqs, seq)
-	})
+	}
 	tbl := kvTable(t, "t")
-	if err := s.CreateTable(tbl, false); err != nil {
+	if err := s.CreateTable(tbl, false, step); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CreateIndex(&schema.Index{Name: "i", Table: "t", Columns: []int{1}, Unique: true}); err != nil {
+	if err := s.CreateIndex(&schema.Index{Name: "i", Table: "t", Columns: []int{1}, Unique: true}, step); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DropTable("t", false); err != nil {
+	if err := s.DropTable("t", false, step); err != nil {
 		t.Fatal(err)
 	}
 	if len(ddl) != 3 {
-		t.Fatalf("ddl hooks = %v", ddl)
+		t.Fatalf("ddl steps = %v", ddl)
 	}
 	if ddl[1] != "CREATE UNIQUE INDEX i ON t (v)" {
 		t.Errorf("index DDL = %q", ddl[1])
 	}
 	for i, seq := range seqs {
 		if seq != 0 {
-			t.Errorf("ddl %d fired at seq %d on an empty store, want 0", i, seq)
+			t.Errorf("ddl %d ran at seq %d on an empty store, want 0", i, seq)
 		}
+	}
+	entries, err := s.ReadLog(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged []string
+	for _, e := range entries {
+		logged = append(logged, e.DDL)
+	}
+	if fmt.Sprint(logged) != fmt.Sprint(ddl) {
+		t.Errorf("change log DDL = %q, want %q", logged, ddl)
 	}
 }
 
@@ -610,7 +623,7 @@ func TestInsertVisibilityProperty(t *testing.T) {
 			{Name: "k", Type: value.KindInt},
 			{Name: "v", Type: value.KindInt},
 		}, []string{"k"})
-		if err := s.CreateTable(tbl, false); err != nil {
+		if err := s.CreateTable(tbl, false, nil); err != nil {
 			return false
 		}
 		n := 1 + rng.Intn(30)

@@ -54,7 +54,8 @@ type VersionStats struct {
 //
 // Reads at or after the effective horizon observe exactly what they did
 // before the vacuum. Reads below it are no longer answerable, so the history
-// floor (HistoryRetainedFrom) rises to the horizon.
+// floor (HistoryRetainedFrom) rises to the horizon, and the change log is
+// cut there too: commits up to the horizon go, DDL positioned at it stays.
 func (s *Store) Vacuum(horizon uint64) VacuumStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -77,6 +78,7 @@ func (s *Store) Vacuum(horizon uint64) VacuumStats {
 			s.vacuumTable(s.data[tkey], horizon, &st)
 		}
 		s.historyFloor = horizon
+		s.cutLog(horizon)
 	}
 	s.vac.add(st)
 	return st

@@ -22,11 +22,11 @@ func setupIndexed(t *testing.T) (*storage.Store, *schema.Table, *schema.Index) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CreateTable(tbl, false); err != nil {
+	if err := s.CreateTable(tbl, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	ix := &schema.Index{Name: "i_city", Table: "users", Columns: []int{1}}
-	if err := s.CreateIndex(ix); err != nil {
+	if err := s.CreateIndex(ix, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := Run(s, func(tx *Txn) error {
@@ -244,11 +244,11 @@ func TestIndexScanUniquePendingDuplicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CreateTable(tbl, false); err != nil {
+	if err := s.CreateTable(tbl, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	ux := &schema.Index{Name: "ux", Table: "accts", Columns: []int{1}, Unique: true}
-	if err := s.CreateIndex(ux); err != nil {
+	if err := s.CreateIndex(ux, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := Run(s, func(tx *Txn) error {

@@ -64,8 +64,8 @@ type Txn struct {
 }
 
 // Begin starts a transaction at the store's current snapshot. The snapshot
-// is pinned until Commit or Abort so the store's CDC log cannot be truncated
-// inside the transaction's OCC validation window.
+// is pinned until Commit or Abort so Vacuum cannot cut the store's change
+// log inside the transaction's OCC validation window.
 func Begin(store *storage.Store) *Txn {
 	return &Txn{
 		store:    store,

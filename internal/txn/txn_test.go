@@ -21,7 +21,7 @@ func setup(t *testing.T) (*storage.Store, *schema.Table) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CreateTable(tbl, false); err != nil {
+	if err := s.CreateTable(tbl, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	return s, tbl

@@ -195,22 +195,20 @@ func TestEndToEndRecoveryIntoStore(t *testing.T) {
 	}
 	s, l := build()
 	tbl := mustKV(t)
-	s.SetDDLHook(func(_ uint64, stmt string) {
+	if err := s.CreateTable(tbl, false, func(_ uint64, stmt string) {
 		if err := l.AppendDDL(stmt); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if err := s.CreateTable(tbl, false); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	s.SubscribeCDC(func(rec storage.CommitRecord) {
+	row := value.Row{value.Text("a"), value.Int(42)}
+	if _, err := s.Commit(storage.CommitRequest{TxnID: s.NextTxnID(), Snapshot: s.CurrentSeq(),
+		Changes: []storage.Change{{Table: "kv", Key: tbl.EncodePrimaryKey(row), Op: storage.OpInsert, After: row}}}, func(rec storage.CommitRecord) {
 		if err := l.AppendCommit(rec); err != nil {
 			t.Fatal(err)
 		}
-	})
-	row := value.Row{value.Text("a"), value.Int(42)}
-	if _, err := s.Commit(storage.CommitRequest{TxnID: s.NextTxnID(), Snapshot: s.CurrentSeq(),
-		Changes: []storage.Change{{Table: "kv", Key: tbl.EncodePrimaryKey(row), Op: storage.OpInsert, After: row}}}, nil); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -223,7 +221,7 @@ func TestEndToEndRecoveryIntoStore(t *testing.T) {
 		switch r.Type {
 		case RecordDDL:
 			// The facade parses DDL; here we recreate the one known table.
-			return s2.CreateTable(mustKV(t), false)
+			return s2.CreateTable(mustKV(t), false, nil)
 		case RecordCommit:
 			return s2.ApplyCommitted(r.Commit, nil)
 		}
