@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -124,6 +128,13 @@ func stopServer(t *testing.T, cmd *exec.Cmd, stderr *bytes.Buffer) {
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
+	waitDrained(t, cmd, stderr)
+}
+
+// waitDrained waits for a signalled server to exit and checks it drained
+// and exited cleanly.
+func waitDrained(t *testing.T, cmd *exec.Cmd, stderr *bytes.Buffer) {
+	t.Helper()
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("exit after SIGTERM: %v; stderr:\n%s", err, stderr.String())
 	}
@@ -179,4 +190,100 @@ func TestReplicationSmoke(t *testing.T) {
 	}
 	stopServer(t, repl, replErr)
 	stopServer(t, prim, primErr)
+}
+
+// TestMetricsSmoke runs a traced server with the metrics endpoint, a
+// lame-duck window and the slow-query log: /healthz answers 200 while it
+// serves, /metrics carries a series from every layer and a nonzero tracer
+// event count, /healthz answers 503 once SIGTERM opens the lame-duck
+// window, the server drains cleanly, and a statement slow by construction
+// (a non-equi self-join) is logged as a JSON line with its provenance
+// request ID.
+func TestMetricsSmoke(t *testing.T) {
+	dir := t.TempDir()
+	mportFile := filepath.Join(dir, "maddr")
+	cmd, stderr, addr := startServer(t, "-db", filepath.Join(dir, "obs.wal"), "-prov", filepath.Join(dir, "obs.prov.wal"),
+		"-metrics-addr", "127.0.0.1:0", "-metrics-portfile", mportFile, "-lame-duck", "2s", "-slow-query-ms", "1")
+	maddr, err := os.ReadFile(mportFile) // written before the data portfile
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Exec(`CREATE TABLE obs (id INTEGER PRIMARY KEY, v TEXT)`); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 300; i++ {
+		if _, err := c.Exec(`INSERT INTO obs VALUES (?, 'row')`, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := c.Query(`SELECT COUNT(*) FROM obs a JOIN obs b ON a.id < b.id`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Rows[0][0].AsInt(); n != 300*299/2 {
+		t.Fatalf("self-join counted %d pairs, want %d", n, 300*299/2)
+	}
+
+	hc := &http.Client{Timeout: 5 * time.Second}
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := hc.Get("http://" + string(maddr) + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	if code, body := get("/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz while serving = %d %q, want 200", code, body)
+	}
+	code, scrape := get("/metrics")
+	if code != http.StatusOK || !strings.Contains(scrape, "\n# TYPE ") {
+		t.Fatalf("/metrics = %d, want 200 and a text exposition:\n%s", code, scrape)
+	}
+	lines := strings.Split(scrape, "\n")
+	for _, series := range []string{"trod_server_requests_total", "trod_server_request_seconds_bucket",
+		"trod_server_queue_wait_seconds_count", "trod_db_commits_total", "trod_wal_syncs_total",
+		"trod_db_plan_cache_hits_total", "trod_tracer_events_total", "trod_repl_epoch"} {
+		if !slices.ContainsFunc(lines, func(l string) bool { return strings.HasPrefix(l, series) }) {
+			t.Errorf("/metrics has no %s series", series)
+		}
+	}
+	events := -1.0
+	for _, l := range lines {
+		if v, ok := strings.CutPrefix(l, "trod_tracer_events_total "); ok {
+			if events, err = strconv.ParseFloat(v, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if events <= 0 {
+		t.Errorf("trod_tracer_events_total = %v, want the traced requests counted", events)
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); ; {
+		if code, _ := get("/healthz"); code == http.StatusServiceUnavailable {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("/healthz never answered 503 during the lame-duck window")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	waitDrained(t, cmd, stderr)
+	if !strings.Contains(stderr.String(), `"req_id":"R`) {
+		t.Fatalf("no slow-query line carries a provenance request ID; stderr:\n%s", stderr.String())
+	}
 }

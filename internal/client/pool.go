@@ -79,30 +79,6 @@ func NewPool(primaryAddr string, replicaAddrs []string, opts Options) (*Pool, er
 	return p, nil
 }
 
-// Primary exposes the current primary's client (transactions, stats,
-// writes). During a failover it still returns the last known primary; use
-// Exec/Begin for routed access with failure detection.
-func (p *Pool) Primary() *Client {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.members[p.primary].c
-}
-
-// PrimaryAddr returns the address writes are currently routed to.
-func (p *Pool) PrimaryAddr() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.members[p.primary].addr
-}
-
-// Replicas reports the number of pooled members currently serving as
-// replicas (everything but the primary).
-func (p *Pool) Replicas() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.members) - 1
-}
-
 // Retryable reports whether an error from the pool is safe and useful to
 // retry: the request was rejected before reaching a primary (ErrNoPrimary),
 // bounced by admission control or a draining/fenced/read-only server, or
@@ -377,25 +353,6 @@ func (p *Pool) Stats() (protocol.Stats, error) {
 		return protocol.Stats{}, err
 	}
 	return c.Stats()
-}
-
-// ReplicaStats fetches one replica's server counters (applied sequence and
-// lag live there), indexing the current non-primary members.
-func (p *Pool) ReplicaStats(i int) (protocol.Stats, error) {
-	members, primary, _, err := p.snapshot()
-	if err != nil {
-		return protocol.Stats{}, err
-	}
-	replicas := make([]*member, 0, len(members)-1)
-	for j, m := range members {
-		if j != primary {
-			replicas = append(replicas, m)
-		}
-	}
-	if i < 0 || i >= len(replicas) {
-		return protocol.Stats{}, fmt.Errorf("pool: no replica %d", i)
-	}
-	return replicas[i].c.Stats()
 }
 
 // Close closes every pooled client.

@@ -24,7 +24,7 @@ func openRetentionDB(t *testing.T, retain int) *DB {
 // TestCDCRetentionReleasesPrefix: after a checkpoint the in-memory change
 // log keeps only the HistoryRetention window, time travel answers correctly
 // inside it and refuses typed below it (the log and the version chains are
-// cut at one horizon), and ChangesBetween stays complete inside the window.
+// cut at one horizon), and ReadLog stays complete inside the window.
 func TestCDCRetentionReleasesPrefix(t *testing.T) {
 	const retain = 8
 	d := openRetentionDB(t, retain)
@@ -47,7 +47,7 @@ func TestCDCRetentionReleasesPrefix(t *testing.T) {
 	}
 
 	// The prefix is gone from memory...
-	all := d.Store().ChangesBetween(0, seqBefore)
+	all := logCommits(t, d.Store(), d.Store().LogRetainedFrom()-1, seqBefore)
 	if len(all) > retain {
 		t.Fatalf("retention %d left %d records in memory", retain, len(all))
 	}
@@ -157,7 +157,7 @@ func TestCDCRetentionPinsActiveTxn(t *testing.T) {
 		t.Fatal(err)
 	}
 	head := d.Store().CurrentSeq()
-	if got := d.Store().ChangesBetween(0, head); len(got) > 1 {
+	if got := logCommits(t, d.Store(), d.Store().LogRetainedFrom()-1, head); len(got) > 1 {
 		t.Fatalf("post-pin checkpoint should retain 1 record, kept %d", len(got))
 	}
 }

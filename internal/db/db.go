@@ -7,7 +7,7 @@
 // The facade is also where the TROD interposition layer hooks in: every
 // transaction carries metadata (request ID, handler name, function name) and
 // collects per-statement read provenance; a commit hook hands the complete
-// transaction trace to the tracer (paper §3.4).
+// transaction trace, reads and committed writes, to the tracer (paper §3.4).
 package db
 
 import (
@@ -120,15 +120,16 @@ type ReadEvent struct {
 	Row   value.Row
 }
 
-// StmtTrace is the trace of one statement inside a transaction.
+// StmtTrace is the trace of one statement inside a transaction. A commit
+// that applied writes adds a last entry, Query "COMMIT", carrying them.
 type StmtTrace struct {
-	Query string
-	Reads []ReadEvent
+	Query  string
+	Reads  []ReadEvent
+	writes []storage.Change
 }
 
 // TxnTrace is everything the interposition layer learns about one finished
-// transaction. Write provenance is delivered separately through the store's
-// CDC feed (matched by TxnID).
+// transaction: what it read, statement by statement, and what it wrote.
 type TxnTrace struct {
 	TxnID     uint64
 	CommitSeq uint64
@@ -139,6 +140,20 @@ type TxnTrace struct {
 	End       time.Time
 	Committed bool
 }
+
+// Writes returns the change set the commit applied, nil unless it did: the
+// slice the store logged at CommitSeq, so read-only. It rides on the COMMIT
+// entry because provenance.Event queues a TxnTrace by value and must not widen.
+func (tr *TxnTrace) Writes() []storage.Change {
+	if n := len(tr.Stmts); n > 0 {
+		return tr.Stmts[n-1].writes
+	}
+	return nil
+}
+
+// maxReadsPerStmt caps the read-provenance rows a traced statement records,
+// so tracing cost does not grow with the rows a scan touches (paper §5).
+const maxReadsPerStmt = 64
 
 // DB is an embedded SQL database.
 type DB struct {
@@ -176,11 +191,6 @@ type DB struct {
 	// plans, keyed by query text (plan validity keyed by schema epoch); see
 	// plancache.go.
 	plans *planCache
-
-	// readTraceLimit caps read-provenance rows collected per statement
-	// (0 = unlimited). The tracer sets it from its configuration to bound
-	// request-path tracing cost on scan-heavy statements.
-	readTraceLimit int
 
 	// readOnly rejects writes and DDL arriving through the SQL layer with
 	// ErrReadOnly (replicas serve reads only; replicated apply bypasses it).
@@ -605,8 +615,8 @@ func (db *DB) Close() error {
 	return errors.Join(err, ckptErr)
 }
 
-// Store exposes the underlying MVCC store to the TROD layers (tracer CDC
-// subscription, replay time travel). Application code should not need it.
+// Store exposes the underlying MVCC store to the TROD layers (replay time
+// travel, replication log reads). Application code should not need it.
 func (db *DB) Store() *storage.Store { return db.store }
 
 // SetHook installs the interposition hook: fn receives the trace of every
@@ -614,10 +624,6 @@ func (db *DB) Store() *storage.Store { return db.store }
 // (TxnTrace.Committed tells them apart). Must be called before concurrent
 // use.
 func (db *DB) SetHook(fn func(TxnTrace)) { db.hook = fn }
-
-// SetReadTraceLimit caps the read-provenance rows collected per statement
-// (0 = unlimited). Must be set before concurrent use.
-func (db *DB) SetReadTraceLimit(n int) { db.readTraceLimit = n }
 
 // parse returns the cached AST for query, parsing at most once per text.
 // Statements and plans share one capped cache entry (see plancache.go);
@@ -1061,12 +1067,6 @@ func (tx *Tx) ID() uint64 { return tx.inner.ID() }
 // Snapshot returns the snapshot sequence the transaction reads at.
 func (tx *Tx) Snapshot() uint64 { return tx.inner.Snapshot() }
 
-// Meta returns the attached interposition metadata.
-func (tx *Tx) Meta() TxMeta { return tx.meta }
-
-// SetMeta replaces the interposition metadata.
-func (tx *Tx) SetMeta(m TxMeta) { tx.meta = m }
-
 // SetSpanBuf points the transaction at a request's span buffer. Interactive
 // transactions span many wire requests, each with its own trace; the server
 // re-points the buffer per request so statement and commit spans land in
@@ -1143,10 +1143,9 @@ func (tx *Tx) execPlanned(stmt sqlparse.Statement, plan *sqlexec.Plan, query str
 	if traced {
 		trace.Query = query
 		ex.OnRead = func(table string, row value.Row) {
-			if limit := tx.db.readTraceLimit; limit > 0 && len(trace.Reads) >= limit {
-				return
+			if len(trace.Reads) < maxReadsPerStmt {
+				trace.Reads = append(trace.Reads, ReadEvent{Table: table, Row: row.Clone()})
 			}
-			trace.Reads = append(trace.Reads, ReadEvent{Table: table, Row: row.Clone()})
 		}
 	}
 	sp := tx.meta.Spans
@@ -1222,12 +1221,16 @@ func (tx *Tx) Commit() error {
 // trace is what the interposition hook learns about the finished
 // transaction.
 func (tx *Tx) trace(seq uint64, committed bool) TxnTrace {
+	stmts := tx.stmts
+	if writes := tx.inner.Committed(); writes != nil {
+		stmts = append(stmts, StmtTrace{Query: "COMMIT", writes: writes})
+	}
 	return TxnTrace{
 		TxnID:     tx.inner.ID(),
 		CommitSeq: seq,
 		Snapshot:  tx.inner.Snapshot(),
 		Meta:      tx.meta,
-		Stmts:     tx.stmts,
+		Stmts:     stmts,
 		Start:     tx.start,
 		End:       time.Now(),
 		Committed: committed,

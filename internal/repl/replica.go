@@ -119,15 +119,6 @@ func (r *Replica) AppliedSeq() uint64 { return r.applied.Load() }
 // batches and heartbeats); zero before the first contact.
 func (r *Replica) PrimarySeq() uint64 { return r.primarySeq.Load() }
 
-// Lag returns the replication lag in commit sequences.
-func (r *Replica) Lag() uint64 {
-	p, a := r.primarySeq.Load(), r.applied.Load()
-	if p > a {
-		return p - a
-	}
-	return 0
-}
-
 // Connected reports whether a subscription stream is currently live.
 func (r *Replica) Connected() bool { return r.connected.Load() }
 
@@ -268,13 +259,14 @@ func (r *Replica) run() {
 }
 
 // setConn tracks the live connection so Stop and Redirect can interrupt a
-// blocked read. It refuses a connection dialed to addr once a Redirect has
-// moved the replica elsewhere: Redirect closed whatever was tracked while the
-// dial ran, so the new connection would otherwise outlive it.
+// blocked read. It refuses a connection dialed to addr once Stop ran or a
+// Redirect has moved the replica elsewhere: either closed whatever was
+// tracked while the dial ran, so the new connection would otherwise outlive
+// it and a Stop would wait out a whole read deadline.
 func (r *Replica) setConn(c net.Conn, addr string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c != nil && r.addr != addr {
+	if c != nil && (r.addr != addr || r.stopped()) {
 		return false
 	}
 	r.conn = c
@@ -294,7 +286,7 @@ func (r *Replica) session() (bool, error) {
 	}
 	if !r.setConn(nc, addr) {
 		nc.Close()
-		return false, fmt.Errorf("repl: redirected away from %s while dialing it", addr)
+		return false, fmt.Errorf("repl: stopped or redirected away from %s while dialing it", addr)
 	}
 	defer func() {
 		r.setConn(nil, "")

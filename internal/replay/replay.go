@@ -161,9 +161,18 @@ func (ic *interceptor) After(c *runtime.Ctx, fnLabel string, err error) {
 		return
 	}
 	devStore := ic.dev.Store()
+	devLog, logErr := devStore.ReadLog(ic.devMark, devStore.CurrentSeq())
+	if logErr != nil {
+		// A dev store is never vacuumed, so its window is always retained.
+		ic.report.Diffs = append(ic.report.Diffs, fmt.Sprintf("step %d: %v", step, logErr))
+		ic.report.Diverged = true
+		return
+	}
 	var devChanges []storage.Change
-	for _, rec := range devStore.ChangesBetween(ic.devMark, devStore.CurrentSeq()) {
-		devChanges = append(devChanges, rec.Changes...)
+	for _, rec := range devLog {
+		if rec.DDL == "" {
+			devChanges = append(devChanges, rec.Changes...)
+		}
 	}
 	orig := ic.execs[step]
 	var origChanges []storage.Change

@@ -80,15 +80,6 @@ func (a Args) sortedKeys() []string {
 	return keys
 }
 
-// String renders args as "k1=v1 k2=v2" in key order.
-func (a Args) String2() string {
-	parts := make([]string, 0, len(a))
-	for _, k := range a.sortedKeys() {
-		parts = append(parts, fmt.Sprintf("%s=%v", k, a[k]))
-	}
-	return fmt.Sprint(parts)
-}
-
 // Handler is a request handler: deterministic business logic over its
 // arguments and transactional database access.
 type Handler func(c *Ctx, args Args) (any, error)

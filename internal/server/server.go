@@ -79,14 +79,11 @@ type Config struct {
 	// via MsgSubscribe (a primary serving replicas). Without it, Subscribe
 	// requests get a typed bad-request error.
 	Source *repl.Source
-	// Replica, when set, marks this server as a read-only replica and feeds
-	// the replication fields of Stats (applied sequence, primary sequence,
-	// connection state).
+	// Replica, when set, marks this server as a replica and feeds the
+	// replication fields of Stats (applied sequence, primary sequence,
+	// connection state). Whether Begin is refused follows the DB's
+	// read-only flag (db.SetReadOnly), which the replica's Promote clears.
 	Replica *repl.Replica
-	// ReadOnly rejects transactions with a typed read-only error at Begin
-	// (write statements are already rejected by the read-only DB). Implied
-	// by Replica but also settable on its own.
-	ReadOnly bool
 	// TracerStats, when set, feeds the tracer counters (events, drops,
 	// flushes) into Stats and the metrics endpoint. A hook instead of a
 	// *trace.Tracer keeps the server package free of a tracer dependency.
@@ -108,9 +105,6 @@ type Config struct {
 
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.Replica != nil {
-		out.ReadOnly = true
-	}
 	if out.MaxConns <= 0 {
 		out.MaxConns = 64
 	}
@@ -143,9 +137,7 @@ type Server struct {
 	draining atomic.Bool
 	drainCh  chan struct{} // closed when Shutdown starts
 
-	// readOnly starts as cfg.ReadOnly and flips off at promotion; promoted
-	// marks a replica server that now serves as the primary.
-	readOnly atomic.Bool
+	// promoted marks a replica server that now serves as the primary.
 	promoted atomic.Bool
 
 	accepted     atomic.Uint64
@@ -184,7 +176,6 @@ func New(cfg Config) (*Server, error) {
 		sessions: make(map[*session]struct{}),
 		drainCh:  make(chan struct{}),
 	}
-	s.readOnly.Store(cfg.ReadOnly)
 	s.newInstruments()
 	if cfg.SlowQueryThreshold > 0 && cfg.SlowQueryOutput != nil {
 		s.slow = &slowLog{w: cfg.SlowQueryOutput}
@@ -223,17 +214,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		}
 		go s.admit(conn)
 	}
-}
-
-// ListenAndServe listens on addr (host:port; port 0 picks a free port) and
-// serves. The bound address is available from Addr once this returns or the
-// server is serving.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // Addr returns the listener's address (nil before Serve).
@@ -672,12 +652,11 @@ func (ss *session) promote(req *protocol.Message) *protocol.Message {
 		ss.srv.promoted.Store(false)
 		return errMsg(protocol.CodeBadRequest, "promote: %v", err)
 	}
-	ss.srv.readOnly.Store(false)
 	return &protocol.Message{Type: protocol.MsgPromoted, Epoch: epoch, Seq: seq}
 }
 
 func (ss *session) begin() *protocol.Message {
-	if ss.srv.readOnly.Load() {
+	if ss.srv.cfg.DB.ReadOnly() {
 		ss.lastStatus = "error"
 		return errMsg(protocol.CodeReadOnly, "this server is a read-only replica; run transactions on the primary")
 	}

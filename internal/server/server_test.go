@@ -12,6 +12,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/db"
 	"repro/internal/protocol"
+	"repro/internal/repl"
 	"repro/internal/runtime"
 	"repro/internal/trace"
 	"repro/internal/wal"
@@ -553,4 +554,39 @@ func TestConcurrentAutocommitLoad(t *testing.T) {
 	}
 	boot.Close()
 	waitFor(t, "sessions to drain", func() bool { return srv.Stats().ActiveSessions == 0 })
+}
+
+// TestReplicaServerRefusesBeginUntilPromoted: the server reads the node's
+// read-only flag from its database, so Begin on a replica is refused with
+// the typed read-only error and accepted once Promote clears the flag.
+func TestReplicaServerRefusesBeginUntilPromoted(t *testing.T) {
+	pd := db.MustOpenMemory()
+	t.Cleanup(func() { pd.Close() })
+	_, paddr := startServer(t, pd, Config{Source: repl.NewSource(pd, repl.SourceOptions{})})
+
+	rd := db.MustOpenMemory()
+	t.Cleanup(func() { rd.Close() })
+	rd.SetReadOnly(true)
+	r := repl.StartReplica(rd, paddr, repl.ReplicaOptions{MinBackoff: 5 * time.Millisecond})
+	t.Cleanup(r.Stop)
+	_, raddr := startServer(t, rd, Config{Replica: r})
+	cl, err := client.Dial(raddr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	if _, err := cl.Begin(); !protocol.IsCode(err, protocol.CodeReadOnly) {
+		t.Fatalf("Begin on a replica = %v, want the typed read-only error", err)
+	}
+	if _, _, err := cl.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := cl.Begin()
+	if err != nil {
+		t.Fatalf("Begin after Promote = %v", err)
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -58,10 +58,6 @@ func ParseAll(src string) ([]Statement, error) {
 	return out, nil
 }
 
-// NumPlaceholders reports the number of `?` placeholders seen by the last
-// parse on this parser.
-func (p *Parser) NumPlaceholders() int { return p.placeholders }
-
 // CountPlaceholders parses src and returns its placeholder count.
 func CountPlaceholders(stmt Statement) int {
 	count := 0

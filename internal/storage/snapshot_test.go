@@ -153,9 +153,9 @@ func TestSnapshotRestoreAcceptsWALTail(t *testing.T) {
 	}}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	recs := got.ChangesBetween(seq, got.CurrentSeq())
+	recs := logCommits(t, got, seq, got.CurrentSeq())
 	if len(recs) != 2 {
-		t.Errorf("ChangesBetween after restore = %d records, want 2", len(recs))
+		t.Errorf("ReadLog after restore = %d commits, want 2", len(recs))
 	}
 }
 

@@ -1045,32 +1045,13 @@ func (s *Store) logIndex(seq uint64) int {
 
 // SubscribeCDC registers fn to receive every future commit record. fn runs
 // under the store lock: it must be fast and must not call back into the
-// store (the TROD tracer only appends to a buffer). Readers that can pull
-// use ReadLog and LogSignal instead.
+// store. Its one remaining caller is the benchmark's per-layer breakdown of
+// server.write (benchmark/server_layers.go); readers that can pull use
+// ReadLog and LogSignal instead.
 func (s *Store) SubscribeCDC(fn func(CommitRecord)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.cdcSubs = append(s.cdcSubs, fn)
-}
-
-// ChangesBetween returns the commit records with Seq in (from, to], i.e.
-// everything committed after snapshot `from` up to and including `to`. It
-// is the commit half of ReadLog without its check: a window that starts
-// before the retained log comes back short.
-func (s *Store) ChangesBetween(from, to uint64) []CommitRecord {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []CommitRecord
-	for i := s.logIndex(from + 1); i < len(s.log); i++ {
-		rec := s.log[i]
-		if rec.Seq > to {
-			break
-		}
-		if rec.Seq > from {
-			out = append(out, rec)
-		}
-	}
-	return out
 }
 
 // ReadLog returns what a reader positioned at commit `from` has not seen, up

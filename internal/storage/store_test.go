@@ -76,7 +76,7 @@ func TestLogStepOrder(t *testing.T) {
 	if fmt.Sprint(events) != fmt.Sprint(want) {
 		t.Fatalf("events = %q, want %q", events, want)
 	}
-	if recs := s.ChangesBetween(1, 2); len(recs) != 1 || recs[0].TraceID != 9 {
+	if recs := logCommits(t, s, 1, 2); len(recs) != 1 || recs[0].TraceID != 9 {
 		t.Fatalf("CDC log lost the trace ID: %+v", recs)
 	}
 }
@@ -296,7 +296,24 @@ func TestCommitUnknownTable(t *testing.T) {
 	}
 }
 
-func TestCDCSubscriptionAndChangesBetween(t *testing.T) {
+// logCommits returns the commit entries ReadLog(from, to) reads, failing
+// the test if the window is not retained.
+func logCommits(t *testing.T, s *Store, from, to uint64) []CommitRecord {
+	t.Helper()
+	entries, err := s.ReadLog(from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []CommitRecord
+	for _, e := range entries {
+		if e.DDL == "" {
+			out = append(out, e.CommitRecord)
+		}
+	}
+	return out
+}
+
+func TestCDCSubscriptionAndReadLog(t *testing.T) {
 	s, tbl := newKVStore(t)
 	var got []CommitRecord
 	s.SubscribeCDC(func(rec CommitRecord) { got = append(got, rec) })
@@ -308,12 +325,12 @@ func TestCDCSubscriptionAndChangesBetween(t *testing.T) {
 	if got[0].Changes[0].Op != OpInsert || got[0].Changes[0].After[1].AsInt() != 1 {
 		t.Error("CDC change payload wrong")
 	}
-	recs := s.ChangesBetween(seqA, seqB)
+	recs := logCommits(t, s, seqA, seqB)
 	if len(recs) != 1 || recs[0].Seq != seqB {
-		t.Errorf("ChangesBetween = %+v", recs)
+		t.Errorf("ReadLog = %+v", recs)
 	}
-	if n := len(s.ChangesBetween(0, seqB)); n != 2 {
-		t.Errorf("ChangesBetween(0,seqB) = %d records", n)
+	if n := len(logCommits(t, s, 0, seqB)); n != 2 {
+		t.Errorf("ReadLog(0,seqB) = %d commits", n)
 	}
 }
 
@@ -324,15 +341,15 @@ func TestTruncateLog(t *testing.T) {
 		seqs = append(seqs, insertKV(t, s, tbl, fmt.Sprintf("k%d", i), int64(i)))
 	}
 	s.Vacuum(seqs[2])
-	recs := s.ChangesBetween(0, seqs[4])
+	recs := logCommits(t, s, s.LogRetainedFrom()-1, seqs[4])
 	if len(recs) != 2 || recs[0].Seq != seqs[3] {
-		t.Errorf("after truncate, ChangesBetween = %+v", recs)
+		t.Errorf("after truncate, ReadLog = %+v", recs)
 	}
 	// OCC validation across truncated history must still work for new snaps.
 	insertKV(t, s, tbl, "post", 9)
 	// Truncating again with a too-small bound is a no-op.
 	s.Vacuum(1)
-	if len(s.ChangesBetween(0, s.CurrentSeq())) != 3 {
+	if len(logCommits(t, s, s.LogRetainedFrom()-1, s.CurrentSeq())) != 3 {
 		t.Error("second truncate should be a no-op")
 	}
 }

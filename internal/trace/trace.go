@@ -1,8 +1,8 @@
 // Package trace implements TROD's always-on interposition layer (paper
 // §3.4): it hooks the application runtime (requests, handler invocations,
-// external calls), the database facade (per-transaction read provenance and
-// metadata), and the storage engine's change-data-capture feed (write
-// provenance), buffers events in memory, and flushes them in batches to the
+// external calls) and the database facade, whose commit hook delivers each
+// finished transaction's metadata, read provenance and committed writes;
+// it buffers events in memory and flushes them in batches to the
 // provenance database on a background goroutine.
 //
 // The buffer is a queue of fixed-size chunks, FlushBatch events each. The
@@ -26,7 +26,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/provenance"
 	"repro/internal/runtime"
-	"repro/internal/storage"
 )
 
 // Config tunes the tracer.
@@ -40,11 +39,6 @@ type Config struct {
 	FlushBatch int
 	// FlushInterval is the maximum event age before a flush (default 5ms).
 	FlushInterval time.Duration
-	// MaxReadsPerStmt caps read-provenance rows recorded per statement
-	// (default 64; 0 keeps the default, -1 means unlimited). Scan-heavy
-	// statements otherwise make tracing cost proportional to rows scanned —
-	// the granularity/overhead balance §5 discusses.
-	MaxReadsPerStmt int
 	// MaxBuffered bounds the events waiting in memory (0 = unbounded, the
 	// historical behavior). When the flusher cannot keep up and the buffer
 	// is full, new events are dropped and counted (trod_tracer_drops_total)
@@ -59,8 +53,7 @@ type Tracer struct {
 	cfg    Config
 
 	// mu guards the chunk queue. push holds it for one append and nothing
-	// else: the CDC callback runs under the application store's lock and
-	// must never wait for the flusher.
+	// else, so a request never waits for the flusher.
 	mu       sync.Mutex
 	tail     []provenance.Event   // the chunk being filled; cap FlushBatch
 	full     [][]provenance.Event // filled chunks, oldest first
@@ -96,9 +89,8 @@ type Tracer struct {
 const maxFreeChunks = 4
 
 // Attach wires a tracer between an application (runtime + production DB)
-// and a provenance database. It installs the runtime observer, the db
-// hook, and the CDC subscription; tracing is on from the moment Attach
-// returns (always-on tracing).
+// and a provenance database. It installs the runtime observer and the db
+// hook; tracing is on from the moment Attach returns (always-on tracing).
 func Attach(app *runtime.App, prov *db.DB, cfg Config) (*Tracer, error) {
 	if cfg.FlushBatch <= 0 {
 		cfg.FlushBatch = 1024
@@ -106,18 +98,12 @@ func Attach(app *runtime.App, prov *db.DB, cfg Config) (*Tracer, error) {
 	if cfg.FlushInterval <= 0 {
 		cfg.FlushInterval = 5 * time.Millisecond
 	}
-	if cfg.MaxReadsPerStmt == 0 {
-		cfg.MaxReadsPerStmt = 64
-	}
 	if app.DB() == prov {
 		return nil, fmt.Errorf("trace: the provenance database must be separate from the application database")
 	}
 	writer, err := provenance.Setup(prov, app.DB(), cfg.Tables)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.MaxReadsPerStmt > 0 {
-		app.DB().SetReadTraceLimit(cfg.MaxReadsPerStmt)
 	}
 	t := &Tracer{
 		writer: writer,
@@ -130,22 +116,23 @@ func Attach(app *runtime.App, prov *db.DB, cfg Config) (*Tracer, error) {
 	}
 
 	app.DB().SetHook(func(tr db.TxnTrace) {
-		// Aborted transactions are recorded too (Committed = false); they
-		// carry read provenance that can matter for debugging.
-		t.push(&provenance.Event{Kind: provenance.KindTxn, Txn: tr, Logical: t.nextLogical()})
-	})
-	app.DB().Store().SubscribeCDC(func(rec storage.CommitRecord) {
-		// Runs under the store lock: append only, no I/O.
-		logical := t.nextLogical()
-		for _, ch := range rec.Changes {
-			t.push(&provenance.Event{
-				Kind:    provenance.KindWrite,
-				Seq:     rec.Seq,
-				TxnID:   rec.TxnID,
-				Change:  ch,
-				Logical: logical,
-			})
+		// A commit's writes share one logical time, taken before the
+		// transaction's own. Aborted transactions are recorded too
+		// (Committed = false, no writes); they carry read provenance that
+		// can matter for debugging.
+		if writes := tr.Writes(); len(writes) > 0 {
+			logical := t.nextLogical()
+			for _, ch := range writes {
+				t.push(&provenance.Event{
+					Kind:    provenance.KindWrite,
+					Seq:     tr.CommitSeq,
+					TxnID:   tr.TxnID,
+					Change:  ch,
+					Logical: logical,
+				})
+			}
 		}
+		t.push(&provenance.Event{Kind: provenance.KindTxn, Txn: tr, Logical: t.nextLogical()})
 	})
 	app.SetObserver(t)
 	go t.flushLoop()
@@ -165,8 +152,8 @@ func (t *Tracer) nextLogical() uint64 { return atomic.AddUint64(&t.logical, 1) }
 func (t *Tracer) push(ev *provenance.Event) {
 	t.mu.Lock()
 	if t.cfg.MaxBuffered > 0 && t.buffered >= t.cfg.MaxBuffered {
-		// Buffer full: the flusher is behind. Dropping here keeps the CDC
-		// callback (which runs under the store lock) append-or-nothing.
+		// Buffer full: the flusher is behind. Dropping here keeps the
+		// request path append-or-nothing.
 		t.mu.Unlock()
 		atomic.AddUint64(&t.drops, 1)
 		t.wakeFlusher()

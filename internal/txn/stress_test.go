@@ -306,7 +306,10 @@ func TestTimeTravelConsistentAcrossHistory(t *testing.T) {
 		}
 	}
 	// CDC log covers the full history in order.
-	recs := s.ChangesBetween(seqs[0], seqs[len(seqs)-1])
+	recs, err := s.ReadLog(seqs[0], seqs[len(seqs)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(recs) != 50 {
 		t.Fatalf("CDC records = %d, want 50", len(recs))
 	}

@@ -61,6 +61,7 @@ type Txn struct {
 	state     State
 	readOnly  bool
 	commitSeq uint64
+	committed []storage.Change // the change set the commit applied
 }
 
 // Begin starts a transaction at the store's current snapshot. The snapshot
@@ -116,6 +117,11 @@ func (t *Txn) State() State { return t.state }
 // Read-only and no-op commits report 0: they did not commit anywhere in the
 // sequence — the position they read at is Snapshot, a distinct notion.
 func (t *Txn) CommitSeq() uint64 { return t.commitSeq }
+
+// Committed returns the change set the commit applied: the slice the
+// store logged, not a copy, so callers must not modify it. It is nil until
+// a commit with effects succeeds.
+func (t *Txn) Committed() []storage.Change { return t.committed }
 
 // ReadOnly reports whether this is a declared read-only transaction.
 func (t *Txn) ReadOnly() bool { return t.readOnly }
@@ -468,6 +474,7 @@ func (t *Txn) CommitWith(traceID uint64, log storage.LogStep) (uint64, error) {
 	}
 	t.state = StateCommitted
 	t.commitSeq = seq
+	t.committed = changes
 	return seq, nil
 }
 
