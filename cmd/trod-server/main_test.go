@@ -58,6 +58,35 @@ func startServer(t *testing.T, args ...string) (*exec.Cmd, *bytes.Buffer, string
 	}
 }
 
+// TestServerSmoke: a server started on a random port answers CREATE, INSERT
+// and SELECT from a remote client, and on SIGTERM drains and exits cleanly.
+func TestServerSmoke(t *testing.T) {
+	cmd, stderr, addr := startServer(t, "-db", filepath.Join(t.TempDir(), "smoke.wal"))
+	if strings.HasSuffix(addr, ":0") {
+		t.Fatalf("portfile holds %q, not the port the server bound", addr)
+	}
+	c, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Exec(`CREATE TABLE smoke (id INTEGER PRIMARY KEY, v TEXT)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Exec(`INSERT INTO smoke VALUES (1, 'ci')`); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Query(`SELECT * FROM smoke`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(res.Columns, ",") != "id,v" || len(res.Rows) != 1 ||
+		res.Rows[0][0].AsInt() != 1 || res.Rows[0][1].AsText() != "ci" {
+		t.Fatalf("SELECT * FROM smoke = %v %v, want columns id,v and the one inserted row", res.Columns, res.Rows)
+	}
+	stopServer(t, cmd, stderr)
+}
+
 // TestServerCheckpointsPastThreshold: a server written past its checkpoint
 // threshold checkpoints while it runs, so after a kill -9 (no shutdown
 // checkpoint) the restart loads that snapshot and replays only the tail.

@@ -210,7 +210,7 @@ type keyedRow struct {
 
 func dumpRows(s *storage.Store, tbl string) []keyedRow {
 	var out []keyedRow
-	s.ScanRange(tbl, "", "", s.CurrentSeq(), func(k string, row value.Row) bool {
+	s.ScanRange(tbl, "", "", s.CurrentSeq(), storage.Ascending, func(k string, row value.Row) bool {
 		out = append(out, keyedRow{key: k, row: row})
 		return true
 	})

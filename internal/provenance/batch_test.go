@@ -134,7 +134,7 @@ func TestApplyBatchStoresWhatSQLInsertWould(t *testing.T) {
 		for _, tbl := range prov.Store().Tables() {
 			var kinds [2][]value.Kind
 			for i, s := range []*storage.Store{prov.Store(), viaSQL.Store()} {
-				s.ScanRange(tbl, "", "", s.CurrentSeq(), func(_ string, row value.Row) bool {
+				s.ScanRange(tbl, "", "", s.CurrentSeq(), storage.Ascending, func(_ string, row value.Row) bool {
 					for _, v := range row {
 						kinds[i] = append(kinds[i], v.Kind())
 					}

@@ -389,7 +389,7 @@ func (r *Replayer) restore(seq uint64, tables []string) (*db.DB, error) {
 			continue
 		}
 		var changes []storage.Change
-		prodStore.ScanRange(name, "", "", seq, func(key string, row value.Row) bool {
+		prodStore.ScanRange(name, "", "", seq, storage.Ascending, func(key string, row value.Row) bool {
 			changes = append(changes, storage.Change{Table: tbl.Name, Key: key, Op: storage.OpInsert, After: row.Clone()})
 			return true
 		})

@@ -147,9 +147,15 @@ type App struct {
 	reqCounter atomic.Uint64
 	logical    uint64 // logical event clock (deterministic "timestamp")
 
-	// externalResults lets tests and retro runs stub external services.
+	// externalResults holds the results of external calls per request, so a
+	// repeated call returns the first result. The entries of a request that
+	// Invoke served are dropped when it ends: its ID came from the allocator
+	// and is never served again, and the provenance log (trod_externals)
+	// keeps what replay needs. An ID given to InvokeWithReqID may be served
+	// again (replay, retro), so its entries stay and re-serving it does not
+	// repeat its external calls.
 	externalMu      sync.Mutex
-	externalResults map[string]string // idempotency key -> result (dedup)
+	externalResults map[string]map[string]string // reqID -> idempotency key -> result
 }
 
 // New creates an application runtime over a database.
@@ -157,7 +163,7 @@ func New(database *db.DB) *App {
 	return &App{
 		db:              database,
 		handlers:        make(map[string]Handler),
-		externalResults: make(map[string]string),
+		externalResults: make(map[string]map[string]string),
 	}
 }
 
@@ -254,7 +260,9 @@ var ErrUnknownHandler = errors.New("runtime: unknown handler")
 // Invoke serves a new top-level request: it assigns a fresh request ID and
 // runs the named handler.
 func (app *App) Invoke(handler string, args Args) (any, error) {
-	return app.invoke(app.NewReqID(), handler, args)
+	reqID := app.NewReqID()
+	defer app.forgetExternals(reqID)
+	return app.invoke(reqID, handler, args)
 }
 
 // InvokeWithReqID serves a request under an explicit request ID. Replay and
@@ -401,11 +409,16 @@ func (c *Ctx) External(service, payload string) string {
 	key := fmt.Sprintf("%s|%s|%s", c.ReqID, c.InvocationID, service)
 	c.app.externalMu.Lock()
 	defer c.app.externalMu.Unlock()
-	if res, ok := c.app.externalResults[key]; ok {
+	byKey := c.app.externalResults[c.ReqID]
+	if res, ok := byKey[key]; ok {
 		return res
 	}
 	res := fmt.Sprintf("ok:%s(%s)", service, payload)
-	c.app.externalResults[key] = res
+	if byKey == nil {
+		byKey = make(map[string]string)
+		c.app.externalResults[c.ReqID] = byKey
+	}
+	byKey[key] = res
 	if c.app.observer != nil {
 		c.app.observer.External(ExternalCall{
 			ReqID:          c.ReqID,
@@ -417,6 +430,14 @@ func (c *Ctx) External(service, payload string) string {
 		})
 	}
 	return res
+}
+
+// forgetExternals drops the recorded external results of a request that
+// has ended and will not be served again.
+func (app *App) forgetExternals(reqID string) {
+	app.externalMu.Lock()
+	delete(app.externalResults, reqID)
+	app.externalMu.Unlock()
 }
 
 // ArgsToRow renders args into (name, value) pairs for provenance storage.

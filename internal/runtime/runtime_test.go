@@ -371,3 +371,29 @@ func TestArgsToRowDeterministic(t *testing.T) {
 		t.Error("unsupported arg should fail")
 	}
 }
+
+// TestExternalResultsDroppedAtRequestEnd: the idempotency record of an
+// Invoke-served request's external calls lives only as long as the request,
+// so an always-on App does not grow with every call it has ever made, while
+// a repeated call inside one request still returns the first result.
+func TestExternalResultsDroppedAtRequestEnd(t *testing.T) {
+	app := newApp(t)
+	app.Register("notify", func(c *Ctx, args Args) (any, error) {
+		first := c.External("email", args.String("to"))
+		if again := c.External("email", "someone else"); again != first {
+			t.Errorf("repeated call in one request = %q, want the first result %q", again, first)
+		}
+		return first, nil
+	})
+	for i := 0; i < 1000; i++ {
+		if _, err := app.Invoke("notify", Args{"to": fmt.Sprint(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	app.externalMu.Lock()
+	n := len(app.externalResults)
+	app.externalMu.Unlock()
+	if n != 0 {
+		t.Fatalf("after 1000 finished requests, %d requests still hold external results", n)
+	}
+}

@@ -2,7 +2,7 @@ package sqlexec
 
 // Executor microbenchmarks for the hot loops the plan layer optimises:
 // hash-join key encoding, lookup join vs. hash join vs. nested loop, index
-// range scans, and plan compilation itself. Future PRs benchstat these
+// range scans, ORDER BY … LIMIT along an index, and plan compilation itself. Future PRs benchstat these
 // directly instead of going through the end-to-end E1/E2 harness.
 
 import (
@@ -179,4 +179,19 @@ func BenchmarkPlanCompile(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkIndexOrderByLimit measures the newest-first read the app
+// workload's timeline makes: an index equality prefix with 1,000 matches,
+// ordered by primary key descending, LIMIT 5. When the walk supplies the
+// order, LIMIT stops it after five rows instead of reading and sorting every
+// match.
+func BenchmarkIndexOrderByLimit(b *testing.B) {
+	store := benchStore(b, 50_000, 50) // 1,000 needle rows
+	tbl := store.Table("events")
+	if err := store.CreateIndex(&schema.Index{Name: "ev_user", Table: tbl.Name, Columns: []int{2}}, nil); err != nil {
+		b.Fatal(err)
+	}
+	runPlanBench(b, store,
+		`SELECT id FROM events WHERE userid = 'needle' ORDER BY id DESC LIMIT 5`, 5)
 }

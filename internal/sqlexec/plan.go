@@ -100,6 +100,13 @@ type selectPlan struct {
 	grouped  bool
 	orderBy  []orderPlan
 
+	// orderCols and orderDesc restate the ORDER BY as columns of the single
+	// source, in one direction, when it can be one (see compileScanOrder);
+	// orderCols is nil otherwise. An access path that yields this order
+	// replaces the sort.
+	orderCols []int
+	orderDesc bool
+
 	// slots maps each column-reference node to its tuple slot in the layout
 	// where the expression containing it is evaluated. Read-only after
 	// compilation; unresolved references fall back to dynamic resolution.
@@ -301,7 +308,33 @@ func (p *selectPlan) compileOutput(cols []colInfo) error {
 		}
 		p.orderBy = append(p.orderBy, op)
 	}
+	p.compileScanOrder()
 	return nil
+}
+
+// compileScanOrder sets orderCols when the select reads one source with no
+// grouping, aggregate or DISTINCT, and its ORDER BY terms are plain columns
+// of that source, all in the same direction. Only such an ORDER BY can be
+// yielded by a scan instead of a sort.
+func (p *selectPlan) compileScanOrder() {
+	if len(p.sources) != 1 || p.grouped || p.sel.Distinct || len(p.orderBy) == 0 {
+		return
+	}
+	cols := make([]int, len(p.orderBy))
+	for i, op := range p.orderBy {
+		e := op.expr
+		if op.outIdx >= 0 {
+			e = p.items[op.outIdx]
+		}
+		ref, ok := e.(*sqlparse.ColumnRef)
+		if !ok || op.desc != p.orderBy[0].desc {
+			return
+		}
+		if cols[i], ok = p.slots[ref]; !ok {
+			return
+		}
+	}
+	p.orderCols, p.orderDesc = cols, p.orderBy[0].desc
 }
 
 // registerExpr records the tuple slot of every column reference in expr that

@@ -225,3 +225,40 @@ func TestPlanConcurrentReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestShapeShowsWhoOrders: the slow-query shape marks a scan that yields
+// the ORDER BY with its direction, and shows "→ order" only when a sort
+// runs.
+func TestShapeShowsWhoOrders(t *testing.T) {
+	h := newHarness(t)
+	h.ddl(`CREATE TABLE posts (postId INTEGER PRIMARY KEY, userId INTEGER, body TEXT);
+	       CREATE INDEX posts_by_user ON posts (userId);
+	       CREATE TABLE users (userId INTEGER PRIMARY KEY, name TEXT)`)
+	cases := []struct{ q, want string }{
+		{`SELECT postId FROM posts WHERE userId = ? ORDER BY postId DESC LIMIT 5`, "scan(posts eq[userId] ix desc) → limit"},
+		{`SELECT postId FROM posts WHERE userId = ? ORDER BY postId`, "scan(posts eq[userId] ix asc)"},
+		{`SELECT * FROM posts ORDER BY postId DESC`, "scan(posts desc)"},
+		{`SELECT body FROM posts WHERE postId = ? ORDER BY body DESC`, "scan(posts eq[postId] desc)"},
+		// A sort runs: not a key column, ties a reverse walk would flip, mixed
+		// directions, an expression, and an aggregate.
+		{`SELECT postId FROM posts WHERE userId = ? ORDER BY body LIMIT 5`, "scan(posts eq[userId] ix) → order → limit"},
+		{`SELECT userId FROM posts WHERE userId > ? ORDER BY userId DESC`, "scan(posts range[userId] ix) → order"},
+		{`SELECT postId FROM posts ORDER BY postId, body DESC`, "scan(posts) → order"},
+		{`SELECT postId FROM posts ORDER BY -postId`, "scan(posts) → order"},
+		{`SELECT userId, COUNT(*) FROM posts GROUP BY userId ORDER BY userId`, "scan(posts) → group → order"},
+		{`SELECT p.postId FROM posts p JOIN users u ON p.userId = u.userId ORDER BY p.postId`, "scan(posts) join-pk(users) → order"},
+	}
+	for _, c := range cases {
+		stmt, err := sqlparse.Parse(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Compile(stmt, h.store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Shape(); got != c.want {
+			t.Errorf("%s\n shape %q, want %q", c.q, got, c.want)
+		}
+	}
+}

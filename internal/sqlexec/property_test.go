@@ -2,6 +2,7 @@ package sqlexec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -548,5 +549,385 @@ func TestConcatAndLikeNullPropagation(t *testing.T) {
 	res = h.exec(`SELECT id FROM t WHERE s LIKE 'x%'`)
 	if len(res.Rows) != 1 {
 		t.Errorf("like with null = %v", rows(res))
+	}
+}
+
+// ordRow is the reference's view of one row of the ORDER BY tables: o's
+// (id, g, r, s) or c's (a, b, v), every column a value so the reference
+// orders with value.Compare, exactly as the executor's sort does.
+type ordRow value.Row
+
+// orderCase is one ORDER BY query shape. scanKey lists, in order, the
+// columns of the access path the engine takes for it (index columns, then
+// primary-key columns): the order rows reach the sort in, which decides how
+// ties come out. order lists the ORDER BY columns and directions.
+type orderCase struct {
+	table   string
+	sql     string // without LIMIT/OFFSET
+	args    func(rng *rand.Rand) []any
+	match   func(r ordRow, args []any) bool
+	scanKey []int
+	order   []orderTerm
+}
+
+type orderTerm struct {
+	col  int
+	desc bool
+}
+
+func asc(col int) orderTerm  { return orderTerm{col: col} }
+func desc(col int) orderTerm { return orderTerm{col: col, desc: true} }
+
+// referenceOrder answers one case from the model: rows in scan-key order,
+// filtered, stably sorted by the ORDER BY terms, then OFFSET and LIMIT.
+func referenceOrder(rows []ordRow, oc orderCase, args []any, off, lim int) []ordRow {
+	var out []ordRow
+	for _, r := range rows {
+		if oc.match(r, args) {
+			out = append(out, r)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		for _, c := range oc.scanKey {
+			if d := value.Compare(out[i][c], out[j][c]); d != 0 {
+				return d < 0
+			}
+		}
+		return false
+	})
+	sort.SliceStable(out, func(i, j int) bool {
+		for _, t := range oc.order {
+			d := value.Compare(out[i][t.col], out[j][t.col])
+			if d == 0 {
+				continue
+			}
+			if t.desc {
+				return d > 0
+			}
+			return d < 0
+		}
+		return false
+	})
+	if off >= len(out) {
+		return nil
+	}
+	out = out[off:]
+	if lim >= 0 && lim < len(out) {
+		out = out[:lim]
+	}
+	return out
+}
+
+// renderRows prints rows with each value's kind, so an INTEGER 1 and a REAL
+// 1.0 never compare equal by accident.
+func renderRows(rows []value.Row) string {
+	var b strings.Builder
+	for _, r := range rows {
+		b.WriteByte('[')
+		for i, v := range r {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprintf(&b, "%v:%s", v.Kind(), v)
+		}
+		b.WriteString("] ")
+	}
+	return b.String()
+}
+
+func numArg(v value.Value, a any) bool {
+	if v.IsNull() {
+		return false
+	}
+	av, _ := value.FromGo(a)
+	return value.Compare(v, av) == 0
+}
+
+func cmpArg(v value.Value, a any) int {
+	av, _ := value.FromGo(a)
+	return value.Compare(v, av)
+}
+
+// TestOrderByLimitDifferential checks ORDER BY … LIMIT/OFFSET against a Go
+// reference over every access path a single-table select can take: a full
+// scan, a point lookup, a primary-key prefix or range, and a secondary-index
+// equality prefix or range. Directions are ASC and DESC, with and without
+// ties, and the data holds NULLs, negatives, and integers and floats mixed
+// in REAL columns, so the key codec's order must agree with value.Compare.
+// Every case runs on the committed state and again inside a transaction
+// whose buffered inserts, updates and deletes move rows into and out of the
+// scanned ranges. Results must equal the reference exactly, tie order
+// included.
+func TestOrderByLimitDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	h := newHarness(t)
+	h.ddl(`CREATE TABLE o (id INTEGER PRIMARY KEY, g INTEGER, r REAL, s TEXT);
+	       CREATE INDEX o_gr ON o (g, r);
+	       CREATE INDEX o_s ON o (s);
+	       CREATE TABLE c (a INTEGER, b REAL, v TEXT, PRIMARY KEY (a, b))`)
+
+	// Small domains make ties and NULLs common. REAL values arrive as
+	// INTEGER and FLOAT arguments alike; the column stores them as REAL.
+	reals := []any{-3, -2.5, -1, -0.5, math.Copysign(0, -1), 0, 0.0, 0.5, 1, 1.0, 2, 2.5, 7}
+	texts := []any{"", "a", "ab", "b", "ba", "z"}
+	randOrNull := func(dom []any) any {
+		if rng.Intn(6) == 0 {
+			return nil
+		}
+		return dom[rng.Intn(len(dom))]
+	}
+	randG := func() any {
+		if rng.Intn(8) == 0 {
+			return nil
+		}
+		return rng.Intn(7) - 3
+	}
+	model := func(vals ...any) ordRow {
+		r := make(ordRow, len(vals))
+		for i, a := range vals {
+			v, err := value.FromGo(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r[i] = v
+		}
+		return r
+	}
+	toReal := func(r ordRow, col int) ordRow {
+		if r[col].Kind() == value.KindInt {
+			r[col] = value.Float(float64(r[col].AsInt()))
+		}
+		return r
+	}
+	oRows := map[int64]ordRow{}
+	for id := int64(-40); id < 120; id++ {
+		g, r, s := randG(), randOrNull(reals), randOrNull(texts)
+		h.exec(`INSERT INTO o VALUES (?, ?, ?, ?)`, id, g, r, s)
+		oRows[id] = toReal(model(id, g, r, s), 2)
+	}
+	type cKey struct {
+		a int64
+		b float64
+	}
+	cRows := map[cKey]ordRow{}
+	for i := 0; i < 120; i++ {
+		a := int64(rng.Intn(5) - 2)
+		b := reals[rng.Intn(len(reals))]
+		row := toReal(model(a, b, randOrNull(texts)), 1)
+		k := cKey{a, row[1].AsFloat()}
+		if _, dup := cRows[k]; dup {
+			continue
+		}
+		h.exec(`INSERT INTO c VALUES (?, ?, ?)`, a, b, row[2].Go())
+		cRows[k] = row
+	}
+
+	const oID, oG, oR, oS = 0, 1, 2, 3
+	const cA, cB, cV = 0, 1, 2
+	pkKey := []int{oID}
+	grKey := []int{oG, oR, oID}
+	sKey := []int{oS, oID}
+	cKeyCols := []int{cA, cB}
+	all := func(ordRow, []any) bool { return true }
+	gEq := func(r ordRow, a []any) bool { return numArg(r[oG], a[0]) }
+	gArg := func(rng *rand.Rand) []any { return []any{rng.Intn(7) - 3} }
+	oSel := `SELECT id, g, r, s FROM o `
+	cSel := `SELECT a, b, v FROM c `
+	var cases []orderCase
+	add := func(table, sql string, args func(*rand.Rand) []any, match func(ordRow, []any) bool, scanKey []int, order ...orderTerm) {
+		if args == nil {
+			args = func(*rand.Rand) []any { return nil }
+		}
+		cases = append(cases, orderCase{table: table, sql: sql, args: args, match: match, scanKey: scanKey, order: order})
+	}
+	// Full scans in primary-key order.
+	add("o", oSel+`ORDER BY id`, nil, all, pkKey, asc(oID))
+	add("o", oSel+`ORDER BY id DESC`, nil, all, pkKey, desc(oID))
+	add("o", oSel+`WHERE s IS NOT NULL ORDER BY id DESC`, nil,
+		func(r ordRow, _ []any) bool { return !r[oS].IsNull() }, pkKey, desc(oID))
+	add("o", oSel+`ORDER BY r DESC`, nil, all, pkKey, desc(oR))
+	add("o", oSel+`ORDER BY s, id DESC`, nil, all, pkKey, asc(oS), desc(oID))
+	// Primary-key range and point lookup.
+	pkRange := func(rng *rand.Rand) []any { lo := rng.Intn(160) - 50; return []any{lo, lo + rng.Intn(60)} }
+	inPK := func(r ordRow, a []any) bool { return cmpArg(r[oID], a[0]) >= 0 && cmpArg(r[oID], a[1]) < 0 }
+	add("o", oSel+`WHERE id >= ? AND id < ? ORDER BY id`, pkRange, inPK, pkKey, asc(oID))
+	add("o", oSel+`WHERE id >= ? AND id < ? ORDER BY id DESC`, pkRange, inPK, pkKey, desc(oID))
+	add("o", oSel+`WHERE id = ? ORDER BY s DESC`, func(rng *rand.Rand) []any { return []any{rng.Intn(180) - 50} },
+		func(r ordRow, a []any) bool { return numArg(r[oID], a[0]) }, pkKey, desc(oS))
+	// Secondary index (g, r) with an equality prefix on g.
+	add("o", oSel+`WHERE g = ? ORDER BY r`, gArg, gEq, grKey, asc(oR))
+	add("o", oSel+`WHERE g = ? ORDER BY r DESC`, gArg, gEq, grKey, desc(oR))
+	add("o", oSel+`WHERE g = ? ORDER BY r, id`, gArg, gEq, grKey, asc(oR), asc(oID))
+	add("o", oSel+`WHERE g = ? ORDER BY r DESC, id DESC`, gArg, gEq, grKey, desc(oR), desc(oID))
+	add("o", oSel+`WHERE g = ? ORDER BY r ASC, id DESC`, gArg, gEq, grKey, asc(oR), desc(oID))
+	add("o", oSel+`WHERE g = ? ORDER BY id DESC`, gArg, gEq, grKey, desc(oID))
+	add("o", oSel+`WHERE g = ? AND id > ? ORDER BY r DESC, id DESC`,
+		func(rng *rand.Rand) []any { return []any{rng.Intn(7) - 3, rng.Intn(160) - 50} },
+		func(r ordRow, a []any) bool { return numArg(r[oG], a[0]) && cmpArg(r[oID], a[1]) > 0 }, grKey, desc(oR), desc(oID))
+	add("o", oSel+`WHERE g = ? AND r > ? ORDER BY r DESC, id DESC`,
+		func(rng *rand.Rand) []any { return []any{rng.Intn(7) - 3, reals[rng.Intn(len(reals))]} },
+		func(r ordRow, a []any) bool { return numArg(r[oG], a[0]) && !r[oR].IsNull() && cmpArg(r[oR], a[1]) > 0 },
+		grKey, desc(oR), desc(oID))
+	// Secondary index (g, r) walked as a range on g.
+	gGt := func(r ordRow, a []any) bool { return !r[oG].IsNull() && cmpArg(r[oG], a[0]) > 0 }
+	add("o", oSel+`WHERE g > ? ORDER BY g`, gArg, gGt, grKey, asc(oG))
+	add("o", oSel+`WHERE g > ? ORDER BY g DESC`, gArg, gGt, grKey, desc(oG))
+	add("o", oSel+`WHERE g > ? ORDER BY g, r`, gArg, gGt, grKey, asc(oG), asc(oR))
+	add("o", oSel+`WHERE g > ? ORDER BY g DESC, r DESC, id DESC`, gArg, gGt, grKey, desc(oG), desc(oR), desc(oID))
+	// Secondary index on a TEXT column with NULLs and empty strings.
+	sArg := func(rng *rand.Rand) []any { return []any{texts[rng.Intn(len(texts))]} }
+	sGe := func(r ordRow, a []any) bool { return !r[oS].IsNull() && cmpArg(r[oS], a[0]) >= 0 }
+	add("o", oSel+`WHERE s >= ? ORDER BY s`, sArg, sGe, sKey, asc(oS))
+	add("o", oSel+`WHERE s >= ? ORDER BY s DESC, id DESC`, sArg, sGe, sKey, desc(oS), desc(oID))
+	add("o", oSel+`WHERE s = ? ORDER BY id DESC`, sArg,
+		func(r ordRow, a []any) bool { return !r[oS].IsNull() && cmpArg(r[oS], a[0]) == 0 }, sKey, desc(oID))
+	// Composite primary key (a INTEGER, b REAL).
+	aArg := func(rng *rand.Rand) []any { return []any{rng.Intn(5) - 2} }
+	aEq := func(r ordRow, a []any) bool { return numArg(r[cA], a[0]) }
+	add("c", cSel+`WHERE a = ? ORDER BY b`, aArg, aEq, cKeyCols, asc(cB))
+	add("c", cSel+`WHERE a = ? ORDER BY b DESC`, aArg, aEq, cKeyCols, desc(cB))
+	add("c", cSel+`WHERE a = ? AND b > ? ORDER BY b DESC`,
+		func(rng *rand.Rand) []any { return []any{rng.Intn(5) - 2, reals[rng.Intn(len(reals))]} },
+		func(r ordRow, a []any) bool { return numArg(r[cA], a[0]) && cmpArg(r[cB], a[1]) > 0 }, cKeyCols, desc(cB))
+	add("c", cSel+`ORDER BY a DESC, b DESC`, nil, all, cKeyCols, desc(cA), desc(cB))
+	add("c", cSel+`ORDER BY a DESC`, nil, all, cKeyCols, desc(cA))
+	add("c", cSel+`ORDER BY a, v`, nil, all, cKeyCols, asc(cA), asc(cV))
+
+	limits := []struct {
+		sql      string
+		off, lim int
+	}{
+		{"", 0, -1}, {" LIMIT 0", 0, 0}, {" LIMIT 1", 0, 1}, {" LIMIT 3", 0, 3},
+		{" LIMIT 1000", 0, 1000}, {" LIMIT 3 OFFSET 2", 2, 3}, {" LIMIT 2 OFFSET 0", 0, 2},
+		{" LIMIT 5 OFFSET 1000", 1000, 5}, {" LIMIT 0 OFFSET 1", 1, 0},
+	}
+	check := func(phase string, tx *txn.Txn) {
+		oList := make([]ordRow, 0, len(oRows))
+		for _, r := range oRows {
+			oList = append(oList, r)
+		}
+		cList := make([]ordRow, 0, len(cRows))
+		for _, r := range cRows {
+			cList = append(cList, r)
+		}
+		for _, oc := range cases {
+			rows := oList
+			if oc.table == "c" {
+				rows = cList
+			}
+			for draw := 0; draw < 3; draw++ {
+				args := oc.args(rng)
+				for _, l := range limits {
+					got := execIn(t, h, tx, oc.sql+l.sql, args...)
+					want := referenceOrder(rows, oc, args, l.off, l.lim)
+					wantRows := make([]value.Row, len(want))
+					for i, r := range want {
+						wantRows[i] = value.Row(r)
+					}
+					if g, w := renderRows(got.Rows), renderRows(wantRows); g != w {
+						t.Fatalf("%s: %s%s %v\n got: %s\nwant: %s", phase, oc.sql, l.sql, args, g, w)
+					}
+				}
+			}
+		}
+	}
+
+	committed := txn.Begin(h.store)
+	check("committed", committed)
+	committed.Abort()
+
+	tx := txn.Begin(h.store)
+	defer tx.Abort()
+	for i := int64(200); i < 240; i++ { // fresh inserts, some removed again
+		g, r, s := randG(), randOrNull(reals), randOrNull(texts)
+		execIn(t, h, tx, `INSERT INTO o VALUES (?, ?, ?, ?)`, i, g, r, s)
+		oRows[i] = toReal(model(i, g, r, s), 2)
+		if i%5 == 0 {
+			execIn(t, h, tx, `DELETE FROM o WHERE id = ?`, i)
+			delete(oRows, i)
+		}
+	}
+	for id := int64(-40); id < 120; id++ {
+		switch rng.Intn(6) {
+		case 0: // moves between g groups and along r
+			g, r := randG(), randOrNull(reals)
+			execIn(t, h, tx, `UPDATE o SET g = ?, r = ? WHERE id = ?`, g, r, id)
+			row := oRows[id]
+			oRows[id] = toReal(model(id, g, r, row[oS].Go()), 2)
+		case 1: // moves along s
+			s := randOrNull(texts)
+			execIn(t, h, tx, `UPDATE o SET s = ? WHERE id = ?`, s, id)
+			oRows[id][oS] = model(s)[0]
+		case 2:
+			execIn(t, h, tx, `DELETE FROM o WHERE id = ?`, id)
+			delete(oRows, id)
+		case 3: // deleted and re-inserted with new values
+			execIn(t, h, tx, `DELETE FROM o WHERE id = ?`, id)
+			g, r, s := randG(), randOrNull(reals), randOrNull(texts)
+			execIn(t, h, tx, `INSERT INTO o VALUES (?, ?, ?, ?)`, id, g, r, s)
+			oRows[id] = toReal(model(id, g, r, s), 2)
+		}
+	}
+	cKeys := make([]cKey, 0, len(cRows))
+	for k := range cRows {
+		cKeys = append(cKeys, k)
+	}
+	sort.Slice(cKeys, func(i, j int) bool {
+		return cKeys[i].a < cKeys[j].a || cKeys[i].a == cKeys[j].a && cKeys[i].b < cKeys[j].b
+	})
+	for _, k := range cKeys {
+		row := cRows[k]
+		if rng.Intn(4) == 0 {
+			execIn(t, h, tx, `DELETE FROM c WHERE a = ? AND b = ?`, k.a, k.b)
+			delete(cRows, k)
+			continue
+		}
+		if rng.Intn(4) == 0 {
+			v := randOrNull(texts)
+			execIn(t, h, tx, `UPDATE c SET v = ? WHERE a = ? AND b = ?`, v, k.a, k.b)
+			row[cV] = model(v)[0]
+		}
+	}
+	for i := 0; i < 30; i++ {
+		a := int64(rng.Intn(5) - 2)
+		b := reals[rng.Intn(len(reals))]
+		row := toReal(model(a, b, randOrNull(texts)), 1)
+		k := cKey{a, row[1].AsFloat()}
+		if _, dup := cRows[k]; dup {
+			continue
+		}
+		execIn(t, h, tx, `INSERT INTO c VALUES (?, ?, ?)`, a, b, row[2].Go())
+		cRows[k] = row
+	}
+	check("overlay", tx)
+}
+
+// TestOrderByLimitStopsTheWalk: when the index yields the ORDER BY order,
+// LIMIT stops the walk, so read provenance holds only the rows returned.
+func TestOrderByLimitStopsTheWalk(t *testing.T) {
+	h := newHarness(t)
+	h.ddl(`CREATE TABLE posts (postId INTEGER PRIMARY KEY, userId INTEGER, body TEXT);
+	       CREATE INDEX posts_by_user ON posts (userId)`)
+	for i := 0; i < 100; i++ {
+		h.exec(`INSERT INTO posts VALUES (?, ?, 'x')`, i, i%2)
+	}
+	stmt, err := sqlparse.Parse(`SELECT postId FROM posts WHERE userId = ? ORDER BY postId DESC LIMIT 5`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := txn.Begin(h.store)
+	defer tx.Abort()
+	reads := 0
+	ex := &Executor{Tx: tx, Store: h.store, Args: []value.Value{value.Int(1)},
+		OnRead: func(string, value.Row) { reads++ }}
+	res, err := ex.Select(stmt.(*sqlparse.Select))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(rows(res)); got != "[99 97 95 93 91]" {
+		t.Fatalf("rows = %s", got)
+	}
+	if reads != 5 {
+		t.Errorf("ORDER BY postId DESC LIMIT 5 over 50 matches read %d rows, want 5", reads)
 	}
 }

@@ -3,7 +3,6 @@ package sqlexec
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -58,255 +57,6 @@ func splitConjuncts(e sqlparse.Expr, out []sqlparse.Expr) []sqlparse.Expr {
 		out = append(out, e)
 	}
 	return out
-}
-
-// --- single-source scans -------------------------------------------------------
-
-// scanPlanSource streams the source's rows (after pushed filters) into fn,
-// choosing the best access path: PK point/prefix/range, secondary index
-// prefix/range, or full scan. Equality and range bounds are planned
-// structurally at compile time and evaluated (against the statement
-// arguments) here. fn receives the physical row and returns false to stop.
-func (ex *Executor) scanPlanSource(s *planSource, slots map[*sqlparse.ColumnRef]int, fn func(value.Row) (bool, error)) error {
-	// Evaluate planned equality bounds for this execution.
-	var bounds map[int]value.Value
-	for _, b := range s.eqBounds {
-		v, err := eval(&env{args: ex.Args}, b.expr)
-		if err != nil {
-			return err
-		}
-		coerced, err := schema.Coerce(v, s.tbl.Columns[b.col].Type)
-		if err != nil {
-			// Type-incompatible constant: the filter can never match, but the
-			// residual predicate keeps semantics SQL-like without a bound.
-			continue
-		}
-		if bounds == nil {
-			bounds = make(map[int]value.Value, len(s.eqBounds))
-		}
-		bounds[b.col] = coerced
-	}
-
-	fe := env{cols: s.cols, args: ex.Args, slots: slots}
-	emit := func(row value.Row) (bool, error) {
-		if len(s.residual) > 0 {
-			fe.vals = row
-			for _, f := range s.residual {
-				ok, err := evalPredicate(&fe, f)
-				if err != nil {
-					return false, err
-				}
-				if !ok {
-					return true, nil
-				}
-			}
-		}
-		ex.observeRead(s.tbl.Name, row)
-		return fn(row)
-	}
-
-	// PK prefix from equality bounds.
-	pkPrefixLen := 0
-	for _, c := range s.tbl.PKCols {
-		if _, ok := bounds[c]; !ok {
-			break
-		}
-		pkPrefixLen++
-	}
-	if pkPrefixLen == len(s.tbl.PKCols) {
-		// Point lookup.
-		buf := make([]byte, 0, 48)
-		for _, c := range s.tbl.PKCols {
-			buf = value.EncodeKey(buf, bounds[c])
-		}
-		row, found, err := ex.Tx.Get(s.tbl.Name, string(buf))
-		if err != nil {
-			return err
-		}
-		if found {
-			if _, err := emit(row); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if pkPrefixLen > 0 {
-		buf := make([]byte, 0, 48)
-		for _, c := range s.tbl.PKCols[:pkPrefixLen] {
-			buf = value.EncodeKey(buf, bounds[c])
-		}
-		prefix := string(buf)
-		lo, hi, err := ex.rangeKeyBounds(s, s.tbl.PKCols, pkPrefixLen, prefix)
-		if err != nil {
-			return err
-		}
-		return ex.txScan(s.tbl.Name, lo, hi, emit)
-	}
-
-	// No PK equality prefix. Secondary-index scans merge the transaction's
-	// buffered writes with committed postings (Txn.IndexScan), so they stay
-	// correct when the transaction has local writes on the table; the
-	// scanned interval is recorded as a precise index-key range for OCC
-	// validation. Access-path priority: index equality lookup, then PK range
-	// scan, then index range scan, full scan.
-	ix, eqLen := pickPlanIndex(s, bounds)
-	if ix != nil && eqLen > 0 {
-		// A selective index equality lookup beats a PK range scan (e.g.
-		// "WHERE id > cursor AND email = ?" should probe the email index).
-		return ex.indexScan(s, ix, eqLen, bounds, emit)
-	}
-	if s.hasRangeOn(s.tbl.PKCols[0]) {
-		lo, hi, err := ex.rangeKeyBounds(s, s.tbl.PKCols, 0, "")
-		if err != nil {
-			return err
-		}
-		return ex.txScan(s.tbl.Name, lo, hi, emit)
-	}
-	if ix != nil {
-		return ex.indexScan(s, ix, eqLen, bounds, emit)
-	}
-
-	return ex.txScan(s.tbl.Name, "", "", emit)
-}
-
-// hasRangeOn reports whether a range bound was planned on column col.
-func (s *planSource) hasRangeOn(col int) bool {
-	for _, r := range s.ranges {
-		if r.col == col {
-			return true
-		}
-	}
-	return false
-}
-
-// rangeKeyBounds computes the [lo, hi) key interval for a scan over keyCols
-// with an encoded equality prefix of prefixLen columns, narrowing it with any
-// range bounds planned on the next key column. hi == "" means unbounded.
-// Bounds are conservative: every row matching the source predicates lies
-// inside the interval (the residual filters decide exactly).
-func (ex *Executor) rangeKeyBounds(s *planSource, keyCols []int, prefixLen int, prefix string) (string, string, error) {
-	lo := prefix
-	hi := ""
-	if prefix != "" {
-		hi = prefix + "\xff"
-	}
-	if prefixLen >= len(keyCols) {
-		return lo, hi, nil
-	}
-	next := keyCols[prefixLen]
-	for _, r := range s.ranges {
-		if r.col != next {
-			continue
-		}
-		v, err := eval(&env{args: ex.Args}, r.expr)
-		if err != nil {
-			return "", "", err
-		}
-		coerced, err := schema.Coerce(v, s.tbl.Columns[next].Type)
-		if err != nil || coerced.IsNull() {
-			continue // residual filter decides; no narrowing possible
-		}
-		if coerced.Kind() == value.KindFloat && math.IsNaN(coerced.AsFloat()) {
-			continue // NaN does not order; leave the interval alone
-		}
-		enc := prefix + string(value.EncodeKey(nil, coerced))
-		switch r.op {
-		case sqlparse.OpGt:
-			// Every key whose column equals the bound starts with enc and
-			// continues with a tag byte < 0xff, so enc+"\xff" skips them all.
-			if cand := enc + "\xff"; cand > lo {
-				lo = cand
-			}
-		case sqlparse.OpGe:
-			if enc > lo {
-				lo = enc
-			}
-		case sqlparse.OpLt:
-			if hi == "" || enc < hi {
-				hi = enc
-			}
-		case sqlparse.OpLe:
-			if cand := enc + "\xff"; hi == "" || cand < hi {
-				hi = cand
-			}
-		}
-	}
-	return lo, hi, nil
-}
-
-// txScan adapts Txn.Scan to an error-propagating callback.
-func (ex *Executor) txScan(table, lo, hi string, emit func(value.Row) (bool, error)) error {
-	var innerErr error
-	err := ex.Tx.Scan(table, lo, hi, func(_ string, row value.Row) bool {
-		cont, err := emit(row)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		return cont
-	})
-	if innerErr != nil {
-		return innerErr
-	}
-	return err
-}
-
-// pickPlanIndex chooses the secondary index with the longest equality
-// prefix, falling back to an index whose first column carries a range bound.
-func pickPlanIndex(s *planSource, bounds map[int]value.Value) (*schema.Index, int) {
-	var best *schema.Index
-	bestLen := 0
-	for _, ix := range s.indexes {
-		n := 0
-		for _, c := range ix.Columns {
-			if _, ok := bounds[c]; !ok {
-				break
-			}
-			n++
-		}
-		if n > bestLen {
-			best, bestLen = ix, n
-		}
-	}
-	if best != nil {
-		return best, bestLen
-	}
-	for _, ix := range s.indexes {
-		if s.hasRangeOn(ix.Columns[0]) {
-			return ix, 0
-		}
-	}
-	return nil, 0
-}
-
-func (ex *Executor) indexScan(s *planSource, ix *schema.Index, eqLen int, bounds map[int]value.Value, emit func(value.Row) (bool, error)) error {
-	var prefix string
-	if eqLen > 0 {
-		buf := make([]byte, 0, 48)
-		for _, c := range ix.Columns[:eqLen] {
-			buf = value.EncodeKey(buf, bounds[c])
-		}
-		prefix = string(buf)
-	}
-	lo, hi, err := ex.rangeKeyBounds(s, ix.Columns, eqLen, prefix)
-	if err != nil {
-		return err
-	}
-	// Stream postings through the sink: rows are emitted as the merged
-	// (committed + buffered) index scan produces them, so LIMIT pushdown
-	// stops the underlying tree walk instead of buffering every match.
-	var innerErr error
-	if err := ex.Tx.IndexScan(s.tbl, ix, lo, hi, func(_ string, row value.Row) bool {
-		cont, err := emit(row)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		return cont
-	}); err != nil {
-		return err
-	}
-	return innerErr
 }
 
 // --- joins -----------------------------------------------------------------------
@@ -433,10 +183,19 @@ func joinTuple(left, right value.Row) value.Row {
 	return append(append(tup, left...), right...)
 }
 
+// sourceWalk is the first source's access path and walk direction, when
+// they were chosen before the pipeline ran.
+type sourceWalk struct {
+	path accessPath
+	dir  storage.Direction
+}
+
 // runPlan executes the compiled join/filter pipeline, streaming final tuples
 // into sink. sink may return errStopIteration to end the pipeline early
 // (LIMIT); the env passed to sink is valid only for the duration of the call.
-func (ex *Executor) runPlan(p *selectPlan, sink func(e *env) error) error {
+// The first source is read along w, or along the path chosen for it here,
+// forward, when w is nil.
+func (ex *Executor) runPlan(p *selectPlan, w *sourceWalk, sink func(e *env) error) error {
 	if p.fromless {
 		// FROM-less SELECT: a single empty tuple.
 		e := &env{args: ex.Args, slots: p.slots}
@@ -446,6 +205,16 @@ func (ex *Executor) runPlan(p *selectPlan, sink func(e *env) error) error {
 		return nil
 	}
 	s0 := p.sources[0]
+	var path0 accessPath
+	dir0 := storage.Ascending
+	if w != nil {
+		path0, dir0 = w.path, w.dir
+	} else {
+		var err error
+		if path0, err = ex.choosePath(s0); err != nil {
+			return err
+		}
+	}
 	stage0 := func(e *env) (bool, error) {
 		for _, f := range p.stage0 {
 			ok, err := evalPredicate(e, f)
@@ -463,7 +232,7 @@ func (ex *Executor) runPlan(p *selectPlan, sink func(e *env) error) error {
 		// Single-source select: stream rows straight through the sink; LIMIT
 		// can stop the scan itself.
 		se := env{cols: s0.cols, args: ex.Args, slots: p.slots}
-		return ex.scanPlanSource(s0, p.slots, func(row value.Row) (bool, error) {
+		return ex.walk(s0, p.slots, path0, dir0, func(row value.Row) (bool, error) {
 			se.vals = row
 			ok, err := stage0(&se)
 			if err != nil {
@@ -485,7 +254,7 @@ func (ex *Executor) runPlan(p *selectPlan, sink func(e *env) error) error {
 	// Materialise the left side progressively. Starting tuples: source 0 rows.
 	var tuples []value.Row
 	se := env{cols: s0.cols, args: ex.Args, slots: p.slots}
-	if err := ex.scanPlanSource(s0, p.slots, func(row value.Row) (bool, error) {
+	if err := ex.walk(s0, p.slots, path0, dir0, func(row value.Row) (bool, error) {
 		if len(p.stage0) > 0 {
 			se.vals = row
 			ok, err := stage0(&se)
@@ -790,13 +559,30 @@ func (ex *Executor) Select(sel *sqlparse.Select) (*Result, error) {
 	return ex.runSelectPlan(p)
 }
 
+// runSelectPlan runs a select. A plan with no ORDER BY, grouping or
+// DISTINCT streams. So does one whose ORDER BY the first source's access
+// path yields (accessPath.order): it walks the path in that direction and
+// LIMIT stops the walk. Any other plan buffers its rows, then sorts them
+// and applies OFFSET and LIMIT.
 func (ex *Executor) runSelectPlan(p *selectPlan) (*Result, error) {
 	if p.streamable() {
-		return ex.runStreaming(p)
+		return ex.runStreaming(p, nil)
+	}
+	var w *sourceWalk
+	if p.orderCols != nil {
+		path, err := ex.choosePath(p.sources[0])
+		if err != nil {
+			return nil, err
+		}
+		w = &sourceWalk{path: path}
+		if dir, ok := path.order(p.sources[0].tbl, p.orderCols, p.orderDesc); ok {
+			w.dir = dir
+			return ex.runStreaming(p, w)
+		}
 	}
 
 	var tuples []*env
-	if err := ex.runPlan(p, func(e *env) error {
+	if err := ex.runPlan(p, w, func(e *env) error {
 		// Copy: the env backing is reused between sink calls.
 		tuples = append(tuples, &env{cols: e.cols, vals: e.vals, args: e.args, slots: e.slots})
 		return nil
@@ -845,10 +631,10 @@ func (ex *Executor) runSelectPlan(p *selectPlan) (*Result, error) {
 	return &Result{Columns: p.names, Rows: outRows}, nil
 }
 
-// runStreaming projects rows as the pipeline produces them (no ordering,
+// runStreaming projects rows as the pipeline produces them (no sort,
 // grouping, or distinct pass), applying OFFSET/LIMIT incrementally so LIMIT
-// can stop the underlying scan early.
-func (ex *Executor) runStreaming(p *selectPlan) (*Result, error) {
+// can stop the underlying scan early. w is passed on to runPlan.
+func (ex *Executor) runStreaming(p *selectPlan, w *sourceWalk) (*Result, error) {
 	off, lim, err := ex.evalLimitOffset(p.sel)
 	if err != nil {
 		return nil, err
@@ -857,7 +643,7 @@ func (ex *Executor) runStreaming(p *selectPlan) (*Result, error) {
 		return &Result{Columns: p.names}, nil
 	}
 	var outRows []value.Row
-	err = ex.runPlan(p, func(e *env) error {
+	err = ex.runPlan(p, w, func(e *env) error {
 		if off > 0 {
 			off-- // skip before projecting: OFFSET rows are never evaluated
 			return nil

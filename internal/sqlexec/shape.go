@@ -11,11 +11,14 @@ import (
 // (pk-lookup vs hash), and the post-processing stages (group/order/distinct/
 // limit). It is a static summary — index *choice* happens per execution once
 // bound values are known — but it tells an operator at a glance whether a
-// slow statement had index support or fell back to a full scan.
+// slow statement had index support or fell back to a full scan. A scan that
+// yields the ORDER BY itself is marked asc or desc, and "→ order" appears
+// only when a sort runs.
 //
 // Examples:
 //
 //	scan(accounts eq[id] ix) → agg
+//	scan(posts eq[userId] ix desc) → limit
 //	scan(posts) join-hash(users pk) → order → limit
 //	insert(accounts ×3)
 //	update(accounts eq[id])
@@ -34,12 +37,20 @@ func (p *Plan) Shape() string {
 }
 
 func (p *selectPlan) shape() string {
+	ordered := p.scanOrdered()
 	var b strings.Builder
 	if p.fromless {
 		b.WriteString("const")
 	} else {
 		b.WriteString("scan(")
 		b.WriteString(sourceShape(p.sources[0]))
+		if ordered {
+			if p.orderDesc {
+				b.WriteString(" desc")
+			} else {
+				b.WriteString(" asc")
+			}
+		}
 		b.WriteByte(')')
 		for _, j := range p.joins {
 			if j.pkLookup != nil {
@@ -61,13 +72,26 @@ func (p *selectPlan) shape() string {
 	if p.sel.Distinct {
 		b.WriteString(" → distinct")
 	}
-	if len(p.orderBy) > 0 {
+	if len(p.orderBy) > 0 && !ordered {
 		b.WriteString(" → order")
 	}
 	if p.sel.Limit != nil {
 		b.WriteString(" → limit")
 	}
 	return b.String()
+}
+
+// scanOrdered reports whether the scan yields the ORDER BY: whether the
+// path pickPath takes, when every planned equality bound has a value, yields
+// it. At run time a bound whose value cannot be coerced to its column's type
+// is dropped, and the path, and so the answer, may differ.
+func (p *selectPlan) scanOrdered() bool {
+	if p.orderCols == nil {
+		return false
+	}
+	s := p.sources[0]
+	_, ok := pickPath(s, s.hasEqOn).order(s.tbl, p.orderCols, p.orderDesc)
+	return ok
 }
 
 // sourceShape describes one table access: the table name, its equality and

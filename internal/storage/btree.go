@@ -275,16 +275,19 @@ func (n *btreeNode[V]) minEntry() (string, V, bool) {
 	return "", zero, false
 }
 
-// AscendRange visits keys in [lo, hi) in order; hi == "" means unbounded.
-// The callback returns false to stop early. AscendRange reports whether the
-// scan ran to completion.
-func (t *btree[V]) AscendRange(lo, hi string, fn func(key string, val V) bool) bool {
-	return t.root.ascend(lo, hi, fn)
-}
-
 // Ascend visits all keys in order.
 func (t *btree[V]) Ascend(fn func(key string, val V) bool) bool {
 	return t.root.ascend("", "", fn)
+}
+
+// Range visits keys in [lo, hi) in dir's order; hi == "" means unbounded.
+// The callback returns false to stop early. Range reports whether the walk
+// ran to completion.
+func (t *btree[V]) Range(lo, hi string, dir Direction, fn func(key string, val V) bool) bool {
+	if dir == Descending {
+		return t.root.descend(lo, hi, fn)
+	}
+	return t.root.ascend(lo, hi, fn)
 }
 
 func (n *btreeNode[V]) ascend(lo, hi string, fn func(string, V) bool) bool {
@@ -309,6 +312,33 @@ func (n *btreeNode[V]) ascend(lo, hi string, fn func(string, V) bool) bool {
 	}
 	if !n.leaf() {
 		return n.children[len(n.keys)].ascend(lo, hi, fn)
+	}
+	return true
+}
+
+// descend is ascend's mirror: keys in [lo, hi) from the largest down.
+func (n *btreeNode[V]) descend(lo, hi string, fn func(string, V) bool) bool {
+	end := len(n.keys)
+	if hi != "" {
+		end = sort.SearchStrings(n.keys, hi)
+	}
+	if !n.leaf() {
+		if !n.children[end].descend(lo, hi, fn) {
+			return false
+		}
+	}
+	for i := end - 1; i >= 0; i-- {
+		if n.keys[i] < lo {
+			return true
+		}
+		if !fn(n.keys[i], n.vals[i]) {
+			return false
+		}
+		if !n.leaf() {
+			if !n.children[i].descend(lo, hi, fn) {
+				return false
+			}
+		}
 	}
 	return true
 }

@@ -78,7 +78,7 @@ func TestBTreeRangeScan(t *testing.T) {
 		tr.Set(fmt.Sprintf("%03d", i), i)
 	}
 	var got []int
-	tr.AscendRange("010", "015", func(k string, v int) bool {
+	tr.Range("010", "015", Ascending, func(k string, v int) bool {
 		got = append(got, v)
 		return true
 	})
@@ -87,7 +87,7 @@ func TestBTreeRangeScan(t *testing.T) {
 	}
 	// Unbounded hi.
 	got = nil
-	tr.AscendRange("097", "", func(k string, v int) bool {
+	tr.Range("097", "", Ascending, func(k string, v int) bool {
 		got = append(got, v)
 		return true
 	})
@@ -96,7 +96,7 @@ func TestBTreeRangeScan(t *testing.T) {
 	}
 	// Early stop.
 	got = nil
-	tr.AscendRange("", "", func(k string, v int) bool {
+	tr.Range("", "", Ascending, func(k string, v int) bool {
 		got = append(got, v)
 		return len(got) < 3
 	})

@@ -471,16 +471,25 @@ func (s *Store) Get(table, key string, seq uint64) (value.Row, bool) {
 	return row, true
 }
 
+// Direction is the key order a range walk visits rows in.
+type Direction uint8
+
+// Walk directions.
+const (
+	Ascending Direction = iota
+	Descending
+)
+
 // ScanRange visits rows with keys in [lo, hi) visible at snapshot seq, in
-// key order. hi == "" is unbounded. fn returns false to stop.
-func (s *Store) ScanRange(table, lo, hi string, seq uint64, fn func(key string, row value.Row) bool) {
+// dir's key order. hi == "" is unbounded. fn returns false to stop.
+func (s *Store) ScanRange(table, lo, hi string, seq uint64, dir Direction, fn func(key string, row value.Row) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	td, ok := s.data[strings.ToLower(table)]
 	if !ok {
 		return
 	}
-	td.rows.AscendRange(lo, hi, func(k string, e *entry) bool {
+	td.rows.Range(lo, hi, dir, func(k string, e *entry) bool {
 		row := e.visible(seq)
 		if row == nil {
 			return true
@@ -505,7 +514,7 @@ func (s *Store) IndexScanRange(table, index, lo, hi string, seq uint64, fn func(
 	if !ok {
 		return fmt.Errorf("storage: unknown index %q on %q", index, table)
 	}
-	tree.AscendRange(lo, hi, func(k string, e *indexEntry) bool {
+	tree.Range(lo, hi, Ascending, func(k string, e *indexEntry) bool {
 		pk, present := e.visible(seq)
 		if !present {
 			return true
@@ -517,10 +526,11 @@ func (s *Store) IndexScanRange(table, index, lo, hi string, seq uint64, fn func(
 
 // IndexScanRows visits index postings with index keys in [lo, hi) visible at
 // seq and resolves each referenced row under the same lock, streaming
-// (indexKey, pk, row) to fn in index order. This lets the transaction layer
-// merge committed postings with buffered writes without re-entering the
-// store per row (and lets LIMIT stop the scan early via fn returning false).
-func (s *Store) IndexScanRows(table, index, lo, hi string, seq uint64, fn func(indexKey, pk string, row value.Row) bool) error {
+// (indexKey, pk, row) to fn in dir's index order. This lets the transaction
+// layer merge committed postings with buffered writes without re-entering
+// the store per row (and lets LIMIT stop the scan early via fn returning
+// false).
+func (s *Store) IndexScanRows(table, index, lo, hi string, seq uint64, dir Direction, fn func(indexKey, pk string, row value.Row) bool) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	td, ok := s.data[strings.ToLower(table)]
@@ -531,7 +541,7 @@ func (s *Store) IndexScanRows(table, index, lo, hi string, seq uint64, fn func(i
 	if !ok {
 		return fmt.Errorf("storage: unknown index %q on %q", index, table)
 	}
-	tree.AscendRange(lo, hi, func(k string, e *indexEntry) bool {
+	tree.Range(lo, hi, dir, func(k string, e *indexEntry) bool {
 		pk, present := e.visible(seq)
 		if !present {
 			return true
@@ -565,7 +575,7 @@ func (s *Store) ApproxRows(table string) int {
 // RowCount returns the number of live rows at seq (O(n); for tests/tools).
 func (s *Store) RowCount(table string, seq uint64) int {
 	count := 0
-	s.ScanRange(table, "", "", seq, func(string, value.Row) bool {
+	s.ScanRange(table, "", "", seq, Ascending, func(string, value.Row) bool {
 		count++
 		return true
 	})

@@ -131,7 +131,7 @@ func TestInsertGetScan(t *testing.T) {
 		t.Fatalf("Get = %v, %v", got, ok)
 	}
 	var keys []string
-	s.ScanRange("kv", "", "", seq, func(k string, r value.Row) bool {
+	s.ScanRange("kv", "", "", seq, Ascending, func(k string, r value.Row) bool {
 		keys = append(keys, r[0].AsText())
 		return true
 	})
@@ -142,7 +142,7 @@ func TestInsertGetScan(t *testing.T) {
 	lo := schema.EncodeKeyTuple(value.Row{value.Text("k03")})
 	hi := schema.EncodeKeyTuple(value.Row{value.Text("k06")})
 	keys = nil
-	s.ScanRange("kv", lo, hi, seq, func(k string, r value.Row) bool {
+	s.ScanRange("kv", lo, hi, seq, Ascending, func(k string, r value.Row) bool {
 		keys = append(keys, r[0].AsText())
 		return true
 	})

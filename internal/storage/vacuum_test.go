@@ -34,7 +34,7 @@ func mutateKV(t *testing.T, s *Store, k string, before, after value.Row) uint64 
 // readAll collects the kv table's visible rows at seq as "k=v" strings.
 func readAll(s *Store, seq uint64) []string {
 	var out []string
-	s.ScanRange("kv", "", "", seq, func(_ string, row value.Row) bool {
+	s.ScanRange("kv", "", "", seq, Ascending, func(_ string, row value.Row) bool {
 		out = append(out, fmt.Sprintf("%s=%d", row[0].AsText(), row[1].AsInt()))
 		return true
 	})

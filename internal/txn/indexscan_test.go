@@ -274,3 +274,67 @@ func TestIndexScanUniquePendingDuplicate(t *testing.T) {
 		t.Fatalf("commit must fail with a unique violation, got %v", err)
 	}
 }
+
+// TestIndexScanDirKeepsEqualKeyOrder: a reverse walk visits distinct index
+// keys in reverse, but postings that share one key (a buffered row claiming
+// a committed unique key, until commit rejects it) keep the forward walk's
+// relative order — committed first, then buffered by primary key — so a
+// stable sort over a forward walk and a reverse walk agree on ties.
+func TestIndexScanDirKeepsEqualKeyOrder(t *testing.T) {
+	s := storage.NewStore()
+	tbl, err := schema.NewTable("accts", []schema.Column{
+		{Name: "id", Type: value.KindInt},
+		{Name: "email", Type: value.KindText},
+	}, []string{"id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateTable(tbl, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	ux := &schema.Index{Name: "ux", Table: "accts", Columns: []int{1}, Unique: true}
+	if err := s.CreateIndex(ux, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := Run(s, func(tx *Txn) error {
+		for _, r := range []value.Row{
+			{value.Int(5), value.Text("a")},
+			{value.Int(9), value.Text("m")},
+			{value.Int(1), value.Text("z")},
+		} {
+			if err := tx.Insert(tbl, r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tx := Begin(s)
+	defer tx.Abort()
+	for _, r := range []value.Row{
+		{value.Int(7), value.Text("m")},
+		{value.Int(3), value.Text("m")},
+		{value.Int(4), value.Text("b")},
+	} {
+		if err := tx.Insert(tbl, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walk := func(dir storage.Direction) string {
+		var out []string
+		if err := tx.IndexScanDir(tbl, ux, "", "", dir, func(_ string, r value.Row) bool {
+			out = append(out, fmt.Sprintf("%s%d", r[1].AsText(), r[0].AsInt()))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(out, " ")
+	}
+	if got, want := walk(storage.Ascending), "a5 b4 m9 m3 m7 z1"; got != want {
+		t.Errorf("ascending walk = %s, want %s", got, want)
+	}
+	if got, want := walk(storage.Descending), "z1 m9 m3 m7 b4 a5"; got != want {
+		t.Errorf("descending walk = %s, want %s", got, want)
+	}
+}

@@ -12,6 +12,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -173,6 +174,12 @@ func (t *Txn) Get(table, key string) (value.Row, bool, error) {
 // with buffered writes. The scanned range is recorded for phantom-safe
 // validation. fn returns false to stop early.
 func (t *Txn) Scan(table, lo, hi string, fn func(key string, row value.Row) bool) error {
+	return t.ScanDir(table, lo, hi, storage.Ascending, fn)
+}
+
+// ScanDir is Scan in dir's key order. The whole [lo, hi) range is recorded
+// for validation even when fn stops the walk early.
+func (t *Txn) ScanDir(table, lo, hi string, dir storage.Direction, fn func(key string, row value.Row) bool) error {
 	if t.state != StateActive {
 		return ErrDone
 	}
@@ -180,7 +187,7 @@ func (t *Txn) Scan(table, lo, hi string, fn func(key string, row value.Row) bool
 		t.reads.AddRange(table, lo, hi)
 	}
 
-	// Sorted local keys within range.
+	// Local keys within range, in walk order.
 	local := t.writes[strings.ToLower(table)]
 	localKeys := make([]string, 0, len(local))
 	for k := range local {
@@ -189,6 +196,10 @@ func (t *Txn) Scan(table, lo, hi string, fn func(key string, row value.Row) bool
 		}
 	}
 	sort.Strings(localKeys)
+	if dir == storage.Descending {
+		slices.Reverse(localKeys)
+	}
+	before := keyBefore(dir)
 
 	li := 0
 	stopped := false
@@ -198,8 +209,8 @@ func (t *Txn) Scan(table, lo, hi string, fn func(key string, row value.Row) bool
 		}
 		return true
 	}
-	t.store.ScanRange(table, lo, hi, t.snapshot, func(k string, row value.Row) bool {
-		for li < len(localKeys) && localKeys[li] < k {
+	t.store.ScanRange(table, lo, hi, t.snapshot, dir, func(k string, row value.Row) bool {
+		for li < len(localKeys) && before(localKeys[li], k) {
 			if !emitLocal(localKeys[li]) {
 				stopped = true
 				return false
@@ -231,6 +242,15 @@ func (t *Txn) Scan(table, lo, hi string, fn func(key string, row value.Row) bool
 	return nil
 }
 
+// keyBefore reports whether key a comes strictly before key b in a walk in
+// dir's order.
+func keyBefore(dir storage.Direction) func(a, b string) bool {
+	if dir == storage.Descending {
+		return func(a, b string) bool { return a > b }
+	}
+	return func(a, b string) bool { return a < b }
+}
+
 // indexPosting is one buffered row's projection into an index: its encoded
 // index key, primary key, and current local image.
 type indexPosting struct {
@@ -248,6 +268,17 @@ type indexPosting struct {
 // index-key range for OCC validation — not a whole-table range — so writers
 // touching disjoint index ranges do not conflict with this reader.
 func (t *Txn) IndexScan(tbl *schema.Table, ix *schema.Index, lo, hi string, fn func(pk string, row value.Row) bool) error {
+	return t.IndexScanDir(tbl, ix, lo, hi, storage.Ascending, fn)
+}
+
+// IndexScanDir is IndexScan in dir's index-key order. The whole [lo, hi)
+// range is recorded for validation even when fn stops the walk early.
+//
+// Postings with equal index keys (a unique index, where a buffered row
+// claims a key a committed row still holds until commit rejects it) come
+// out in the same relative order in both directions: committed first, then
+// buffered by primary key.
+func (t *Txn) IndexScanDir(tbl *schema.Table, ix *schema.Index, lo, hi string, dir storage.Direction, fn func(pk string, row value.Row) bool) error {
 	if t.state != StateActive {
 		return ErrDone
 	}
@@ -255,7 +286,7 @@ func (t *Txn) IndexScan(tbl *schema.Table, ix *schema.Index, lo, hi string, fn f
 		t.reads.AddIndexRange(tbl.Name, ix.Name, lo, hi)
 	}
 
-	// Project buffered writes into index order within [lo, hi).
+	// Project buffered writes into walk order within [lo, hi).
 	local := t.writes[strings.ToLower(tbl.Name)]
 	var localPosts []indexPosting
 	for pk, w := range local {
@@ -267,17 +298,18 @@ func (t *Txn) IndexScan(tbl *schema.Table, ix *schema.Index, lo, hi string, fn f
 			localPosts = append(localPosts, indexPosting{k: k, pk: pk, row: w.cur})
 		}
 	}
+	before := keyBefore(dir)
 	sort.Slice(localPosts, func(i, j int) bool {
 		if localPosts[i].k != localPosts[j].k {
-			return localPosts[i].k < localPosts[j].k
+			return before(localPosts[i].k, localPosts[j].k)
 		}
 		return localPosts[i].pk < localPosts[j].pk
 	})
 
 	li := 0
 	stopped := false
-	err := t.store.IndexScanRows(tbl.Name, ix.Name, lo, hi, t.snapshot, func(k, pk string, row value.Row) bool {
-		for li < len(localPosts) && localPosts[li].k < k {
+	err := t.store.IndexScanRows(tbl.Name, ix.Name, lo, hi, t.snapshot, dir, func(k, pk string, row value.Row) bool {
+		for li < len(localPosts) && before(localPosts[li].k, k) {
 			if !fn(localPosts[li].pk, localPosts[li].row.Clone()) {
 				stopped = true
 				return false

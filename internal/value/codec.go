@@ -213,6 +213,15 @@ func EncodeRow(dst []byte, r Row) []byte {
 	return dst
 }
 
+// shortestUvarint reports whether n bytes is the shortest uvarint encoding
+// of v, the one EncodeRow writes. DecodeRow accepts only that form, so a
+// row it accepts re-encodes to the same bytes. (A signed varint is checked
+// as the uvarint of its zigzag image.)
+func shortestUvarint(v uint64, n int) bool {
+	var buf [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(buf[:], v) == n
+}
+
 // maxRowColumns caps a decoded row's arity. Real rows are schema rows
 // (tens of columns) or statement argument lists; the cap only exists so a
 // crafted header cannot turn one cheap input byte per claimed column into
@@ -224,7 +233,7 @@ const maxRowColumns = 1 << 16
 // and bytes consumed.
 func DecodeRow(src []byte) (Row, int, error) {
 	n, used := binary.Uvarint(src)
-	if used <= 0 {
+	if used <= 0 || !shortestUvarint(n, used) {
 		return nil, 0, fmt.Errorf("value: bad row header")
 	}
 	off := used
@@ -250,14 +259,16 @@ func DecodeRow(src []byte) (Row, int, error) {
 			row = append(row, Null)
 		case KindInt, KindBool:
 			iv, u := binary.Varint(src[off:])
-			if u <= 0 {
+			if u <= 0 || !shortestUvarint(uint64(iv)<<1^uint64(iv>>63), u) {
 				return nil, 0, fmt.Errorf("value: bad varint in row")
 			}
 			off += u
 			if kind == KindInt {
 				row = append(row, Int(iv))
+			} else if iv == 0 || iv == 1 {
+				row = append(row, Bool(iv == 1))
 			} else {
-				row = append(row, Bool(iv != 0))
+				return nil, 0, fmt.Errorf("value: bad bool %d in row", iv)
 			}
 		case KindFloat:
 			if off+8 > len(src) {
@@ -267,7 +278,7 @@ func DecodeRow(src []byte) (Row, int, error) {
 			off += 8
 		case KindText, KindBytes:
 			ln, u := binary.Uvarint(src[off:])
-			if u <= 0 {
+			if u <= 0 || !shortestUvarint(ln, u) {
 				return nil, 0, fmt.Errorf("value: bad length in row")
 			}
 			off += u

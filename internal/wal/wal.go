@@ -673,6 +673,9 @@ func DecodeCommit(src []byte) (storage.CommitRecord, error) {
 		}
 		ch.Op = storage.Op(src[off])
 		flags := src[off+1]
+		if flags&^3 != 0 {
+			return rec, errors.New("wal: unknown change flags")
+		}
 		off += 2
 		if flags&1 != 0 {
 			row, used, err := value.DecodeRow(src[off:])
@@ -692,6 +695,9 @@ func DecodeCommit(src []byte) (storage.CommitRecord, error) {
 		}
 		rec.Changes = append(rec.Changes, ch)
 	}
+	if off != len(src) {
+		return rec, errors.New("wal: trailing bytes in commit record")
+	}
 	return rec, nil
 }
 
@@ -700,10 +706,16 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+// readUvarint reads one uvarint in its shortest form, the only one the
+// encoders write, so a decoded record re-encodes to the bytes it came from.
 func readUvarint(src []byte, off int) (uint64, int, error) {
 	v, n := binary.Uvarint(src[off:])
 	if n <= 0 {
 		return 0, off, errors.New("wal: bad uvarint")
+	}
+	var buf [binary.MaxVarintLen64]byte
+	if binary.PutUvarint(buf[:], v) != n {
+		return 0, off, errors.New("wal: overlong uvarint")
 	}
 	return v, off + n, nil
 }
