@@ -369,22 +369,6 @@ func (s *Source) serveOne(conn *protocol.Conn, req *protocol.Message, drain <-ch
 			return false
 		}
 	} else {
-		// A store restored from a TRODSNP1 image cannot be read at its base,
-		// where the DDL is unknown, so no stream could follow an image taken
-		// there: wait for the first commit to move the head past it.
-		for {
-			wake := s.store.LogSignal()
-			head := s.store.CurrentSeq()
-			if _, err := s.store.ReadLog(head, head); err == nil {
-				break
-			}
-			select {
-			case <-wake:
-			case <-drain:
-				s.store.UnpinSnapshot(pin)
-				return true
-			}
-		}
 		snapSeq, err := s.sendSnapshot(conn)
 		if err != nil {
 			s.store.UnpinSnapshot(pin)

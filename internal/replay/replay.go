@@ -1,42 +1,61 @@
-// Package replay implements TROD's faithful bug replay (paper §3.5).
+// Package replay is TROD's debugging engine: it re-executes past requests
+// in a development database restored from production (paper §§3.5–3.6).
 //
-// Given a past request's ID, the replayer:
+// One engine serves two policies. Every run has three inputs:
 //
-//  1. finds the request's transactions in the provenance database,
-//  2. restores a development database to the snapshot the request's first
-//     transaction read (fully, or selectively — only chosen tables),
-//  3. re-executes the handler code in a fresh runtime, pausing at a
-//     breakpoint before every transaction to inject the foreign committed
-//     writes the original execution observed between its transactions, and
-//  4. verifies the re-execution against the original trace: transaction
-//     labels, write sets, and the handler result must match (divergence
-//     detection).
+//  1. a base development database, cloned from production at the snapshot
+//     the earliest re-executed request first read;
+//  2. the requests to re-execute, loaded from provenance, with the code to
+//     run them;
+//  3. the production change log over the run's window, read once while a
+//     pin keeps vacuum from cutting it.
 //
-// The injected foreign writes are surfaced in the report — for MDL-59854
-// this is exactly the "request R2 inserted (U1, F2) between your two
-// transactions" insight Figure 3 (top) illustrates.
+// At each transaction boundary of a re-executed request, one interceptor
+// waits for the schedule to grant the turn, applies the recorded commits of
+// every request the run does not re-execute up to that transaction's
+// original snapshot (as recorded row images, not by re-running them),
+// records the step with its write diff against the original commit, and
+// calls the breakpoint hook.
+//
+// Faithful replay (§3.5, Replayer.Replay) re-runs one request, with the
+// production code, in its recorded order, and checks transaction labels,
+// write sets and the result against the trace (divergence detection). The
+// injected commits are the debugging insight: for MDL-59854 they say
+// "request R2 inserted (U1, F2) between your two transactions" (Figure 3,
+// top).
+//
+// Retroactive programming (§3.6, Replayer.Run) re-runs a set of requests,
+// usually with modified code, in every transaction-granularity
+// interleaving, and checks an invariant after each. Requests whose original
+// executions overlapped in time form a concurrent phase; later phases run
+// after earlier ones (the paper's R3' runs after R1'/R2'). Schedules are
+// enumerated depth-first, branching only where more than one *conflicting*
+// request is ready: requests with disjoint traced-table footprints commute,
+// so their relative order is not branched on (ablation A3). Because
+// handlers share state only through transactions (P2), the transaction
+// boundary is the only place interleavings can differ.
 package replay
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/db"
 	"repro/internal/provenance"
 	"repro/internal/runtime"
 	"repro/internal/storage"
-	"repro/internal/value"
 )
 
-// Replayer replays past requests from a production database + provenance.
+// Replayer is the debugging engine over a production database and its
+// provenance. Replay and Run are its two policies.
 type Replayer struct {
 	prod *db.DB
 	prov *provenance.Writer
 }
 
-// New creates a replayer over a production database and its provenance.
+// New creates an engine over a production database and its provenance.
 func New(prod *db.DB, prov *provenance.Writer) *Replayer {
 	return &Replayer{prod: prod, prov: prov}
 }
@@ -54,10 +73,6 @@ type Breakpoint struct {
 
 // Options configures a replay.
 type Options struct {
-	// Tables restricts state restoration to the listed tables (selective
-	// restore): a replay whose request touches a few tables need not copy
-	// the rest. Empty means full restore of every table.
-	Tables []string
 	// OnBreakpoint is invoked before each re-executed transaction.
 	OnBreakpoint func(Breakpoint)
 }
@@ -79,132 +94,250 @@ type Report struct {
 	Result   any
 	Err      error
 	Diverged bool
-	Diffs    []string // request-level divergences (result, step count)
+	Diffs    []string // request-level divergences (labels, step count, result)
 	// ForeignWriters lists the other requests whose writes were injected —
 	// the concurrent executions involved in the bug.
 	ForeignWriters []string
 }
 
-// interceptor drives breakpoints and foreign-write injection during replay.
-type interceptor struct {
-	mu      sync.Mutex
-	r       *Replayer
-	dev     *db.DB
-	execs   []provenance.Execution
-	prodLog []storage.LogEntry // the production log over the replay window
-	applied uint64             // prod commit seq up to which foreign writes are applied
-	ownTxns map[uint64]bool
-	report  *Report
-	onBreak func(Breakpoint)
-	devMark uint64 // dev commit seq before the current step ran
-	step    int
+// Replay re-executes the request in a development environment. register
+// installs the application's handlers on the fresh development runtime
+// (the same code as production for faithful replay).
+func (r *Replayer) Replay(reqID string, register func(app *runtime.App), opts Options) (*Report, error) {
+	w, release, err := r.load([]string{reqID})
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	req := w.reqs[0]
+	if len(req.execs) == 0 {
+		return nil, fmt.Errorf("replay: request %q has no committed transactions to replay", reqID)
+	}
+	run, err := r.runSchedule(w, [][]int{{0}}, register, nil, RetroOptions{}, opts.OnBreakpoint)
+	if err != nil {
+		return nil, err
+	}
+	out := run.result.Requests[0]
+	report := &Report{ReqID: reqID, Handler: req.handler, Steps: run.steps[0], Result: out.Result, Err: out.Err}
+	for i, st := range report.Steps {
+		if st.LabelMismatch {
+			report.Diffs = append(report.Diffs,
+				fmt.Sprintf("step %d ran %q but the original ran %q", i, st.Func, req.execs[i].Func))
+		}
+		report.Diverged = report.Diverged || st.LabelMismatch || len(st.WriteDiffs) > 0
+	}
+	if len(report.Steps) != len(req.execs) {
+		report.Diverged = true
+		report.Diffs = append(report.Diffs,
+			fmt.Sprintf("re-execution ran %d transactions, original ran %d", len(report.Steps), len(req.execs)))
+	}
+	if out.ChangedFromOriginal {
+		report.Diverged = true
+		report.Diffs = append(report.Diffs, fmt.Sprintf("result %s differs from original %s", out.ResultJSON, req.origRes))
+	}
+	for _, txn := range run.foreign {
+		// A commit outside any request (an untraced writer) names no one.
+		ex, err := r.prov.ExecutionByTxn(txn)
+		if err != nil || ex.ReqID == "" || ex.ReqID == reqID || slices.Contains(report.ForeignWriters, ex.ReqID) {
+			continue
+		}
+		report.ForeignWriters = append(report.ForeignWriters, ex.ReqID)
+	}
+	return report, nil
 }
 
-func (ic *interceptor) Before(c *runtime.Ctx, fnLabel string) error {
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	step := ic.step
-	st := Step{Func: fnLabel}
-	var injected []storage.Change
-	if step < len(ic.execs) {
-		orig := ic.execs[step]
-		st.OriginalTxnID = orig.TxnID
-		if orig.Func != fnLabel {
-			st.LabelMismatch = true
-			ic.report.Diverged = true
-			ic.report.Diffs = append(ic.report.Diffs,
-				fmt.Sprintf("step %d ran %q but the original ran %q", step, fnLabel, orig.Func))
-		}
-		// Inject foreign committed writes the original transaction saw:
-		// everything committed in (applied, orig.Snapshot] by other txns.
-		if orig.Snapshot > ic.applied {
-			for _, rec := range ic.prodLog {
-				if rec.DDL != "" || rec.Seq <= ic.applied || rec.Seq > orig.Snapshot || ic.ownTxns[rec.TxnID] {
-					continue
-				}
-				injected = append(injected, rec.Changes...)
-				if ex, err := ic.r.prov.ExecutionByTxn(rec.TxnID); err == nil && ex.ReqID != ic.report.ReqID {
-					ic.addForeignWriter(ex.ReqID)
-				}
-			}
-			ic.applied = orig.Snapshot
-		}
-		if len(injected) > 0 {
-			if err := applyForeign(ic.dev.Store(), injected); err != nil {
-				return fmt.Errorf("replay: injecting foreign writes before step %d: %w", step, err)
-			}
-		}
+// request is a past request loaded from provenance.
+type request struct {
+	id, handler string
+	args        runtime.Args
+	origRes     string
+	execs       []provenance.Execution // its committed transactions, in order
+	base        uint64                 // snapshot its first committed (else first) transaction read
+	lastSnap    uint64                 // snapshot its last recorded transaction read
+	start, end  uint64                 // first and last execution timestamps
+	tables      map[string]bool        // traced-table footprint (Run fills it)
+}
+
+// snapshot is the production snapshot the step-th re-executed transaction
+// reads: its original's, or, past the recorded transactions (modified code,
+// or a block that never committed), the last one the request read.
+func (q *request) snapshot(step int) uint64 {
+	if step < len(q.execs) {
+		return q.execs[step].Snapshot
 	}
-	// The injection commit above is not part of the re-executed
-	// transaction's write set: the step's writes are what commits after it.
+	return q.lastSnap
+}
+
+// window is what one engine run re-executes against.
+type window struct {
+	reqs []*request
+	base uint64             // the earliest request's base snapshot
+	log  []storage.LogEntry // production commits after base
+	own  map[uint64]bool    // the re-executed requests' original transactions
+}
+
+// load reads the requests from provenance and the production change log
+// over their window. The production store stays pinned at the base until
+// release is called, so a concurrent checkpoint's vacuum cannot cut the
+// window while the run clones the base and reads the log; the log is read
+// after pinning, which closes the check-then-act race, and a window already
+// released fails loudly instead of re-executing against an incomplete
+// history.
+func (r *Replayer) load(reqIDs []string) (w *window, release func(), err error) {
+	if len(reqIDs) == 0 {
+		return nil, nil, fmt.Errorf("replay: no requests given")
+	}
+	w = &window{own: make(map[uint64]bool)}
+	var last uint64
+	for i, id := range reqIDs {
+		rec, err := r.prov.RequestByID(id)
+		if err != nil {
+			return nil, nil, err
+		}
+		args, err := runtime.ParseArgsJSON(rec.ArgsJSON)
+		if err != nil {
+			return nil, nil, err
+		}
+		all, err := r.prov.ExecutionsForRequest(id)
+		if err != nil {
+			return nil, nil, err
+		}
+		if len(all) == 0 {
+			return nil, nil, fmt.Errorf("replay: request %q has no recorded transactions", id)
+		}
+		q := &request{
+			id: id, handler: rec.Handler, args: args, origRes: rec.Result,
+			base: all[0].Snapshot, lastSnap: all[len(all)-1].Snapshot,
+			start: all[0].Timestamp, end: all[len(all)-1].Timestamp,
+			tables: make(map[string]bool),
+		}
+		for _, e := range all {
+			w.own[e.TxnID] = true
+			last = max(last, e.Snapshot, e.CommitSeq)
+			if e.Committed {
+				q.execs = append(q.execs, e)
+			}
+		}
+		if len(q.execs) > 0 {
+			q.base = q.execs[0].Snapshot
+		}
+		if i == 0 || q.base < w.base {
+			w.base = q.base
+		}
+		w.reqs = append(w.reqs, q)
+	}
+	prodStore := r.prod.Store()
+	prodStore.MovePin(prodStore.PinSnapshot(), w.base)
+	release = func() { prodStore.UnpinSnapshot(w.base) }
+	// Cloning the base reads row versions at it, which vacuum (or a
+	// checkpointed restart) may have compacted away.
+	if floor := prodStore.HistoryRetainedFrom(); w.base < floor {
+		release()
+		return nil, nil, fmt.Errorf("replay: requests %v need row versions at snapshot %d: %w (history retained from %d)",
+			reqIDs, w.base, storage.ErrHistoryTruncated, floor)
+	}
+	if w.log, err = prodStore.ReadLog(w.base, last); err != nil {
+		release()
+		return nil, nil, fmt.Errorf("replay: requests %v need production history from commit %d: %w; replay unavailable",
+			reqIDs, w.base+1, err)
+	}
+	return w, release, nil
+}
+
+// interceptor is the engine's transaction interceptor. The schedule grants
+// one re-executed transaction at a time, so its state needs no lock: each
+// grant and each report back to the scheduler is a channel handoff.
+type interceptor struct {
+	w       *window
+	dev     *db.DB
+	byReq   map[string]int
+	events  chan schedEvent
+	proceed []chan struct{}
+	onBreak func(Breakpoint)
+	steps   [][]Step // per request
+	foreign []uint64 // outside transactions applied, in order
+	applied uint64   // production seq up to which outside commits are applied
+	devMark uint64   // dev commit seq before the current step ran
+}
+
+// Before implements runtime.TxnInterceptor: report ready, wait for the
+// grant, bring the dev database up to the transaction's original snapshot.
+func (ic *interceptor) Before(c *runtime.Ctx, fnLabel string) error {
+	idx, ok := ic.byReq[c.ReqID]
+	if !ok {
+		return nil // traffic outside the re-executed set
+	}
+	ic.events <- schedEvent{idx: idx, kind: evBlocked}
+	<-ic.proceed[idx]
+	q, step := ic.w.reqs[idx], len(ic.steps[idx])
+	st := Step{Func: fnLabel}
+	if step < len(q.execs) {
+		st.OriginalTxnID, st.LabelMismatch = q.execs[step].TxnID, q.execs[step].Func != fnLabel
+	}
+	snap := q.snapshot(step)
+	for _, rec := range ic.w.log {
+		if rec.DDL != "" || rec.Seq <= ic.applied || rec.Seq > snap || ic.w.own[rec.TxnID] {
+			continue
+		}
+		st.Injected = append(st.Injected, rec.Changes...)
+		ic.foreign = append(ic.foreign, rec.TxnID)
+	}
+	ic.applied = max(ic.applied, snap)
+	if err := applyForeign(ic.dev.Store(), st.Injected); err != nil {
+		return fmt.Errorf("replay: injecting foreign writes before step %d of %s: %w", step, q.id, err)
+	}
+	// The injection commit is not part of the re-executed transaction's
+	// write set: the step's writes are what commits after it.
 	ic.devMark = ic.dev.Store().CurrentSeq()
-	st.Injected = injected
-	ic.report.Steps = append(ic.report.Steps, st)
+	ic.steps[idx] = append(ic.steps[idx], st)
 	if ic.onBreak != nil {
-		ic.onBreak(Breakpoint{Step: step, Func: fnLabel, ReqID: ic.report.ReqID, Injected: injected, Dev: ic.dev})
+		ic.onBreak(Breakpoint{Step: step, Func: fnLabel, ReqID: q.id, Injected: st.Injected, Dev: ic.dev})
 	}
 	return nil
 }
 
-func (ic *interceptor) After(c *runtime.Ctx, fnLabel string, err error) {
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	step := ic.step
-	ic.step++
-	if step >= len(ic.report.Steps) {
+// After implements runtime.TxnInterceptor: diff the writes the step
+// committed in the dev database against its original commit.
+func (ic *interceptor) After(c *runtime.Ctx, _ string, _ error) {
+	idx, ok := ic.byReq[c.ReqID]
+	if !ok {
 		return
 	}
-	// Read the dev writes this transaction produced from the dev store's
-	// log and compare with the original transaction's write set from the
-	// production log.
-	if step >= len(ic.execs) {
+	q, step := ic.w.reqs[idx], len(ic.steps[idx])-1
+	if step >= len(q.execs) {
 		return
 	}
 	devStore := ic.dev.Store()
-	devLog, logErr := devStore.ReadLog(ic.devMark, devStore.CurrentSeq())
-	if logErr != nil {
+	devLog, err := devStore.ReadLog(ic.devMark, devStore.CurrentSeq())
+	if err != nil {
 		// A dev store is never vacuumed, so its window is always retained.
-		ic.report.Diffs = append(ic.report.Diffs, fmt.Sprintf("step %d: %v", step, logErr))
-		ic.report.Diverged = true
+		ic.steps[idx][step].WriteDiffs = []string{err.Error()}
 		return
 	}
-	var devChanges []storage.Change
+	var devChanges, origChanges []storage.Change
 	for _, rec := range devLog {
 		if rec.DDL == "" {
 			devChanges = append(devChanges, rec.Changes...)
 		}
 	}
-	orig := ic.execs[step]
-	var origChanges []storage.Change
-	for _, rec := range ic.prodLog {
+	orig := q.execs[step]
+	for _, rec := range ic.w.log {
 		if rec.DDL == "" && rec.Seq == orig.CommitSeq && rec.TxnID == orig.TxnID {
 			origChanges = rec.Changes
 		}
 	}
-	diffs := diffChanges(origChanges, devChanges)
-	if len(diffs) > 0 {
-		ic.report.Steps[step].WriteDiffs = diffs
-		ic.report.Diverged = true
-	}
-}
-
-func (ic *interceptor) addForeignWriter(reqID string) {
-	for _, r := range ic.report.ForeignWriters {
-		if r == reqID {
-			return
-		}
-	}
-	ic.report.ForeignWriters = append(ic.report.ForeignWriters, reqID)
+	ic.steps[idx][step].WriteDiffs = diffChanges(origChanges, devChanges)
 }
 
 // applyForeign applies production changes to a development store whose
 // sequence numbering differs. Missing rows are upserted and absent deletes
-// skipped, so selective restores stay consistent for the touched tables.
+// skipped, so the row images apply whatever the dev store's own writes did
+// to those rows.
 func applyForeign(dev *storage.Store, changes []storage.Change) error {
 	adjusted := make([]storage.Change, 0, len(changes))
 	for _, ch := range changes {
 		if dev.Table(ch.Table) == nil {
-			continue // table not restored
+			continue // not in the dev catalog
 		}
 		_, exists := dev.Get(ch.Table, ch.Key, dev.CurrentSeq())
 		switch ch.Op {
@@ -266,138 +399,4 @@ func diffChanges(orig, got []storage.Change) []string {
 		}
 	}
 	return diffs
-}
-
-// Replay re-executes the request in a development environment. register
-// installs the application's handlers on the fresh development runtime
-// (the same code as production for faithful replay).
-func (r *Replayer) Replay(reqID string, register func(app *runtime.App), opts Options) (*Report, error) {
-	req, err := r.prov.RequestByID(reqID)
-	if err != nil {
-		return nil, err
-	}
-	args, err := runtime.ParseArgsJSON(req.ArgsJSON)
-	if err != nil {
-		return nil, err
-	}
-	allExecs, err := r.prov.ExecutionsForRequest(reqID)
-	if err != nil {
-		return nil, err
-	}
-	var execs []provenance.Execution
-	ownTxns := make(map[uint64]bool)
-	for _, e := range allExecs {
-		ownTxns[e.TxnID] = true
-		if e.Committed {
-			execs = append(execs, e)
-		}
-	}
-	if len(execs) == 0 {
-		return nil, fmt.Errorf("replay: request %q has no committed transactions to replay", reqID)
-	}
-	baseSeq, last := execs[0].Snapshot, execs[0].Snapshot
-	for _, e := range execs {
-		last = max(last, e.Snapshot, e.CommitSeq)
-	}
-	// Replay injects the foreign commits in (baseSeq, last snapshot] and
-	// compares write sets against the request's own commit records, all read
-	// from the production change log. Pin the production store at baseSeq
-	// for the replay's lifetime so a concurrent checkpoint's vacuum cannot
-	// cut that window mid-replay, then read it (after pinning — the order
-	// closes the check-then-act race); a window already released fails
-	// loudly instead of replaying against a silently incomplete history.
-	prodStore := r.prod.Store()
-	prodStore.MovePin(prodStore.PinSnapshot(), baseSeq)
-	defer prodStore.UnpinSnapshot(baseSeq)
-	// Restoring the dev database reads row versions at baseSeq, which Vacuum
-	// (or a checkpointed restart) may have compacted away.
-	if floor := prodStore.HistoryRetainedFrom(); baseSeq < floor {
-		return nil, fmt.Errorf(
-			"replay: request %q needs row versions at snapshot %d: %w (history retained from %d)",
-			reqID, baseSeq, storage.ErrHistoryTruncated, floor)
-	}
-	prodLog, err := prodStore.ReadLog(baseSeq, last)
-	if err != nil {
-		return nil, fmt.Errorf("replay: request %q needs production history from commit %d: %w; replay unavailable",
-			reqID, baseSeq+1, err)
-	}
-
-	dev, err := r.restore(baseSeq, opts.Tables)
-	if err != nil {
-		return nil, err
-	}
-
-	report := &Report{ReqID: reqID, Handler: req.Handler}
-	ic := &interceptor{
-		r:       r,
-		dev:     dev,
-		execs:   execs,
-		prodLog: prodLog,
-		applied: baseSeq,
-		ownTxns: ownTxns,
-		report:  report,
-		onBreak: opts.OnBreakpoint,
-	}
-	devApp := runtime.New(dev)
-	register(devApp)
-	devApp.SetTxnInterceptor(ic)
-
-	result, err := devApp.InvokeWithReqID(reqID, req.Handler, args)
-	report.Result = result
-	report.Err = err
-
-	if len(report.Steps) != len(execs) {
-		report.Diverged = true
-		report.Diffs = append(report.Diffs,
-			fmt.Sprintf("re-execution ran %d transactions, original ran %d", len(report.Steps), len(execs)))
-	}
-	if req.Result != "<unrepresentable>" {
-		if got := runtime.ResultJSON(result); got != req.Result {
-			report.Diverged = true
-			report.Diffs = append(report.Diffs,
-				fmt.Sprintf("result %s differs from original %s", got, req.Result))
-		}
-	}
-	return report, nil
-}
-
-// restore builds the development database at the given production snapshot.
-// With tables empty it is a full clone (CloneAt); otherwise the schema is
-// copied in full but only the listed tables' rows are restored.
-func (r *Replayer) restore(seq uint64, tables []string) (*db.DB, error) {
-	if len(tables) == 0 {
-		return r.prod.CloneAt(seq)
-	}
-	want := make(map[string]bool, len(tables))
-	for _, t := range tables {
-		want[strings.ToLower(t)] = true
-	}
-	prodStore := r.prod.Store()
-	dev := storage.NewStore()
-	for _, name := range prodStore.Tables() {
-		tbl := prodStore.Table(name)
-		if err := dev.CreateTable(tbl.Clone(), false, nil); err != nil {
-			return nil, err
-		}
-		for _, ix := range prodStore.Indexes(name) {
-			cp := *ix
-			if err := dev.CreateIndex(&cp, nil); err != nil {
-				return nil, err
-			}
-		}
-		if !want[strings.ToLower(name)] {
-			continue
-		}
-		var changes []storage.Change
-		prodStore.ScanRange(name, "", "", seq, storage.Ascending, func(key string, row value.Row) bool {
-			changes = append(changes, storage.Change{Table: tbl.Name, Key: key, Op: storage.OpInsert, After: row.Clone()})
-			return true
-		})
-		if len(changes) > 0 {
-			if _, err := dev.Commit(storage.CommitRequest{Changes: changes}, nil); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return db.NewFromStore(dev), nil
 }

@@ -159,21 +159,6 @@ func TestReplayErrorRequestReproducesError(t *testing.T) {
 	}
 }
 
-func TestReplaySelectiveRestore(t *testing.T) {
-	prod, tr, _ := racedScenario(t)
-	late, _ := lateReq(t, tr)
-	rp := New(prod, tr.Writer())
-	report, err := rp.Replay(late, workload.RegisterMoodle, Options{
-		Tables: []string{"forum_sub"}, // only the touched table
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Diverged {
-		t.Errorf("selective replay diverged: %+v", report.Diffs)
-	}
-}
-
 func TestReplayDetectsModifiedCodeDivergence(t *testing.T) {
 	prod, tr, _ := racedScenario(t)
 	late, _ := lateReq(t, tr)

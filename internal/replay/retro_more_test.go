@@ -1,4 +1,4 @@
-package retro
+package replay
 
 import (
 	"strings"
@@ -13,7 +13,7 @@ import (
 func TestSchedulesAreDistinct(t *testing.T) {
 	prod, tr := scenario(t)
 	rt := New(prod, tr.Writer())
-	report, err := rt.Run([]string{"R1", "R2"}, workload.RegisterMoodle, Options{})
+	report, err := rt.Run([]string{"R1", "R2"}, workload.RegisterMoodle, RetroOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,11 +30,11 @@ func TestSchedulesAreDistinct(t *testing.T) {
 func TestRetroDeterministicAcrossRuns(t *testing.T) {
 	prod, tr := scenario(t)
 	rt := New(prod, tr.Writer())
-	r1, err := rt.Run([]string{"R1", "R2", "R3"}, workload.RegisterMoodleFixed, Options{})
+	r1, err := rt.Run([]string{"R1", "R2", "R3"}, workload.RegisterMoodleFixed, RetroOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := rt.Run([]string{"R1", "R2", "R3"}, workload.RegisterMoodleFixed, Options{})
+	r2, err := rt.Run([]string{"R1", "R2", "R3"}, workload.RegisterMoodleFixed, RetroOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,14 +64,14 @@ func TestSinglePhaseOverridesIntervals(t *testing.T) {
 	// different results across schedules.
 	prod, tr := scenario(t)
 	rt := New(prod, tr.Writer())
-	multi, err := rt.Run([]string{"R1", "R3"}, workload.RegisterMoodle, Options{})
+	multi, err := rt.Run([]string{"R1", "R3"}, workload.RegisterMoodle, RetroOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(multi.Phases) != 2 {
 		t.Fatalf("interval phases = %v", multi.Phases)
 	}
-	single, err := rt.Run([]string{"R1", "R3"}, workload.RegisterMoodle, Options{SinglePhase: true})
+	single, err := rt.Run([]string{"R1", "R3"}, workload.RegisterMoodle, RetroOptions{SinglePhase: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestRetroHandlerErrorDoesNotAbortExploration(t *testing.T) {
 	rt := New(prod, tr.Writer())
 	// The buggy code makes R3 fail in the bad interleavings; all schedules
 	// must still complete and be reported.
-	report, err := rt.Run([]string{"R1", "R2", "R3"}, workload.RegisterMoodle, Options{})
+	report, err := rt.Run([]string{"R1", "R2", "R3"}, workload.RegisterMoodle, RetroOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestRetroAcrossRPCWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := New(prod, tr.Writer())
-	report, err := rt.Run([]string{"R2", "R3"}, workload.RegisterTravelFixed, Options{
+	report, err := rt.Run([]string{"R2", "R3"}, workload.RegisterTravelFixed, RetroOptions{
 		MaxSchedules: 32,
 		Invariant:    workload.NoOversoldFlight,
 	})

@@ -1,4 +1,4 @@
-package retro
+package replay
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/db"
+	"repro/internal/provenance"
 	"repro/internal/runtime"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -44,7 +45,7 @@ func TestRetroFixPassesAllInterleavings(t *testing.T) {
 	prod, tr := scenario(t)
 	rt := New(prod, tr.Writer())
 	// Figure 3 (bottom): re-serve R1, R2, R3 with the PATCHED handler.
-	report, err := rt.Run([]string{"R1", "R2", "R3"}, workload.RegisterMoodleFixed, Options{
+	report, err := rt.Run([]string{"R1", "R2", "R3"}, workload.RegisterMoodleFixed, RetroOptions{
 		Invariant: workload.NoDuplicateSubscription,
 	})
 	if err != nil {
@@ -97,7 +98,7 @@ func TestRetroBuggyCodeStillFails(t *testing.T) {
 	// Re-serving with the ORIGINAL buggy handler must reproduce the bug in
 	// at least one interleaving (in fact in all explored ones, since the
 	// scheduler serialises the two-txn windows against each other).
-	report, err := rt.Run([]string{"R1", "R2", "R3"}, workload.RegisterMoodle, Options{
+	report, err := rt.Run([]string{"R1", "R2", "R3"}, workload.RegisterMoodle, RetroOptions{
 		Invariant: workload.NoDuplicateSubscription,
 	})
 	if err != nil {
@@ -121,7 +122,7 @@ func TestRetroBuggyCodeStillFails(t *testing.T) {
 func TestRetroExploresTxnGranularInterleavings(t *testing.T) {
 	prod, tr := scenario(t)
 	rt := New(prod, tr.Writer())
-	report, err := rt.Run([]string{"R1", "R2"}, workload.RegisterMoodle, Options{
+	report, err := rt.Run([]string{"R1", "R2"}, workload.RegisterMoodle, RetroOptions{
 		Invariant: workload.NoDuplicateSubscription,
 	})
 	if err != nil {
@@ -199,11 +200,11 @@ func TestRetroConflictPruningReducesSchedules(t *testing.T) {
 		workload.RegisterProfiles(a)
 	}
 	rt := New(prod, tr.Writer())
-	pruned, err := rt.Run(reqIDs, register, Options{MaxSchedules: 256, SinglePhase: true})
+	pruned, err := rt.Run(reqIDs, register, RetroOptions{MaxSchedules: 256, SinglePhase: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := rt.Run(reqIDs, register, Options{MaxSchedules: 256, SinglePhase: true, DisableConflictPruning: true})
+	naive, err := rt.Run(reqIDs, register, RetroOptions{MaxSchedules: 256, SinglePhase: true, DisableConflictPruning: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,12 +219,91 @@ func TestRetroConflictPruningReducesSchedules(t *testing.T) {
 func TestRetroMaxSchedulesBound(t *testing.T) {
 	prod, tr := scenario(t)
 	rt := New(prod, tr.Writer())
-	report, err := rt.Run([]string{"R1", "R2"}, workload.RegisterMoodle, Options{MaxSchedules: 2})
+	report, err := rt.Run([]string{"R1", "R2"}, workload.RegisterMoodle, RetroOptions{MaxSchedules: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(report.Schedules) > 2 {
 		t.Errorf("bound ignored: %d schedules", len(report.Schedules))
+	}
+	// Two of the six interleavings explored: the report must say the search
+	// was cut, and an incomplete search cannot vouch for the invariant.
+	if report.Complete {
+		t.Error("a search cut by MaxSchedules reported Complete")
+	}
+	if report.AllInvariantsHold() {
+		t.Error("AllInvariantsHold over an incomplete search")
+	}
+	full, err := rt.Run([]string{"R1", "R2"}, workload.RegisterMoodleFixed, RetroOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !full.Complete || !full.AllInvariantsHold() {
+		t.Errorf("default bound: complete %v, invariants hold %v over %d schedules",
+			full.Complete, full.AllInvariantsHold(), len(full.Schedules))
+	}
+}
+
+// TestRetroAppliesCommitsOutsideTheSet: production ran R1 (insert a=1), R2
+// (set a=2) and R3 (read a). Retro over {R1, R3} with the unmodified
+// handlers does not re-execute R2, so it must apply R2's recorded commit
+// before R3 reads: R3 sees 2, as in production, and its result is not
+// reported as changed.
+func TestRetroAppliesCommitsOutsideTheSet(t *testing.T) {
+	prod, prov := db.MustOpenMemory(), db.MustOpenMemory()
+	defer prod.Close()
+	defer prov.Close()
+	if err := prod.ExecScript(`CREATE TABLE kv (k TEXT PRIMARY KEY, v INTEGER);`); err != nil {
+		t.Fatal(err)
+	}
+	register := func(a *runtime.App) {
+		a.Register("put", func(c *runtime.Ctx, args runtime.Args) (any, error) {
+			_, err := c.Exec("put", `INSERT INTO kv VALUES ('a', 1)`)
+			return nil, err
+		})
+		a.Register("set", func(c *runtime.Ctx, args runtime.Args) (any, error) {
+			_, err := c.Exec("set", `UPDATE kv SET v = 2 WHERE k = 'a'`)
+			return nil, err
+		})
+		a.Register("get", func(c *runtime.Ctx, args runtime.Args) (any, error) {
+			rows, err := c.Query("get", `SELECT v FROM kv WHERE k = 'a'`)
+			if err != nil {
+				return nil, err
+			}
+			return rows.Rows[0][0].AsInt(), nil
+		})
+	}
+	app := runtime.New(prod)
+	register(app)
+	tr, err := trace.Attach(app, prov, trace.Config{Tables: provenance.TableMap{"kv": "KvEvents"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	for _, call := range [][2]string{{"R1", "put"}, {"R2", "set"}, {"R3", "get"}} {
+		if _, err := app.InvokeWithReqID(call[0], call[1], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	report, err := New(prod, tr.Writer()).Run([]string{"R1", "R3"}, register, RetroOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Schedules) == 0 {
+		t.Fatal("no schedule explored")
+	}
+	for _, s := range report.Schedules {
+		for _, rq := range s.Requests {
+			if rq.ReqID != "R3" {
+				continue
+			}
+			if rq.ResultJSON != "2" || rq.ChangedFromOriginal {
+				t.Errorf("schedule %v: R3 = %s (changed %v), production returned 2", s.Order, rq.ResultJSON, rq.ChangedFromOriginal)
+			}
+		}
 	}
 }
 
@@ -234,7 +314,7 @@ func TestRetroResultChangeDetection(t *testing.T) {
 	// R3 alone: the snapshot is taken right before R3, which already holds
 	// the duplicates — the retro run reproduces the original failure and
 	// the result is NOT flagged as changed.
-	report, err := rt.Run([]string{"R3"}, workload.RegisterMoodle, Options{})
+	report, err := rt.Run([]string{"R3"}, workload.RegisterMoodle, RetroOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +331,7 @@ func TestRetroResultChangeDetection(t *testing.T) {
 
 	// The full set with the FIX: R3' now succeeds with a subscriber list —
 	// a changed result, flagged.
-	report, err = rt.Run([]string{"R1", "R2", "R3"}, workload.RegisterMoodleFixed, Options{})
+	report, err = rt.Run([]string{"R1", "R2", "R3"}, workload.RegisterMoodleFixed, RetroOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,10 +353,10 @@ func TestRetroResultChangeDetection(t *testing.T) {
 func TestRetroErrors(t *testing.T) {
 	prod, tr := scenario(t)
 	rt := New(prod, tr.Writer())
-	if _, err := rt.Run(nil, workload.RegisterMoodle, Options{}); err == nil {
+	if _, err := rt.Run(nil, workload.RegisterMoodle, RetroOptions{}); err == nil {
 		t.Error("empty request list should fail")
 	}
-	if _, err := rt.Run([]string{"R404"}, workload.RegisterMoodle, Options{}); err == nil {
+	if _, err := rt.Run([]string{"R404"}, workload.RegisterMoodle, RetroOptions{}); err == nil {
 		t.Error("unknown request should fail")
 	}
 }
@@ -315,7 +395,7 @@ func TestRetroMDL60669FixValidation(t *testing.T) {
 	}
 
 	rt := New(prod, tr.Writer())
-	report, err := rt.Run([]string{"R1", "R2", "R3", "R4"}, workload.RegisterMoodleFixed, Options{})
+	report, err := rt.Run([]string{"R1", "R2", "R3", "R4"}, workload.RegisterMoodleFixed, RetroOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,9 +410,6 @@ func TestRetroMDL60669FixValidation(t *testing.T) {
 		}
 	}
 }
-
-// u1f2 is the racing requests' arguments in the MDL-59854 scenario.
-var u1f2 = runtime.Args{"userId": "U1", "forum": "F2"}
 
 // TestA3ConflictPruning is the conflict-pruning ablation: the MDL-59854
 // subscribe race overlapped with three messages whose outbox writes are
@@ -382,11 +459,11 @@ func TestA3ConflictPruning(t *testing.T) {
 		reqIDs[i] = c.ReqID
 	}
 	rt := New(prod, tr.Writer())
-	pruned, err := rt.Run(reqIDs, register, Options{MaxSchedules: 256, SinglePhase: true})
+	pruned, err := rt.Run(reqIDs, register, RetroOptions{MaxSchedules: 256, SinglePhase: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := rt.Run(reqIDs, register, Options{MaxSchedules: 256, SinglePhase: true, DisableConflictPruning: true})
+	naive, err := rt.Run(reqIDs, register, RetroOptions{MaxSchedules: 256, SinglePhase: true, DisableConflictPruning: true})
 	if err != nil {
 		t.Fatal(err)
 	}

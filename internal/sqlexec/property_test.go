@@ -668,7 +668,8 @@ func TestOrderByLimitDifferential(t *testing.T) {
 
 	// Small domains make ties and NULLs common. REAL values arrive as
 	// INTEGER and FLOAT arguments alike; the column stores them as REAL.
-	reals := []any{-3, -2.5, -1, -0.5, math.Copysign(0, -1), 0, 0.0, 0.5, 1, 1.0, 2, 2.5, 7}
+	reals := []any{-3, -2.5, -1, -0.5, math.Copysign(0, -1), 0, 0.0, 0.5, 1, 1.0, 2, 2.5, 7,
+		math.NaN(), math.Copysign(math.NaN(), -1)}
 	texts := []any{"", "a", "ab", "b", "ba", "z"}
 	randOrNull := func(dom []any) any {
 		if rng.Intn(6) == 0 {
@@ -707,14 +708,14 @@ func TestOrderByLimitDifferential(t *testing.T) {
 	}
 	type cKey struct {
 		a int64
-		b float64
+		b string // b's key encoding: -0 is 0, and every NaN is one key
 	}
 	cRows := map[cKey]ordRow{}
 	for i := 0; i < 120; i++ {
 		a := int64(rng.Intn(5) - 2)
 		b := reals[rng.Intn(len(reals))]
 		row := toReal(model(a, b, randOrNull(texts)), 1)
-		k := cKey{a, row[1].AsFloat()}
+		k := cKey{a, string(value.EncodeKey(nil, row[1]))}
 		if _, dup := cRows[k]; dup {
 			continue
 		}
@@ -878,13 +879,13 @@ func TestOrderByLimitDifferential(t *testing.T) {
 	for _, k := range cKeys {
 		row := cRows[k]
 		if rng.Intn(4) == 0 {
-			execIn(t, h, tx, `DELETE FROM c WHERE a = ? AND b = ?`, k.a, k.b)
+			execIn(t, h, tx, `DELETE FROM c WHERE a = ? AND b = ?`, k.a, row[cB].Go())
 			delete(cRows, k)
 			continue
 		}
 		if rng.Intn(4) == 0 {
 			v := randOrNull(texts)
-			execIn(t, h, tx, `UPDATE c SET v = ? WHERE a = ? AND b = ?`, v, k.a, k.b)
+			execIn(t, h, tx, `UPDATE c SET v = ? WHERE a = ? AND b = ?`, v, k.a, row[cB].Go())
 			row[cV] = model(v)[0]
 		}
 	}
@@ -892,7 +893,7 @@ func TestOrderByLimitDifferential(t *testing.T) {
 		a := int64(rng.Intn(5) - 2)
 		b := reals[rng.Intn(len(reals))]
 		row := toReal(model(a, b, randOrNull(texts)), 1)
-		k := cKey{a, row[1].AsFloat()}
+		k := cKey{a, string(value.EncodeKey(nil, row[1]))}
 		if _, dup := cRows[k]; dup {
 			continue
 		}
@@ -929,5 +930,36 @@ func TestOrderByLimitStopsTheWalk(t *testing.T) {
 	}
 	if reads != 5 {
 		t.Errorf("ORDER BY postId DESC LIMIT 5 over 50 matches read %d rows, want 5", reads)
+	}
+}
+
+// TestNaNAgreesAcrossAccessPaths: NaN, of either sign, equals NaN and sorts
+// above every number, in value.Compare and in the index key alike, so a
+// query answers the same through the index on r as through a full scan
+// (r + 0 keeps the index out), and the index walk puts NaN where a sort does.
+func TestNaNAgreesAcrossAccessPaths(t *testing.T) {
+	h := newHarness(t)
+	h.ddl(`CREATE TABLE f (id INTEGER PRIMARY KEY, r REAL);
+	       CREATE INDEX f_r ON f (r)`)
+	h.exec(`INSERT INTO f VALUES (1, 1.0), (2, ?), (3, ?), (4, ?), (5, 2.0)`,
+		math.NaN(), math.Copysign(math.NaN(), -1), math.Inf(1))
+	for _, c := range []struct {
+		where string
+		args  []any
+		want  string
+	}{
+		{`WHERE %s = 1 ORDER BY id`, nil, "[1]"},
+		{`WHERE %s > 1 ORDER BY id`, nil, "[2 3 4 5]"},
+		{`WHERE %s < 2 ORDER BY id`, nil, "[1]"},
+		{`WHERE %s = ? ORDER BY id`, []any{math.NaN()}, "[2 3]"},
+		{`ORDER BY %s, id LIMIT 10`, nil, "[1 5 4 2 3]"},
+		{`ORDER BY %s DESC, id DESC LIMIT 3`, nil, "[3 2 4]"},
+	} {
+		for _, col := range []string{"r", "r + 0"} {
+			q := `SELECT id FROM f ` + fmt.Sprintf(c.where, col)
+			if got := fmt.Sprint(rows(h.exec(q, c.args...))); got != c.want {
+				t.Errorf("%s: %s, want %s", q, got, c.want)
+			}
+		}
 	}
 }

@@ -41,22 +41,14 @@ import (
 // live index construction can never diverge.
 //
 // The DDL at seq ran after commit seq, so the restored store's change log
-// starts at seq and a reader there must still be sent it. "TRODSNP1" images
-// have no DDL section: they still load, with the DDL at their base unknown,
-// and a store in that state encodes as TRODSNP1 again.
+// starts at seq and a reader there must still be sent it.
 
-// snapMagic identifies and versions the snapshot format; snapMagicV1 is
-// the format without the base DDL.
-const (
-	snapMagic   = "TRODSNP2"
-	snapMagicV1 = "TRODSNP1"
-)
+// snapMagic identifies and versions the snapshot format.
+const snapMagic = "TRODSNP2"
 
-// snapFormatGzip is the file-level format byte introduced for compressed
-// snapshots: a snapshot file (or wire-shipped bootstrap image) starting with
-// this byte holds a gzip stream of the raw EncodeSnapshot bytes. Files
-// starting with snapMagic's first byte ('T') are the original uncompressed
-// format and remain readable. 0x01 can never collide with the magic.
+// snapFormatGzip is the file-level format byte: a snapshot file (or
+// wire-shipped bootstrap image) starts with it, followed by a gzip stream of
+// the raw EncodeSnapshot bytes.
 const snapFormatGzip = 0x01
 
 // ErrSnapshotCorrupt reports a snapshot that failed validation (bad magic,
@@ -77,20 +69,13 @@ func (s *Store) EncodeSnapshot() ([]byte, uint64) {
 	}
 	sort.Strings(names)
 
-	lost := s.baseDDLLost && s.seq == s.logBase
-	magic := snapMagic
-	if lost {
-		magic = snapMagicV1
-	}
-	dst := append([]byte(nil), magic...)
+	dst := append([]byte(nil), snapMagic...)
 	dst = binary.AppendUvarint(dst, s.seq)
 	dst = binary.AppendUvarint(dst, s.nextTxn)
-	if !lost {
-		base := sort.Search(len(s.ddl), func(i int) bool { return s.ddl[i].Seq >= s.seq })
-		dst = binary.AppendUvarint(dst, uint64(len(s.ddl)-base))
-		for _, e := range s.ddl[base:] {
-			dst = snapString(dst, e.DDL)
-		}
+	base := sort.Search(len(s.ddl), func(i int) bool { return s.ddl[i].Seq >= s.seq })
+	dst = binary.AppendUvarint(dst, uint64(len(s.ddl)-base))
+	for _, e := range s.ddl[base:] {
+		dst = snapString(dst, e.DDL)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(names)))
 	for _, tkey := range names {
@@ -156,8 +141,7 @@ func DecodeSnapshot(data []byte) (*Store, error) {
 	if len(data) < len(snapMagic)+4 {
 		return nil, fmt.Errorf("%w: bad magic", ErrSnapshotCorrupt)
 	}
-	v1 := string(data[:len(snapMagicV1)]) == snapMagicV1
-	if !v1 && string(data[:len(snapMagic)]) != snapMagic {
+	if string(data[:len(snapMagic)]) != snapMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrSnapshotCorrupt)
 	}
 	body, crc := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
@@ -174,21 +158,18 @@ func DecodeSnapshot(data []byte) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	var baseDDL []LogEntry
-	if !v1 {
-		var nDDL uint64
-		if nDDL, off, err = snapUvarint(src, off); err != nil {
+	nDDL, off, err := snapUvarint(src, off)
+	if err != nil {
+		return nil, err
+	}
+	if nDDL > uint64(len(src)-off) {
+		return nil, fmt.Errorf("%w: ddl count exceeds payload", ErrSnapshotCorrupt)
+	}
+	baseDDL := make([]LogEntry, nDDL)
+	for i := range baseDDL {
+		baseDDL[i].Seq = seq
+		if baseDDL[i].DDL, off, err = snapReadString(src, off); err != nil {
 			return nil, err
-		}
-		if nDDL > uint64(len(src)-off) {
-			return nil, fmt.Errorf("%w: ddl count exceeds payload", ErrSnapshotCorrupt)
-		}
-		baseDDL = make([]LogEntry, nDDL)
-		for i := range baseDDL {
-			baseDDL[i].Seq = seq
-			if baseDDL[i].DDL, off, err = snapReadString(src, off); err != nil {
-				return nil, err
-			}
 		}
 	}
 	nTables, off, err := snapUvarint(src, off)
@@ -332,7 +313,7 @@ func DecodeSnapshot(data []byte) (*Store, error) {
 	}
 	// Rebuilding the catalog logged its statements; the log holds what the
 	// image says ran at its base instead.
-	dst.ddl, dst.baseDDLLost = baseDDL, v1
+	dst.ddl = baseDDL
 	return dst, nil
 }
 
@@ -351,14 +332,11 @@ func CompressSnapshot(data []byte) []byte {
 	return buf.Bytes()
 }
 
-// DecompressSnapshot returns the raw EncodeSnapshot bytes behind either file
-// format: gzip-compressed (format byte) or legacy uncompressed (magic).
+// DecompressSnapshot returns the raw EncodeSnapshot bytes behind the file
+// format's format byte and gzip stream.
 func DecompressSnapshot(data []byte) ([]byte, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: empty", ErrSnapshotCorrupt)
-	}
-	if data[0] != snapFormatGzip {
-		return data, nil // legacy uncompressed snapshot (starts with the magic)
+	if len(data) == 0 || data[0] != snapFormatGzip {
+		return nil, fmt.Errorf("%w: no format byte", ErrSnapshotCorrupt)
 	}
 	zr, err := gzip.NewReader(bytes.NewReader(data[1:]))
 	if err != nil {
@@ -379,9 +357,7 @@ func DecompressSnapshot(data []byte) ([]byte, error) {
 // leaves either the old snapshot or the new one, never a torn mix. The
 // read-back compares a CRC-32 of the file's bytes with one of the bytes
 // written, so a file reaches path only if it holds exactly what was
-// encoded. The on-disk form is gzip-compressed behind a format byte;
-// LoadSnapshotFile also still reads uncompressed files written before
-// compression existed.
+// encoded. The on-disk form is gzip-compressed behind a format byte.
 func WriteSnapshotFile(path string, data []byte) error {
 	data = CompressSnapshot(data)
 	tmp := path + ".tmp"
@@ -425,8 +401,7 @@ func writeSynced(path string, data []byte) error {
 	return nil
 }
 
-// LoadSnapshotFile reads and decodes the snapshot at path (compressed or
-// legacy uncompressed format).
+// LoadSnapshotFile reads and decodes the snapshot file at path.
 func LoadSnapshotFile(path string) (*Store, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

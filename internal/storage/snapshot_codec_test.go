@@ -300,45 +300,17 @@ func TestSnapshotCarriesBaseDDL(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotBaseDDLUnknown: a TRODSNP1 image still loads, but it
-// does not say which DDL ran at its seq, so a read from exactly there is
-// refused until the log moves past it, and the store encodes as TRODSNP1
-// again while it stays there.
-func TestLegacySnapshotBaseDDLUnknown(t *testing.T) {
-	src := codecStore(t, 4)
-	img, seq := src.EncodeSnapshot()
-	// A TRODSNP1 body is the TRODSNP2 body without the DDL section, which
-	// this store leaves empty: drop the zero count after seq and nextTxn.
+// TestSnapshotRefusesTRODSNP1: the format without the base DDL section is
+// not read; its image fails as corrupt, not as a store whose log base is
+// unknown.
+func TestSnapshotRefusesTRODSNP1(t *testing.T) {
+	img, _ := codecStore(t, 4).EncodeSnapshot()
 	body := img[8 : len(img)-4]
 	_, n1 := binary.Uvarint(body)
 	_, n2 := binary.Uvarint(body[n1:])
-	if body[n1+n2] != 0 {
-		t.Fatal("fixture has DDL at its base")
-	}
+	// The TRODSNP1 body is the TRODSNP2 body without the DDL count.
 	legacy := sealSnapshot([]byte("TRODSNP1"), append(append([]byte(nil), body[:n1+n2]...), body[n1+n2+1:]...))
-	got, err := storage.DecodeSnapshot(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := crashtest.StoreDiff(got, src); diff != "" {
-		t.Fatal(diff)
-	}
-	if _, err := got.ReadLog(seq, seq); !errors.Is(err, storage.ErrLogTruncated) {
-		t.Fatalf("read at a TRODSNP1 base: err = %v, want ErrLogTruncated", err)
-	}
-	if again, _ := got.EncodeSnapshot(); !bytes.Equal(again, legacy) {
-		t.Fatal("a store at an unknown base must re-encode as the TRODSNP1 image it came from")
-	}
-	tbl := got.Table(got.Tables()[0])
-	row := make(value.Row, len(tbl.Columns))
-	for i := range row {
-		row[i] = value.Null
-	}
-	row[0] = value.Int(1 << 40)
-	if _, err := got.Commit(storage.CommitRequest{Snapshot: seq, Changes: []storage.Change{{Table: tbl.Name, Key: tbl.EncodePrimaryKey(row), Op: storage.OpInsert, After: row}}}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if entries, err := got.ReadLog(seq+1, seq+1); err != nil || len(entries) != 0 {
-		t.Fatalf("read past the unknown base = %v, %v", entries, err)
+	if _, err := storage.DecodeSnapshot(legacy); !errors.Is(err, storage.ErrSnapshotCorrupt) {
+		t.Fatalf("TRODSNP1 image: err = %v, want ErrSnapshotCorrupt", err)
 	}
 }

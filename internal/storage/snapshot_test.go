@@ -199,24 +199,16 @@ func TestSnapshotFileIsCompressed(t *testing.T) {
 	}
 }
 
-func TestLoadSnapshotFileReadsLegacyUncompressed(t *testing.T) {
-	// Snapshot files written before compression existed are raw
-	// EncodeSnapshot bytes starting with the magic; they must keep loading.
-	path := filepath.Join(t.TempDir(), "legacy.snap")
-	s := snapshotFixture(t)
-	data, seq := s.EncodeSnapshot()
+func TestLoadSnapshotFileRefusesUncompressed(t *testing.T) {
+	// A file holding raw EncodeSnapshot bytes, with no format byte, is not
+	// a snapshot file.
+	path := filepath.Join(t.TempDir(), "raw.snap")
+	data, _ := snapshotFixture(t).EncodeSnapshot()
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadSnapshotFile(path)
-	if err != nil {
-		t.Fatalf("legacy snapshot: %v", err)
-	}
-	if got.CurrentSeq() != seq {
-		t.Errorf("legacy loaded seq = %d, want %d", got.CurrentSeq(), seq)
-	}
-	if diff := len(got.Tables()) - len(s.Tables()); diff != 0 {
-		t.Errorf("legacy loaded %d tables, want %d", len(got.Tables()), len(s.Tables()))
+	if _, err := LoadSnapshotFile(path); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("raw snapshot image: err = %v, want ErrSnapshotCorrupt", err)
 	}
 }
 

@@ -249,13 +249,10 @@ type Store struct {
 	// The change log: commits in log, dense (log[i].Seq == logBase+i+1), and
 	// the DDL statements in ddl, each positioned at the commit it followed,
 	// in execution order. It holds every commit after logBase and every DDL
-	// positioned at or after it, except that baseDDLLost marks the DDL at
-	// logBase itself unknown (a store restored from a TRODSNP1 image, which
-	// does not carry it). ReadLog merges the two.
-	log         []CommitRecord
-	ddl         []LogEntry
-	logBase     uint64
-	baseDDLLost bool
+	// positioned at or after it. ReadLog merges the two.
+	log     []CommitRecord
+	ddl     []LogEntry
+	logBase uint64
 	// logWait is closed when the next entry reaches the log (LogSignal);
 	// nil while nobody waits.
 	logWait chan struct{}
@@ -1074,12 +1071,8 @@ func (s *Store) SubscribeCDC(fn func(CommitRecord)) {
 func (s *Store) ReadLog(from, to uint64) ([]LogEntry, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	floor := s.logBase
-	if s.baseDDLLost {
-		floor++
-	}
-	if from < floor {
-		return nil, fmt.Errorf("%w: cannot read from seq %d, the log is complete from seq %d", ErrLogTruncated, from, floor)
+	if from < s.logBase {
+		return nil, fmt.Errorf("%w: cannot read from seq %d, the log is complete from seq %d", ErrLogTruncated, from, s.logBase)
 	}
 	var out []LogEntry
 	ci := s.logIndex(from + 1)
@@ -1213,7 +1206,7 @@ func (s *Store) cutLog(upTo uint64) {
 	s.log = append([]CommitRecord(nil), s.log[idx:]...)
 	d := sort.Search(len(s.ddl), func(i int) bool { return s.ddl[i].Seq >= upTo })
 	s.ddl = append([]LogEntry(nil), s.ddl[d:]...)
-	s.logBase, s.baseDDLLost = upTo, false
+	s.logBase = upTo
 }
 
 // ApplyCommitted force-applies an already-serialized commit record, used by
@@ -1270,15 +1263,14 @@ func (s *Store) ResetTo(src *Store) {
 		s.nextTxn = src.nextTxn
 	}
 	s.log, s.ddl = nil, src.ddl
-	s.logBase, s.baseDDLLost = src.seq, src.baseDDLLost
+	s.logBase = src.seq
 	s.historyFloor = src.historyFloor
 	s.epoch += src.epoch + 1
 	s.signalLocked()
 }
 
 // CloneAt materialises a new Store containing this store's schema and the
-// row images visible at snapshot seq. It is the "full restore" path for
-// development databases; replay.Options.Tables is the selective one.
+// row images visible at snapshot seq: the base of a development database.
 func (s *Store) CloneAt(seq uint64) (*Store, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -63,6 +63,9 @@ func EncodeKey(dst []byte, v Value) []byte {
 // still orders correctly for all values representable exactly, and the
 // discriminator restores exact int payloads via the trailing varint when set.
 func encodeOrderedFloat(dst []byte, f float64, iv int64, isInt bool) []byte {
+	if f != f {
+		f = math.NaN() // every NaN is one key, above +Inf, as in Compare
+	}
 	bits := math.Float64bits(f)
 	if f >= 0 || !math.Signbit(f) {
 		bits |= 1 << 63

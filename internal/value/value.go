@@ -237,7 +237,8 @@ func numericPair(a, b Value) bool {
 
 // Compare totally orders two values. NULL sorts before everything; values of
 // different non-numeric kinds order by kind tag. Numeric kinds compare by
-// value (1 == 1.0). The result is -1, 0, or +1.
+// value (1 == 1.0), and NaN sorts above every number. The result is -1, 0,
+// or +1.
 func Compare(a, b Value) int {
 	if a.kind == KindNull || b.kind == KindNull {
 		switch {
@@ -267,9 +268,16 @@ func Compare(a, b Value) int {
 			return -1
 		case af > bf:
 			return 1
-		default:
-			return 0
 		}
+		// Equal, or a NaN: NaN equals NaN and sorts above every number,
+		// where EncodeKey puts it.
+		if an, bn := af != af, bf != bf; an != bn {
+			if an {
+				return 1
+			}
+			return -1
+		}
+		return 0
 	}
 	if a.kind != b.kind {
 		if a.kind < b.kind {

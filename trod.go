@@ -46,7 +46,6 @@ import (
 	"repro/internal/detect"
 	"repro/internal/provenance"
 	"repro/internal/replay"
-	"repro/internal/retro"
 	"repro/internal/runtime"
 	"repro/internal/trace"
 	"repro/internal/value"
@@ -86,7 +85,8 @@ type (
 	// Execution is one row of the provenance Executions table.
 	Execution = provenance.Execution
 
-	// Replayer is the bug-replay engine (paper §3.5).
+	// Replayer is the debugging engine; Replay is its faithful-replay
+	// policy (paper §3.5).
 	Replayer = replay.Replayer
 	// ReplayOptions configures a replay.
 	ReplayOptions = replay.Options
@@ -95,14 +95,15 @@ type (
 	// Breakpoint is the per-transaction replay inspection point.
 	Breakpoint = replay.Breakpoint
 
-	// Retro is the retroactive-programming engine (paper §3.6).
-	Retro = retro.Retro
+	// Retro is the same engine; Run is its retroactive-programming policy
+	// (paper §3.6).
+	Retro = replay.Replayer
 	// RetroOptions configures a retroactive run.
-	RetroOptions = retro.Options
+	RetroOptions = replay.RetroOptions
 	// RetroReport is a retroactive run outcome.
-	RetroReport = retro.Report
+	RetroReport = replay.RetroReport
 	// ScheduleResult is one explored interleaving's outcome.
-	ScheduleResult = retro.ScheduleResult
+	ScheduleResult = replay.ScheduleResult
 
 	// Violation is one detected access-control violation (paper §4.2).
 	Violation = detect.Violation
@@ -169,7 +170,7 @@ func NewReplayer(prod *DB, tr *Tracer) *Replayer {
 
 // NewRetro returns a retroactive-programming engine.
 func NewRetro(prod *DB, tr *Tracer) *Retro {
-	return retro.New(prod, tr.Writer())
+	return replay.New(prod, tr.Writer())
 }
 
 // DetectUserProfiles runs the §4.2 User Profiles pattern check.
