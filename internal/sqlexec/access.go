@@ -76,7 +76,22 @@ func pickPath(s *planSource, bound func(col int) bool) accessPath {
 // statement arguments, picks the path they allow and binds its key
 // interval.
 func (ex *Executor) choosePath(s *planSource) (accessPath, error) {
-	var bounds map[int]value.Value
+	// The bound values, at most one per column (extractBounds), found by a
+	// linear search: a select has few.
+	type colValue struct {
+		col int
+		v   value.Value
+	}
+	var small [8]colValue
+	bounds := small[:0]
+	find := func(col int) int {
+		for i, b := range bounds {
+			if b.col == col {
+				return i
+			}
+		}
+		return -1
+	}
 	for _, b := range s.eqBounds {
 		v, err := eval(&env{args: ex.Args}, b.expr)
 		if err != nil {
@@ -88,15 +103,9 @@ func (ex *Executor) choosePath(s *planSource) (accessPath, error) {
 			// residual predicate keeps semantics SQL-like without a bound.
 			continue
 		}
-		if bounds == nil {
-			bounds = make(map[int]value.Value, len(s.eqBounds))
-		}
-		bounds[b.col] = coerced
+		bounds = append(bounds, colValue{b.col, coerced})
 	}
-	path := pickPath(s, func(col int) bool {
-		_, ok := bounds[col]
-		return ok
-	})
+	path := pickPath(s, func(col int) bool { return find(col) >= 0 })
 	if path.kind == pathFull {
 		return path, nil
 	}
@@ -108,7 +117,7 @@ func (ex *Executor) choosePath(s *planSource) (accessPath, error) {
 	if path.eqLen > 0 {
 		buf := make([]byte, 0, 48)
 		for _, c := range keyCols[:path.eqLen] {
-			buf = value.EncodeKey(buf, bounds[c])
+			buf = value.EncodeKey(buf, bounds[find(c)].v)
 		}
 		prefix = string(buf)
 	}

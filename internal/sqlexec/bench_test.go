@@ -2,8 +2,10 @@ package sqlexec
 
 // Executor microbenchmarks for the hot loops the plan layer optimises:
 // hash-join key encoding, lookup join vs. hash join vs. nested loop, index
-// range scans, ORDER BY … LIMIT along an index, and plan compilation itself. Future PRs benchstat these
-// directly instead of going through the end-to-end E1/E2 harness.
+// range scans, ORDER BY … LIMIT along an index, plan compilation itself, and
+// the E2 provenance queries over 100k events. Benchstat these directly
+// instead of going through the end-to-end E1/E2 harness; run the E2 pair
+// with -cpu 1,2 to see single-core cost and the partitioned speed-up apart.
 
 import (
 	"fmt"
@@ -71,6 +73,13 @@ func benchStore(b *testing.B, nEvents, needleEvery int) *storage.Store {
 // which is exactly what the db-level plan cache buys.
 func runPlanBench(b *testing.B, store *storage.Store, query string, wantRows int) {
 	b.Helper()
+	runPlanBenchIn(b, store, query, wantRows, txn.Begin)
+}
+
+// runPlanBenchIn is runPlanBench with each execution in a transaction that
+// begin starts.
+func runPlanBenchIn(b *testing.B, store *storage.Store, query string, wantRows int, begin func(*storage.Store) *txn.Txn) {
+	b.Helper()
 	stmt, err := sqlparse.Parse(query)
 	if err != nil {
 		b.Fatal(err)
@@ -82,7 +91,7 @@ func runPlanBench(b *testing.B, store *storage.Store, query string, wantRows int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ex := &Executor{Tx: txn.Begin(store), Store: store}
+		ex := &Executor{Tx: begin(store), Store: store}
 		res, err := ex.Run(plan)
 		if err != nil {
 			b.Fatal(err)
@@ -194,4 +203,24 @@ func BenchmarkIndexOrderByLimit(b *testing.B) {
 	}
 	runPlanBench(b, store,
 		`SELECT id FROM events WHERE userid = 'needle' ORDER BY id DESC LIMIT 5`, 5)
+}
+
+// BenchmarkE2Needle is the section 3.3 needle query on the E2 shape at 100k
+// events: a filtered full scan of the events table, which no index covers,
+// joined to executions by primary key, in a read-only transaction as
+// db.Query runs it. The scan runs in key-range partitions, one per
+// GOMAXPROCS worker.
+func BenchmarkE2Needle(b *testing.B) {
+	store := benchStore(b, 100_000, 50_000) // 2 needle rows
+	runPlanBenchIn(b, store,
+		`SELECT x.handler FROM events AS e, executions AS x
+		 WHERE e.userid = 'needle' AND e.txnid = x.txnid`, 2, txn.BeginReadOnly)
+}
+
+// BenchmarkE2GroupBy is E2's aggregate on the same shape: GROUP BY over a
+// full scan of 100k events, folded per partition, then sorted by count.
+func BenchmarkE2GroupBy(b *testing.B) {
+	store := benchStore(b, 100_000, 0)
+	runPlanBenchIn(b, store,
+		`SELECT userid, COUNT(*) AS c FROM events GROUP BY userid ORDER BY c DESC`, 97, txn.BeginReadOnly)
 }

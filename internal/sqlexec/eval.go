@@ -14,10 +14,11 @@ import (
 )
 
 // colInfo describes one slot of a runtime tuple: which FROM source it came
-// from (by alias) and its column name.
+// from (by alias), its column name and its declared type.
 type colInfo struct {
 	source string // effective table alias, lowercased; "" for computed columns
 	column string // lowercased
+	kind   value.Kind
 }
 
 // env is the evaluation environment for one tuple: slot metadata, slot

@@ -78,11 +78,14 @@ type joinStep struct {
 }
 
 // orderPlan is one compiled ORDER BY key: either an output-column position or
-// an expression evaluated against the row's source environment.
+// an expression evaluated against the row's source environment. Either way
+// the sort reads column col of the projected row: an expression's value is
+// projected after the select items (selectPlan.sortItems).
 type orderPlan struct {
 	outIdx int // >= 0: sort on the projected value at this position
 	expr   sqlparse.Expr
 	desc   bool
+	col    int
 }
 
 // selectPlan is the compiled form of a SELECT.
@@ -99,6 +102,10 @@ type selectPlan struct {
 	aggNodes []*sqlparse.FuncCall
 	grouped  bool
 	orderBy  []orderPlan
+	// sortItems are the ORDER BY expressions that are not select items. A
+	// row that will be sorted projects them after the items, and they are
+	// cut off once it is.
+	sortItems []sqlparse.Expr
 
 	// orderCols and orderDesc restate the ORDER BY as columns of the single
 	// source, in one direction, when it can be one (see compileScanOrder);
@@ -302,8 +309,11 @@ func (p *selectPlan) compileOutput(cols []colInfo) error {
 				}
 			}
 		}
+		op.col = op.outIdx
 		if op.outIdx < 0 {
 			op.expr = spec.Expr
+			op.col = len(items) + len(p.sortItems)
+			p.sortItems = append(p.sortItems, spec.Expr)
 			p.registerExpr(spec.Expr, cols)
 		}
 		p.orderBy = append(p.orderBy, op)
@@ -335,6 +345,32 @@ func (p *selectPlan) compileScanOrder() {
 		}
 	}
 	p.orderCols, p.orderDesc = cols, p.orderBy[0].desc
+}
+
+// foldsInParts reports whether aggregate states folded per partition merge
+// into exactly the state one partition reaches. COUNT, MIN and MAX do, and so
+// do SUM and AVG over an INTEGER column, whose sums are exact. Float addition
+// is not associative, and DISTINCT counts do not add.
+func (p *selectPlan) foldsInParts() bool {
+	for _, node := range p.aggNodes {
+		if node.Distinct {
+			return false
+		}
+		if node.Name != "SUM" && node.Name != "AVG" {
+			continue
+		}
+		if len(node.Args) != 1 {
+			return false
+		}
+		ref, ok := node.Args[0].(*sqlparse.ColumnRef)
+		if !ok {
+			return false
+		}
+		if slot, ok := p.slots[ref]; !ok || p.cols[slot].kind != value.KindInt {
+			return false
+		}
+	}
+	return true
 }
 
 // registerExpr records the tuple slot of every column reference in expr that
@@ -403,7 +439,7 @@ func buildPlanSources(sel *sqlparse.Select, store *storage.Store) ([]*planSource
 func layoutCols(tbl *schema.Table, alias string) []colInfo {
 	cols := make([]colInfo, len(tbl.Columns))
 	for i, c := range tbl.Columns {
-		cols[i] = colInfo{source: alias, column: strings.ToLower(c.Name)}
+		cols[i] = colInfo{source: alias, column: strings.ToLower(c.Name), kind: c.Type}
 	}
 	return cols
 }

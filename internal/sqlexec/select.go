@@ -32,9 +32,13 @@ type Executor struct {
 	Args   []value.Value
 	OnRead ReadFn
 
-	// keyBuf is reused scratch for hash-join, grouping, and distinct key
-	// encoding; it keeps the hot loops free of per-row string concatenation.
+	// keyBuf is reused scratch for join key encoding; it keeps the hot loops
+	// free of per-row string concatenation. A partition's worker has an
+	// executor, and so a keyBuf, of its own.
 	keyBuf []byte
+	// parts is how many partitions the last select read its first source
+	// in.
+	parts int
 }
 
 func (ex *Executor) observeRead(table string, row value.Row) {
@@ -63,8 +67,9 @@ func splitConjuncts(e sqlparse.Expr, out []sqlparse.Expr) []sqlparse.Expr {
 
 // equiPair is a hash-joinable condition left.col = right.col.
 type equiPair struct {
-	leftPos  int // slot in accumulated tuple
-	rightPos int // column in right source row
+	leftPos  int  // slot in accumulated tuple
+	rightPos int  // column in right source row
+	exactInt bool // both columns are INTEGER: keys are the exact integers
 }
 
 // extractEquiPairs finds hash-joinable conds among joinConds; the remainder
@@ -105,12 +110,16 @@ func extractEquiPairs(conds []sqlparse.Expr, leftCols []colInfo, s *planSource) 
 			continue
 		}
 		// Try (left=accumulated, right=new source) then the reverse.
+		pair := func(lp, rp int) equiPair {
+			exact := leftCols[lp].kind == value.KindInt && s.tbl.Columns[rp].Type == value.KindInt
+			return equiPair{leftPos: lp, rightPos: rp, exactInt: exact}
+		}
 		if lp, rp := findLeft(lr), findRight(rr); lp >= 0 && rp >= 0 {
-			pairs = append(pairs, equiPair{leftPos: lp, rightPos: rp})
+			pairs = append(pairs, pair(lp, rp))
 			continue
 		}
 		if lp, rp := findLeft(rr), findRight(lr); lp >= 0 && rp >= 0 {
-			pairs = append(pairs, equiPair{leftPos: lp, rightPos: rp})
+			pairs = append(pairs, pair(lp, rp))
 			continue
 		}
 		residual = append(residual, c)
@@ -162,6 +171,11 @@ func pkLookupPlan(pairs []equiPair, s *planSource) []equiPair {
 // encodePairKey appends the hash-join key for row's pair columns into buf;
 // left selects leftPos (accumulated tuple) vs rightPos (right-source row).
 // ok is false when any key value is NULL (NULL never equi-joins).
+//
+// Two values share a key exactly when value.Compare calls them equal. An
+// INTEGER = INTEGER pair keys the exact integers. Any other pair keys a
+// number by the float image Compare compares, so the INTEGER 1 meets the
+// REAL 1.0; EncodeKey gives both zeros one key and every NaN one key.
 func encodePairKey(buf []byte, row value.Row, pairs []equiPair, left bool) ([]byte, bool) {
 	for _, p := range pairs {
 		pos := p.rightPos
@@ -171,6 +185,9 @@ func encodePairKey(buf []byte, row value.Row, pairs []equiPair, left bool) ([]by
 		v := row[pos]
 		if v.IsNull() {
 			return buf, false
+		}
+		if v.Kind() == value.KindInt && !p.exactInt {
+			v = value.Float(v.AsFloat())
 		}
 		buf = value.EncodeKey(buf, v)
 	}
@@ -190,16 +207,20 @@ type sourceWalk struct {
 	dir  storage.Direction
 }
 
-// runPlan executes the compiled join/filter pipeline, streaming final tuples
-// into sink. sink may return errStopIteration to end the pipeline early
-// (LIMIT); the env passed to sink is valid only for the duration of the call.
+// runPlan executes the compiled join/filter pipeline, folding its final
+// tuples into out. out may return errStopIteration to end the pipeline
+// early (LIMIT).
+//
 // The first source is read along w, or along the path chosen for it here,
-// forward, when w is nil.
-func (ex *Executor) runPlan(p *selectPlan, w *sourceWalk, sink func(e *env) error) error {
+// forward, when w is nil, in up to n key-range partitions (see splitKeys
+// and scanParts). A single-source select folds each partition into a sink
+// of out's kind. A join collects its left side from the partitions, then
+// joins it and folds the joined tuples into out.
+func (ex *Executor) runPlan(p *selectPlan, w *sourceWalk, n int, out sink) error {
 	if p.fromless {
 		// FROM-less SELECT: a single empty tuple.
-		e := &env{args: ex.Args, slots: p.slots}
-		if err := sink(e); err != nil && err != errStopIteration {
+		ex.parts = 1
+		if err := out.add(&env{args: ex.Args, slots: p.slots}); err != nil && err != errStopIteration {
 			return err
 		}
 		return nil
@@ -215,61 +236,20 @@ func (ex *Executor) runPlan(p *selectPlan, w *sourceWalk, sink func(e *env) erro
 			return err
 		}
 	}
-	stage0 := func(e *env) (bool, error) {
-		for _, f := range p.stage0 {
-			ok, err := evalPredicate(e, f)
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
+	keys := ex.splitKeys(s0, path0, n)
+	ex.parts = len(keys) + 1
 
 	if len(p.joins) == 0 {
-		// Single-source select: stream rows straight through the sink; LIMIT
-		// can stop the scan itself.
-		se := env{cols: s0.cols, args: ex.Args, slots: p.slots}
-		return ex.walk(s0, p.slots, path0, dir0, func(row value.Row) (bool, error) {
-			se.vals = row
-			ok, err := stage0(&se)
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				return true, nil
-			}
-			if err := sink(&se); err != nil {
-				if err == errStopIteration {
-					return false, nil
-				}
-				return false, err
-			}
-			return true, nil
-		})
+		return ex.scanParts(p, path0, dir0, keys, out)
 	}
 
-	// Materialise the left side progressively. Starting tuples: source 0 rows.
-	var tuples []value.Row
-	se := env{cols: s0.cols, args: ex.Args, slots: p.slots}
-	if err := ex.walk(s0, p.slots, path0, dir0, func(row value.Row) (bool, error) {
-		if len(p.stage0) > 0 {
-			se.vals = row
-			ok, err := stage0(&se)
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				return true, nil
-			}
-		}
-		tuples = append(tuples, row)
-		return true, nil
-	}); err != nil {
+	// Materialise the left side progressively. Starting tuples: source 0
+	// rows.
+	left := &tupleSink{}
+	if err := ex.scanParts(p, path0, dir0, keys, left); err != nil {
 		return err
 	}
+	tuples := left.tuples
 
 	for _, step := range p.joins {
 		var err error
@@ -283,7 +263,7 @@ func (ex *Executor) runPlan(p *selectPlan, w *sourceWalk, sink func(e *env) erro
 		}
 		if len(step.post) > 0 {
 			pe := env{cols: step.newCols, args: ex.Args, slots: p.slots}
-			out := tuples[:0]
+			kept := tuples[:0]
 			for _, tup := range tuples {
 				pe.vals = tup
 				keep := true
@@ -298,17 +278,17 @@ func (ex *Executor) runPlan(p *selectPlan, w *sourceWalk, sink func(e *env) erro
 					}
 				}
 				if keep {
-					out = append(out, tup)
+					kept = append(kept, tup)
 				}
 			}
-			tuples = out
+			tuples = kept
 		}
 	}
 
 	fe := env{cols: p.cols, args: ex.Args, slots: p.slots}
 	for _, tup := range tuples {
 		fe.vals = tup
-		if err := sink(&fe); err != nil {
+		if err := out.add(&fe); err != nil {
 			if err == errStopIteration {
 				return nil
 			}
@@ -559,17 +539,25 @@ func (ex *Executor) Select(sel *sqlparse.Select) (*Result, error) {
 	return ex.runSelectPlan(p)
 }
 
-// runSelectPlan runs a select. A plan with no ORDER BY, grouping or
-// DISTINCT streams. So does one whose ORDER BY the first source's access
-// path yields (accessPath.order): it walks the path in that direction and
-// LIMIT stops the walk. Any other plan buffers its rows, then sorts them
-// and applies OFFSET and LIMIT.
+// runSelectPlan runs a select, reading its first source in as many
+// partitions as it is worth splitting into (see partitions).
 func (ex *Executor) runSelectPlan(p *selectPlan) (*Result, error) {
-	if p.streamable() {
-		return ex.runStreaming(p, nil)
-	}
+	return ex.runSelect(p, ex.partitions(p))
+}
+
+// runSelect runs a select, reading its first source in up to n partitions.
+//
+// A plan with no ORDER BY, grouping or DISTINCT streams. So does one whose
+// ORDER BY the first source's access path yields (accessPath.order): it
+// walks the path in that direction. A streamed LIMIT or OFFSET stops the
+// walk, so it and a yielded order read one partition. Any other plan
+// projects or groups its rows as they come, then sorts them and applies
+// OFFSET and LIMIT. Aggregates whose partition states would not merge
+// exactly (foldsInParts) read one partition.
+func (ex *Executor) runSelect(p *selectPlan, n int) (*Result, error) {
+	stream := p.streamable()
 	var w *sourceWalk
-	if p.orderCols != nil {
+	if !stream && p.orderCols != nil {
 		path, err := ex.choosePath(p.sources[0])
 		if err != nil {
 			return nil, err
@@ -577,95 +565,67 @@ func (ex *Executor) runSelectPlan(p *selectPlan) (*Result, error) {
 		w = &sourceWalk{path: path}
 		if dir, ok := path.order(p.sources[0].tbl, p.orderCols, p.orderDesc); ok {
 			w.dir = dir
-			return ex.runStreaming(p, w)
+			stream = true
+			n = 1
 		}
 	}
 
-	var tuples []*env
-	if err := ex.runPlan(p, w, func(e *env) error {
-		// Copy: the env backing is reused between sink calls.
-		tuples = append(tuples, &env{cols: e.cols, vals: e.vals, args: e.args, slots: e.slots})
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	var outRows []value.Row
-	var outEnvs []*env // environment per output row, for ORDER BY fallback
-	var err error
-
-	if p.grouped {
-		outRows, outEnvs, err = ex.aggregate(p, tuples)
+	if stream {
+		off, lim, err := ex.evalLimitOffset(p.sel)
 		if err != nil {
 			return nil, err
 		}
-	} else {
-		for _, e := range tuples {
-			row := make(value.Row, len(p.items))
-			for i, it := range p.items {
-				v, err := eval(e, it)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
-			}
-			outRows = append(outRows, row)
-			outEnvs = append(outEnvs, e)
+		if lim == 0 {
+			return &Result{Columns: p.names}, nil
 		}
-	}
-
-	if p.sel.Distinct {
-		outRows, outEnvs = ex.distinct(outRows, outEnvs)
-	}
-
-	if len(p.orderBy) > 0 {
-		if err := ex.orderRows(p, outRows, outEnvs); err != nil {
+		if off > 0 || lim > 0 {
+			n = 1
+		}
+		out := &rowSink{p: p, off: off, lim: lim}
+		if err := ex.runPlan(p, w, n, out); err != nil {
 			return nil, err
 		}
+		return &Result{Columns: p.names, Rows: out.out}, nil
 	}
 
-	outRows, err = ex.applyLimitOffset(p.sel, outRows)
+	var out sink = &rowSink{p: p, sortKeys: true, lim: -1}
+	if p.grouped {
+		if !p.foldsInParts() {
+			n = 1
+		}
+		out = newGroupSink(p)
+	}
+	if err := ex.runPlan(p, w, n, out); err != nil {
+		return nil, err
+	}
+	rows, err := out.rows(ex.Args)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Columns: p.names, Rows: outRows}, nil
-}
-
-// runStreaming projects rows as the pipeline produces them (no sort,
-// grouping, or distinct pass), applying OFFSET/LIMIT incrementally so LIMIT
-// can stop the underlying scan early. w is passed on to runPlan.
-func (ex *Executor) runStreaming(p *selectPlan, w *sourceWalk) (*Result, error) {
+	if p.sel.Distinct {
+		rows = distinctRows(rows, len(p.items))
+	}
+	if len(p.orderBy) > 0 {
+		orderRows(p, rows)
+	}
 	off, lim, err := ex.evalLimitOffset(p.sel)
 	if err != nil {
 		return nil, err
 	}
-	if lim == 0 {
-		return &Result{Columns: p.names}, nil
+	if off >= len(rows) {
+		rows = nil
+	} else {
+		rows = rows[off:]
 	}
-	var outRows []value.Row
-	err = ex.runPlan(p, w, func(e *env) error {
-		if off > 0 {
-			off-- // skip before projecting: OFFSET rows are never evaluated
-			return nil
-		}
-		row := make(value.Row, len(p.items))
-		for i, it := range p.items {
-			v, err := eval(e, it)
-			if err != nil {
-				return err
-			}
-			row[i] = v
-		}
-		outRows = append(outRows, row)
-		if lim > 0 && len(outRows) >= lim {
-			return errStopIteration
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	if lim >= 0 && lim < len(rows) {
+		rows = rows[:lim]
 	}
-	return &Result{Columns: p.names, Rows: outRows}, nil
+	if len(p.sortItems) > 0 {
+		for i, r := range rows {
+			rows[i] = r[:len(p.items):len(p.items)]
+		}
+	}
+	return &Result{Columns: p.names, Rows: rows}, nil
 }
 
 // expandItems resolves stars and computes output column names.
@@ -725,242 +685,29 @@ func collectAggregates(sel *sqlparse.Select, items []sqlparse.Expr) []*sqlparse.
 	return aggs
 }
 
-// aggAccum is one aggregate's running state.
-type aggAccum struct {
-	count   int64
-	sum     float64
-	sumInt  int64
-	allInt  bool
-	min     value.Value
-	max     value.Value
-	seen    map[string]struct{} // DISTINCT
-	started bool
-}
-
-// aggregate groups tuples and evaluates aggregate projections.
-func (ex *Executor) aggregate(p *selectPlan, tuples []*env) ([]value.Row, []*env, error) {
-	sel := p.sel
-	type group struct {
-		first  *env
-		accums []*aggAccum
-	}
-	groups := make(map[string]*group)
-	var order []string
-
-	buf := ex.keyBuf
-	for _, e := range tuples {
-		buf = buf[:0]
-		for _, g := range sel.GroupBy {
-			v, err := eval(e, g)
-			if err != nil {
-				return nil, nil, err
-			}
-			buf = value.EncodeKey(buf, v)
-		}
-		grp, ok := groups[string(buf)]
-		if !ok {
-			k := string(buf)
-			grp = &group{first: e, accums: make([]*aggAccum, len(p.aggNodes))}
-			for i := range grp.accums {
-				grp.accums[i] = &aggAccum{allInt: true}
-			}
-			groups[k] = grp
-			order = append(order, k)
-		}
-		for i, node := range p.aggNodes {
-			if err := accumulate(grp.accums[i], node, e); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	ex.keyBuf = buf
-
-	// A grouped query with no GROUP BY and no input rows still yields one
-	// row of aggregates over the empty set.
-	if len(groups) == 0 && len(sel.GroupBy) == 0 {
-		grp := &group{first: &env{cols: p.cols, vals: nullRow(len(p.cols)), args: ex.Args, slots: p.slots}, accums: make([]*aggAccum, len(p.aggNodes))}
-		for i := range grp.accums {
-			grp.accums[i] = &aggAccum{allInt: true}
-		}
-		groups[""] = grp
-		order = append(order, "")
-	}
-
-	var outRows []value.Row
-	var outEnvs []*env
-	for _, k := range order {
-		grp := groups[k]
-		aggVals := make(map[*sqlparse.FuncCall]value.Value, len(p.aggNodes))
-		for i, node := range p.aggNodes {
-			aggVals[node] = finalize(grp.accums[i], node)
-		}
-		ge := &env{cols: grp.first.cols, vals: grp.first.vals, args: ex.Args, aggs: aggVals, slots: p.slots}
-		if sel.Having != nil {
-			ok, err := evalPredicate(ge, sel.Having)
-			if err != nil {
-				return nil, nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		row := make(value.Row, len(p.items))
-		for i, it := range p.items {
-			v, err := eval(ge, it)
-			if err != nil {
-				return nil, nil, err
-			}
-			row[i] = v
-		}
-		outRows = append(outRows, row)
-		outEnvs = append(outEnvs, ge)
-	}
-	return outRows, outEnvs, nil
-}
-
-func nullRow(n int) value.Row {
-	r := make(value.Row, n)
-	for i := range r {
-		r[i] = value.Null
-	}
-	return r
-}
-
-func accumulate(a *aggAccum, node *sqlparse.FuncCall, e *env) error {
-	if node.Star { // COUNT(*)
-		a.count++
-		return nil
-	}
-	if len(node.Args) != 1 {
-		return fmt.Errorf("sql: %s expects one argument", node.Name)
-	}
-	v, err := eval(e, node.Args[0])
-	if err != nil {
-		return err
-	}
-	if v.IsNull() {
-		return nil // aggregates skip NULLs
-	}
-	if node.Distinct {
-		if a.seen == nil {
-			a.seen = make(map[string]struct{})
-		}
-		k := string(value.EncodeKey(nil, v))
-		if _, dup := a.seen[k]; dup {
-			return nil
-		}
-		a.seen[k] = struct{}{}
-	}
-	a.count++
-	switch node.Name {
-	case "SUM", "AVG":
-		switch v.Kind() {
-		case value.KindInt:
-			a.sumInt += v.AsInt()
-			a.sum += float64(v.AsInt())
-		case value.KindFloat:
-			a.allInt = false
-			a.sum += v.AsFloat()
-		default:
-			return fmt.Errorf("sql: %s over non-numeric %s", node.Name, v.Kind())
-		}
-	case "MIN":
-		if !a.started || value.Compare(v, a.min) < 0 {
-			a.min = v
-		}
-	case "MAX":
-		if !a.started || value.Compare(v, a.max) > 0 {
-			a.max = v
-		}
-	}
-	a.started = true
-	return nil
-}
-
-func finalize(a *aggAccum, node *sqlparse.FuncCall) value.Value {
-	switch node.Name {
-	case "COUNT":
-		return value.Int(a.count)
-	case "SUM":
-		if a.count == 0 {
-			return value.Null
-		}
-		if a.allInt {
-			return value.Int(a.sumInt)
-		}
-		return value.Float(a.sum)
-	case "AVG":
-		if a.count == 0 {
-			return value.Null
-		}
-		return value.Float(a.sum / float64(a.count))
-	case "MIN":
-		if !a.started {
-			return value.Null
-		}
-		return a.min
-	case "MAX":
-		if !a.started {
-			return value.Null
-		}
-		return a.max
-	default:
-		return value.Null
-	}
-}
-
-func (ex *Executor) distinct(rows []value.Row, envs []*env) ([]value.Row, []*env) {
+// distinctRows keeps the first of the rows that agree on their first n
+// columns, the select items.
+func distinctRows(rows []value.Row, n int) []value.Row {
 	seen := make(map[string]struct{}, len(rows))
-	buf := ex.keyBuf
-	outR := rows[:0]
-	var outE []*env
-	for i, r := range rows {
-		buf = value.EncodeKeyRow(buf[:0], r)
+	var buf []byte
+	out := rows[:0]
+	for _, r := range rows {
+		buf = value.EncodeKeyRow(buf[:0], r[:n])
 		if _, dup := seen[string(buf)]; dup {
 			continue
 		}
 		seen[string(buf)] = struct{}{}
-		outR = append(outR, r)
-		if envs != nil {
-			outE = append(outE, envs[i])
-		}
+		out = append(out, r)
 	}
-	ex.keyBuf = buf
-	return outR, outE
+	return out
 }
 
-// orderRows sorts rows in place using the compiled order keys: an output
-// column position where the spec named one (or was positional), otherwise an
-// expression evaluated against the row's source environment.
-func (ex *Executor) orderRows(p *selectPlan, rows []value.Row, envs []*env) error {
-	type keyed struct {
-		row  value.Row
-		env  *env
-		keys value.Row
-	}
-	ks := make([]keyed, len(rows))
-	for i := range rows {
-		keys := make(value.Row, len(p.orderBy))
-		for j, op := range p.orderBy {
-			if op.outIdx >= 0 {
-				keys[j] = rows[i][op.outIdx]
-				continue
-			}
-			e := envs[i]
-			if e == nil {
-				return fmt.Errorf("sql: cannot resolve ORDER BY expression %q", op.expr)
-			}
-			v, err := eval(e, op.expr)
-			if err != nil {
-				return err
-			}
-			keys[j] = v
-		}
-		ks[i] = keyed{row: rows[i], env: envs[i], keys: keys}
-	}
-	sort.SliceStable(ks, func(a, b int) bool {
-		for j, op := range p.orderBy {
-			c := value.Compare(ks[a].keys[j], ks[b].keys[j])
+// orderRows sorts projected rows in place, stably, by the compiled order
+// keys: each reads its column of the row (orderPlan.col).
+func orderRows(p *selectPlan, rows []value.Row) {
+	sort.SliceStable(rows, func(a, b int) bool {
+		for _, op := range p.orderBy {
+			c := value.Compare(rows[a][op.col], rows[b][op.col])
 			if c == 0 {
 				continue
 			}
@@ -971,17 +718,10 @@ func (ex *Executor) orderRows(p *selectPlan, rows []value.Row, envs []*env) erro
 		}
 		return false
 	})
-	for i := range ks {
-		rows[i] = ks[i].row
-		if envs != nil {
-			envs[i] = ks[i].env
-		}
-	}
-	return nil
 }
 
-// evalLimitOffset evaluates LIMIT/OFFSET expressions up front for the
-// streaming path: offset is clamped at 0; limit -1 means unbounded.
+// evalLimitOffset evaluates the LIMIT and OFFSET expressions: offset is
+// clamped at 0; limit -1 means unbounded.
 func (ex *Executor) evalLimitOffset(sel *sqlparse.Select) (int, int, error) {
 	off := 0
 	lim := -1
@@ -1015,31 +755,4 @@ func (ex *Executor) evalIntArg(e sqlparse.Expr) (int, error) {
 		return 0, fmt.Errorf("sql: LIMIT/OFFSET must be an integer")
 	}
 	return int(v.AsInt()), nil
-}
-
-func (ex *Executor) applyLimitOffset(sel *sqlparse.Select, rows []value.Row) ([]value.Row, error) {
-	if sel.Offset != nil {
-		off, err := ex.evalIntArg(sel.Offset)
-		if err != nil {
-			return nil, err
-		}
-		if off < 0 {
-			off = 0
-		}
-		if off >= len(rows) {
-			rows = nil
-		} else {
-			rows = rows[off:]
-		}
-	}
-	if sel.Limit != nil {
-		lim, err := ex.evalIntArg(sel.Limit)
-		if err != nil {
-			return nil, err
-		}
-		if lim >= 0 && lim < len(rows) {
-			rows = rows[:lim]
-		}
-	}
-	return rows, nil
 }

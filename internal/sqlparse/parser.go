@@ -110,9 +110,17 @@ func walkStatement(stmt Statement, fn func(Expr)) {
 
 // --- token plumbing --------------------------------------------------------
 
-func (p *Parser) peek() Token   { return p.toks[p.pos] }
-func (p *Parser) atEOF() bool   { return p.peek().Kind == TokEOF }
-func (p *Parser) next() Token   { t := p.toks[p.pos]; p.pos++; return t }
+func (p *Parser) peek() Token { return p.toks[p.pos] }
+func (p *Parser) atEOF() bool { return p.peek().Kind == TokEOF }
+func (p *Parser) next() Token {
+	// The stream ends in one EOF token; next never moves past it, so a
+	// statement cut short reads EOF again instead of running off the end.
+	t := p.toks[p.pos]
+	if t.Kind != TokEOF {
+		p.pos++
+	}
+	return t
+}
 func (p *Parser) backup()       { p.pos-- }
 func (p *Parser) save() int     { return p.pos }
 func (p *Parser) restore(s int) { p.pos = s }

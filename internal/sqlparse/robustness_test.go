@@ -6,21 +6,25 @@ import (
 	"testing"
 )
 
+// parserFragments are the tokens TestParserNeverPanics strings together at
+// random; FuzzParse starts from them too.
+var parserFragments = []string{
+	"SELECT", "FROM", "WHERE", "INSERT", "INTO", "VALUES", "UPDATE",
+	"SET", "DELETE", "CREATE", "TABLE", "INDEX", "JOIN", "LEFT", "ON",
+	"GROUP", "BY", "ORDER", "HAVING", "LIMIT", "OFFSET", "AND", "OR",
+	"NOT", "NULL", "IS", "IN", "LIKE", "BETWEEN", "AS", "DISTINCT",
+	"PRIMARY", "KEY", "COUNT", "(", ")", ",", "*", "+", "-", "/", "%",
+	"=", "!=", "<", "<=", ">", ">=", ".", ";", "?", "||",
+	"t", "a", "b", "users", "id", "'str'", "'it''s'", "42", "1.5",
+	"TRUE", "FALSE", "INTEGER", "TEXT", "x9", "_u",
+}
+
 // TestParserNeverPanics throws random token soup at the parser: every input
 // must return cleanly (parse or error), never panic. This is the fuzz-style
 // robustness guarantee the db facade relies on for untrusted query text
 // (e.g. from cmd/trod-query).
 func TestParserNeverPanics(t *testing.T) {
-	fragments := []string{
-		"SELECT", "FROM", "WHERE", "INSERT", "INTO", "VALUES", "UPDATE",
-		"SET", "DELETE", "CREATE", "TABLE", "INDEX", "JOIN", "LEFT", "ON",
-		"GROUP", "BY", "ORDER", "HAVING", "LIMIT", "OFFSET", "AND", "OR",
-		"NOT", "NULL", "IS", "IN", "LIKE", "BETWEEN", "AS", "DISTINCT",
-		"PRIMARY", "KEY", "COUNT", "(", ")", ",", "*", "+", "-", "/", "%",
-		"=", "!=", "<", "<=", ">", ">=", ".", ";", "?", "||",
-		"t", "a", "b", "users", "id", "'str'", "'it''s'", "42", "1.5",
-		"TRUE", "FALSE", "INTEGER", "TEXT", "x9", "_u",
-	}
+	fragments := parserFragments
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 5000; trial++ {
 		n := 1 + rng.Intn(20)

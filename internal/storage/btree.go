@@ -275,6 +275,42 @@ func (n *btreeNode[V]) minEntry() (string, V, bool) {
 	return "", zero, false
 }
 
+// splitKeys returns at most n-1 keys, in order, that cut the tree into up to
+// n key ranges of about equal size. They come from the shallowest level
+// holding at least n-1 keys, or from the leaves when no level does: one
+// level's keys read left to right are sorted, and the subtrees between them
+// are about the same size.
+func (t *btree[V]) splitKeys(n int) []string {
+	level := []*btreeNode[V]{t.root}
+	for {
+		count := 0
+		leaves := false
+		for _, nd := range level {
+			count += len(nd.keys)
+			leaves = leaves || nd.leaf()
+		}
+		if count >= n-1 || leaves {
+			keys := make([]string, 0, count)
+			for _, nd := range level {
+				keys = append(keys, nd.keys...)
+			}
+			if len(keys) <= n-1 {
+				return keys
+			}
+			out := make([]string, n-1)
+			for j := range out {
+				out[j] = keys[(j+1)*len(keys)/n]
+			}
+			return out
+		}
+		var next []*btreeNode[V]
+		for _, nd := range level {
+			next = append(next, nd.children...)
+		}
+		level = next
+	}
+}
+
 // Ascend visits all keys in order.
 func (t *btree[V]) Ascend(fn func(key string, val V) bool) bool {
 	return t.root.ascend("", "", fn)

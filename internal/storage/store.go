@@ -556,6 +556,21 @@ func (s *Store) IndexScanRows(table, index, lo, hi string, seq uint64, dir Direc
 	return nil
 }
 
+// SplitKeys returns at most n-1 primary keys, in order, that cut the table
+// into up to n key ranges of about equal size, read from the top levels of
+// its B-tree. Any keys split the table: a range walk at a snapshot sees
+// every row of that snapshot in exactly one range, whatever was committed
+// since. A parallel reader walks [lo, k1), [k1, k2), …, [kn-1, hi).
+func (s *Store) SplitKeys(table string, n int) []string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	td, ok := s.data[strings.ToLower(table)]
+	if !ok || n < 2 {
+		return nil
+	}
+	return td.rows.splitKeys(n)
+}
+
 // ApproxRows returns the number of distinct keys ever stored in the table
 // (live rows plus tombstoned ones) in O(1). The SQL planner uses it as a
 // cheap cardinality estimate for join-strategy decisions.

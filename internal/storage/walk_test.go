@@ -248,3 +248,54 @@ func TestRangeWalkEarlyStop(t *testing.T) {
 		}
 	}
 }
+
+// TestBTreeSplitKeys: over random trees, sequential and random inserts and
+// deletes that leave unbalanced and empty nodes, splitKeys returns at most
+// n-1 strictly increasing stored keys, and the ranges they cut hold every
+// key exactly once. Once a tree has more than n keys it is cut into n
+// ranges, none of them more than half the tree when n > 2.
+func TestBTreeSplitKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for round := 0; round < 40; round++ {
+		tr := newBTree[int]()
+		size := rng.Intn(5000)
+		for i := 0; i < size; i++ {
+			if round%2 == 0 {
+				tr.Set(string(value.EncodeKey(nil, value.Int(int64(i)))), i)
+			} else {
+				tr.Set(string(value.EncodeKey(nil, value.Int(rng.Int63n(10000)))), i)
+			}
+		}
+		for i := 0; i < size/3; i++ {
+			tr.Delete(string(value.EncodeKey(nil, value.Int(rng.Int63n(int64(size)+1)))))
+		}
+		for n := 1; n <= 9; n++ {
+			keys := tr.splitKeys(n)
+			if len(keys) > max(n-1, 0) {
+				t.Fatalf("round %d n=%d: %d split keys", round, n, len(keys))
+			}
+			for i, k := range keys {
+				if _, ok := tr.Get(k); !ok || (i > 0 && keys[i-1] >= k) {
+					t.Fatalf("round %d n=%d: split keys %q not increasing stored keys", round, n, keys)
+				}
+			}
+			bounds := append(append([]string{""}, keys...), "")
+			total, largest := 0, 0
+			for i := 0; i+1 < len(bounds); i++ {
+				c := 0
+				tr.Range(bounds[i], bounds[i+1], Ascending, func(string, int) bool { c++; return true })
+				total += c
+				largest = max(largest, c)
+			}
+			if total != tr.Len() {
+				t.Fatalf("round %d n=%d: ranges hold %d keys, tree %d", round, n, total, tr.Len())
+			}
+			if tr.Len() > n && len(keys) != n-1 {
+				t.Fatalf("round %d n=%d: %d keys cut into %d ranges", round, n, tr.Len(), len(keys)+1)
+			}
+			if n > 2 && tr.Len() > 64*n && largest > tr.Len()/2 {
+				t.Fatalf("round %d n=%d: a range holds %d of %d keys", round, n, largest, tr.Len())
+			}
+		}
+	}
+}
