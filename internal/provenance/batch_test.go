@@ -182,6 +182,48 @@ func TestApplyBatchStoresWhatSQLInsertWould(t *testing.T) {
 	}
 }
 
+// TestStoredRowsLieInTableOrder pins where ApplyBatch puts the rows it
+// stores. Batches interleave transactions, reads, writes, edges, external
+// calls and requests, yet in every table whose key rises as rows are stored
+// each row starts where the one before it in key order ended, except where
+// a block filled up, so a scan reads one table's rows in sequence. Every
+// row is exactly as long as its capacity, so no append can write into its
+// neighbour.
+func TestStoredRowsLieInTableOrder(t *testing.T) {
+	w, prov, _ := thingsFixture(t)
+	events := mixedEvents(1000)
+	for len(events) > 0 {
+		n := min(1024, len(events))
+		if err := w.ApplyBatch(events[:n]); err != nil {
+			t.Fatal(err)
+		}
+		events = events[n:]
+	}
+	store := prov.Store()
+	for _, tbl := range []string{"ThingEvents", "Executions", "trod_rpc_edges", "trod_externals"} {
+		var prev value.Row
+		rows, breaks := 0, 0
+		store.ScanRange(tbl, "", "", store.CurrentSeq(), storage.Ascending, func(_ string, row value.Row) bool {
+			if cap(row) != len(row) {
+				t.Fatalf("%s: a stored row has %d values and capacity %d", tbl, len(row), cap(row))
+			}
+			if prev != nil && unsafe.Pointer(&row[0]) != unsafe.Add(unsafe.Pointer(&prev[0]), uintptr(len(prev))*unsafe.Sizeof(row[0])) {
+				breaks++
+			}
+			prev = row
+			rows++
+			return true
+		})
+		if rows < 1000 {
+			t.Fatalf("%s holds %d rows, want at least one per request", tbl, rows)
+		}
+		if perBlock := valueBlock / len(prev); breaks > rows/perBlock {
+			t.Errorf("%s: %d of %d rows do not follow the row before them; %d blocks of %d rows hold them all",
+				tbl, breaks, rows, rows/perBlock+1, perBlock)
+		}
+	}
+}
+
 // TestSetupRefusesForeignEventTable: ApplyBatch relies on the event table
 // mirroring the traced table, so Setup must refuse one that does not.
 func TestSetupRefusesForeignEventTable(t *testing.T) {

@@ -108,16 +108,16 @@ type Writer struct {
 	prov    *db.DB
 	tables  TableMap
 	appCols map[string][]schema.Column // app table (lower) -> columns
-	// evTables caches resolved schema.Table handles per destination.
-	evTables map[string]*schema.Table // lowercased app table -> event table schema
+	// evTables holds each traced table's event table and its block.
+	evTables map[string]*tableBlock // lowercased app table -> event table
 	// dests memoizes destination lookups per exact table-name spelling so the
 	// per-event hot path (render/renderTxn) avoids strings.ToLower; a nil
 	// entry marks an untraced table. Guarded by mu (ApplyBatch holds it).
-	dests   map[string]*dest
-	execTbl *schema.Table
-	reqTbl  *schema.Table
-	edgeTbl *schema.Table
-	extTbl  *schema.Table
+	dests map[string]*dest
+	exec  tableBlock
+	req   tableBlock
+	edge  tableBlock
+	ext   tableBlock
 	// mu serialises ApplyBatch: the synthetic-ID counters, the batch buffers
 	// below and the single-writer commit assumption require exclusion.
 	mu      sync.Mutex
@@ -125,13 +125,31 @@ type Writer struct {
 	edgeSeq uint64
 	extSeq  uint64
 
-	// One batch's working memory. changes, keyBuf and keyEnd are reused from
-	// batch to batch; vals is what is left of the latest block of stored
-	// values, which the rows rendered next are cut from.
+	// One batch's working memory, reused from batch to batch.
 	changes []storage.Change
 	keyBuf  []byte // the batch's encoded primary keys, end to end
 	keyEnd  []int  // keyEnd[i] is where changes[i]'s key ends in keyBuf
-	vals    []value.Value
+}
+
+// tableBlock is one destination table and what is left of its latest block
+// of stored values, which the table's next rows are cut from. Every table
+// has a block of its own, so one table's rows sit next to each other in
+// memory in the order they were stored. Where keys rise as rows are
+// stored, as an event table's EvIds do, that is the order a scan reads
+// them, and the scan does not stride over other tables' rows.
+type tableBlock struct {
+	tbl  *schema.Table
+	vals []value.Value
+}
+
+// newRow cuts a row of n values from the block.
+func (b *tableBlock) newRow(n int) value.Row {
+	if len(b.vals) < n {
+		b.vals = make([]value.Value, max(valueBlock, n))
+	}
+	row := b.vals[:n:n]
+	b.vals = b.vals[n:]
+	return row
 }
 
 // eventHeaderCols is how many provenance columns (EvId, TxnId, Seq, Type,
@@ -150,7 +168,7 @@ func Setup(prov *db.DB, appDB *db.DB, tables TableMap) (*Writer, error) {
 		prov:     prov,
 		tables:   tables.normalize(),
 		appCols:  make(map[string][]schema.Column),
-		evTables: make(map[string]*schema.Table),
+		evTables: make(map[string]*tableBlock),
 		dests:    make(map[string]*dest),
 	}
 	ddl := `
@@ -220,12 +238,12 @@ func Setup(prov *db.DB, appDB *db.DB, tables TableMap) (*Writer, error) {
 					evTable, c.Name, got, appTable, c.Type)
 			}
 		}
-		w.evTables[appTable] = evTbl
+		w.evTables[appTable] = &tableBlock{tbl: evTbl}
 	}
-	w.execTbl = prov.Store().Table("Executions")
-	w.reqTbl = prov.Store().Table("trod_requests")
-	w.edgeTbl = prov.Store().Table("trod_rpc_edges")
-	w.extTbl = prov.Store().Table("trod_externals")
+	w.exec.tbl = prov.Store().Table("Executions")
+	w.req.tbl = prov.Store().Table("trod_requests")
+	w.edge.tbl = prov.Store().Table("trod_rpc_edges")
+	w.ext.tbl = prov.Store().Table("trod_externals")
 	// Resume the synthetic-ID counters past any recovered rows, so a
 	// tracer re-attached to a durable provenance database keeps appending
 	// (the restart arc in the root durability tests).
@@ -272,7 +290,7 @@ func sqlTypeName(k value.Kind) string {
 
 // dest bundles the resolved destination for one traced application table.
 type dest struct {
-	evTbl   *schema.Table
+	ev      *tableBlock
 	appCols []schema.Column
 }
 
@@ -283,8 +301,8 @@ func (w *Writer) dest(table string) *dest {
 	d, ok := w.dests[table]
 	if !ok {
 		key := strings.ToLower(table)
-		if evTbl := w.evTables[key]; evTbl != nil {
-			d = &dest{evTbl: evTbl, appCols: w.appCols[key]}
+		if ev := w.evTables[key]; ev != nil {
+			d = &dest{ev: ev, appCols: w.appCols[key]}
 		}
 		w.dests[table] = d
 	}
@@ -358,21 +376,11 @@ func (ev *Event) maxRows() int {
 	return n
 }
 
-// newRow cuts a row of n values from the current block.
-func (w *Writer) newRow(n int) value.Row {
-	if len(w.vals) < n {
-		w.vals = make([]value.Value, max(valueBlock, n))
-	}
-	row := w.vals[:n:n]
-	w.vals = w.vals[n:]
-	return row
-}
-
-// store adds the insert of row into tbl to the batch.
-func (w *Writer) store(tbl *schema.Table, row value.Row) {
-	w.keyBuf = tbl.AppendPrimaryKey(w.keyBuf, row)
+// store adds the insert of row, cut from b, into b's table to the batch.
+func (w *Writer) store(b *tableBlock, row value.Row) {
+	w.keyBuf = b.tbl.AppendPrimaryKey(w.keyBuf, row)
 	w.keyEnd = append(w.keyEnd, len(w.keyBuf))
-	w.changes = append(w.changes, storage.Change{Table: tbl.Name, Op: storage.OpInsert, After: row})
+	w.changes = append(w.changes, storage.Change{Table: b.tbl.Name, Op: storage.OpInsert, After: row})
 }
 
 // render turns one event into the rows it is stored as.
@@ -389,22 +397,22 @@ func (w *Writer) render(ev *Event) error {
 			w.renderEvent(d, int64(ev.TxnID), int64(ev.Seq), ev.Change.Op.String(), "", row)
 		}
 	case KindRequest:
-		c, row := ev.Call, w.newRow(7)
+		c, row := ev.Call, w.req.newRow(7)
 		row[0], row[1], row[2], row[3] = value.Text(c.ReqID), value.Text(c.Handler), value.Text(c.ArgsText), value.Text(c.ResultText)
 		row[4], row[5], row[6] = value.Int(int64(ev.Logical)), value.Int(c.LatencyUs), value.Text(c.Status)
-		w.store(w.reqTbl, row)
+		w.store(&w.req, row)
 	case KindEdge:
 		w.edgeSeq++
-		c, row := ev.Call, w.newRow(6)
+		c, row := ev.Call, w.edge.newRow(6)
 		row[0], row[1], row[2] = value.Int(int64(w.edgeSeq)), value.Text(c.ReqID), value.Text(c.Parent)
 		row[3], row[4], row[5] = value.Text(c.Child), value.Text(c.Handler), value.Int(int64(ev.Logical))
-		w.store(w.edgeTbl, row)
+		w.store(&w.edge, row)
 	case KindExternal:
 		w.extSeq++
-		c, row := ev.Call, w.newRow(5)
+		c, row := ev.Call, w.ext.newRow(5)
 		row[0], row[1], row[2] = value.Int(int64(w.extSeq)), value.Text(c.ReqID), value.Text(c.Service)
 		row[3], row[4] = value.Text(c.Payload), value.Int(int64(ev.Logical))
-		w.store(w.extTbl, row)
+		w.store(&w.ext, row)
 	default:
 		return fmt.Errorf("provenance: unknown event kind %d", ev.Kind)
 	}
@@ -413,12 +421,12 @@ func (w *Writer) render(ev *Event) error {
 
 func (w *Writer) renderTxn(ev *Event) {
 	tr := &ev.Txn
-	row := w.newRow(10)
+	row := w.exec.newRow(10)
 	row[0], row[1], row[2] = value.Int(int64(tr.TxnID)), value.Int(int64(ev.Logical)), value.Text(tr.Meta.Handler)
 	row[3], row[4], row[5] = value.Text(tr.Meta.ReqID), value.Text(tr.Meta.Func), value.Text(tr.Meta.Workflow)
 	row[6], row[7] = value.Int(int64(tr.CommitSeq)), value.Int(int64(tr.Snapshot))
 	row[8], row[9] = value.Bool(tr.Committed), value.Int(tr.End.Sub(tr.Start).Microseconds())
-	w.store(w.execTbl, row)
+	w.store(&w.exec, row)
 	// Read provenance rows into the per-table event tables.
 	for si := range tr.Stmts {
 		st := &tr.Stmts[si]
@@ -435,11 +443,11 @@ func (w *Writer) renderTxn(ev *Event) {
 // traced table's columns as observed (NULL where the row has none).
 func (w *Writer) renderEvent(d *dest, txnID, seq int64, typ, query string, row value.Row) {
 	w.evSeq++
-	out := w.newRow(eventHeaderCols + len(d.appCols))
+	out := d.ev.newRow(eventHeaderCols + len(d.appCols))
 	out[0], out[1], out[2] = value.Int(int64(w.evSeq)), value.Int(txnID), value.Int(seq)
 	out[3], out[4] = value.Text(typ), value.Text(query)
 	copy(out[eventHeaderCols:], row)
-	w.store(d.evTbl, out)
+	w.store(d.ev, out)
 }
 
 // --- query helpers -------------------------------------------------------------

@@ -110,7 +110,7 @@ type Source struct {
 	epoch *Epoch
 
 	subscribers atomic.Int64
-	streamed    atomic.Uint64 // commit records shipped, all subscribers
+	streamed    atomic.Uint64 // commit records handed to a subscriber's connection, all subscribers
 
 	// quorumStalls counts commits whose quorum ack timed out (typed
 	// quorum-unavailable surfaced to the writer); see QuorumStalls.
@@ -161,7 +161,10 @@ func NewSource(d *db.DB, opts SourceOptions) *Source {
 func (s *Source) Subscribers() int { return int(s.subscribers.Load()) }
 
 // StreamedCommits reports the total commit records shipped across all
-// subscribers (tests and stats).
+// subscribers (tests and stats). A batch counts as it is handed to the
+// connection, before the write, so no acknowledgement precedes its count;
+// a batch whose write fails still counts, and counts again when the
+// subscriber reconnects and is sent it once more.
 func (s *Source) StreamedCommits() uint64 { return s.streamed.Load() }
 
 // Epoch exposes the node's replication-epoch state.
@@ -550,6 +553,18 @@ func (s *Source) stream(conn *protocol.Conn, pos, pin uint64, drain, dead <-chan
 			if len(batch) == 0 {
 				break
 			}
+			// Advance past the batch and count its commits before writing
+			// it: the replica can apply and acknowledge a batch before
+			// WriteMessage returns, and an acknowledged commit must already
+			// be counted. A failed write ends the stream.
+			for i := range batch {
+				if batch[i].IsDDL() {
+					skip++
+				} else {
+					pos, skip = batch[i].Commit.Seq, 0
+					s.streamed.Add(1)
+				}
+			}
 			conn.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
 			err = conn.WriteMessage(&protocol.Message{
 				Type: protocol.MsgLogBatch, Entries: batch, PrimarySeq: head,
@@ -564,14 +579,6 @@ func (s *Source) stream(conn *protocol.Conn, pos, pin uint64, drain, dead <-chan
 			}
 			if err != nil {
 				return ""
-			}
-			for i := range batch {
-				if batch[i].IsDDL() {
-					skip++
-				} else {
-					pos, skip = batch[i].Commit.Seq, 0
-					s.streamed.Add(1)
-				}
 			}
 			if pos > pin {
 				s.store.MovePin(pin, pos)

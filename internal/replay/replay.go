@@ -110,9 +110,6 @@ func (r *Replayer) Replay(reqID string, register func(app *runtime.App), opts Op
 	}
 	defer release()
 	req := w.reqs[0]
-	if len(req.execs) == 0 {
-		return nil, fmt.Errorf("replay: request %q has no committed transactions to replay", reqID)
-	}
 	run, err := r.runSchedule(w, [][]int{{0}}, register, nil, RetroOptions{}, opts.OnBreakpoint)
 	if err != nil {
 		return nil, err
@@ -122,14 +119,14 @@ func (r *Replayer) Replay(reqID string, register func(app *runtime.App), opts Op
 	for i, st := range report.Steps {
 		if st.LabelMismatch {
 			report.Diffs = append(report.Diffs,
-				fmt.Sprintf("step %d ran %q but the original ran %q", i, st.Func, req.execs[i].Func))
+				fmt.Sprintf("step %d ran %q but the original ran %q", i, st.Func, req.blocks[i].Func))
 		}
 		report.Diverged = report.Diverged || st.LabelMismatch || len(st.WriteDiffs) > 0
 	}
-	if len(report.Steps) != len(req.execs) {
+	if len(report.Steps) != len(req.blocks) {
 		report.Diverged = true
 		report.Diffs = append(report.Diffs,
-			fmt.Sprintf("re-execution ran %d transactions, original ran %d", len(report.Steps), len(req.execs)))
+			fmt.Sprintf("re-execution ran %d transactions, original ran %d", len(report.Steps), len(req.blocks)))
 	}
 	if out.ChangedFromOriginal {
 		report.Diverged = true
@@ -151,21 +148,35 @@ type request struct {
 	id, handler string
 	args        runtime.Args
 	origRes     string
-	execs       []provenance.Execution // its committed transactions, in order
-	base        uint64                 // snapshot its first committed (else first) transaction read
-	lastSnap    uint64                 // snapshot its last recorded transaction read
+	blocks      []provenance.Execution // each transaction block's final attempt, in order
 	start, end  uint64                 // first and last execution timestamps
 	tables      map[string]bool        // traced-table footprint (Run fills it)
 }
 
 // snapshot is the production snapshot the step-th re-executed transaction
-// reads: its original's, or, past the recorded transactions (modified code,
-// or a block that never committed), the last one the request read.
+// reads: its original block's, or, past the recorded blocks (modified
+// code), the last one the request read.
 func (q *request) snapshot(step int) uint64 {
-	if step < len(q.execs) {
-		return q.execs[step].Snapshot
+	return q.blocks[min(step, len(q.blocks)-1)].Snapshot
+}
+
+// finalAttempts groups a request's recorded attempts, in execution order,
+// into its transaction blocks and returns each block's final attempt. A
+// block is one Ctx.Txn call: the attempts a serialization conflict retried,
+// then the one that committed or failed, which is what the handler saw. A
+// retried attempt did not commit, and the next attempt has its label and
+// invocation. Provenance does not record why an attempt failed, so a
+// handler that at once reruns a failed block under the same label reads as
+// one block.
+func finalAttempts(all []provenance.Execution) []provenance.Execution {
+	var out []provenance.Execution
+	for i, e := range all {
+		if !e.Committed && i+1 < len(all) && all[i+1].Func == e.Func && all[i+1].Workflow == e.Workflow {
+			continue // retried
+		}
+		out = append(out, e)
 	}
-	return q.lastSnap
+	return out
 }
 
 // window is what one engine run re-executes against.
@@ -206,23 +217,16 @@ func (r *Replayer) load(reqIDs []string) (w *window, release func(), err error) 
 			return nil, nil, fmt.Errorf("replay: request %q has no recorded transactions", id)
 		}
 		q := &request{
-			id: id, handler: rec.Handler, args: args, origRes: rec.Result,
-			base: all[0].Snapshot, lastSnap: all[len(all)-1].Snapshot,
+			id: id, handler: rec.Handler, args: args, origRes: rec.Result, blocks: finalAttempts(all),
 			start: all[0].Timestamp, end: all[len(all)-1].Timestamp,
 			tables: make(map[string]bool),
 		}
 		for _, e := range all {
 			w.own[e.TxnID] = true
 			last = max(last, e.Snapshot, e.CommitSeq)
-			if e.Committed {
-				q.execs = append(q.execs, e)
-			}
 		}
-		if len(q.execs) > 0 {
-			q.base = q.execs[0].Snapshot
-		}
-		if i == 0 || q.base < w.base {
-			w.base = q.base
+		if base := q.snapshot(0); i == 0 || base < w.base {
+			w.base = base
 		}
 		w.reqs = append(w.reqs, q)
 	}
@@ -271,8 +275,8 @@ func (ic *interceptor) Before(c *runtime.Ctx, fnLabel string) error {
 	<-ic.proceed[idx]
 	q, step := ic.w.reqs[idx], len(ic.steps[idx])
 	st := Step{Func: fnLabel}
-	if step < len(q.execs) {
-		st.OriginalTxnID, st.LabelMismatch = q.execs[step].TxnID, q.execs[step].Func != fnLabel
+	if step < len(q.blocks) {
+		st.OriginalTxnID, st.LabelMismatch = q.blocks[step].TxnID, q.blocks[step].Func != fnLabel
 	}
 	snap := q.snapshot(step)
 	for _, rec := range ic.w.log {
@@ -304,7 +308,7 @@ func (ic *interceptor) After(c *runtime.Ctx, _ string, _ error) {
 		return
 	}
 	q, step := ic.w.reqs[idx], len(ic.steps[idx])-1
-	if step >= len(q.execs) {
+	if step >= len(q.blocks) {
 		return
 	}
 	devStore := ic.dev.Store()
@@ -320,7 +324,7 @@ func (ic *interceptor) After(c *runtime.Ctx, _ string, _ error) {
 			devChanges = append(devChanges, rec.Changes...)
 		}
 	}
-	orig := q.execs[step]
+	orig := q.blocks[step]
 	for _, rec := range ic.w.log {
 		if rec.DDL == "" && rec.Seq == orig.CommitSeq && rec.TxnID == orig.TxnID {
 			origChanges = rec.Changes

@@ -1,10 +1,13 @@
 package replay
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/db"
+	"repro/internal/provenance"
 	"repro/internal/runtime"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -144,5 +147,64 @@ func TestReplayFailsLoudlyOnTruncatedCDC(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("error should name the truncation: %v", err)
+	}
+}
+
+// TestReplayMapsStepsToBlocks: a handler that tolerates a failed
+// transaction block and then runs another replays without divergence. The
+// failed block was recorded as an attempt that did not commit; it is step 0
+// of the replay, and the commit that followed is step 1.
+func TestReplayMapsStepsToBlocks(t *testing.T) {
+	prod, prov := db.MustOpenMemory(), db.MustOpenMemory()
+	t.Cleanup(func() { prod.Close(); prov.Close() })
+	if err := prod.ExecScript(`CREATE TABLE kv (k TEXT PRIMARY KEY, v INTEGER)`); err != nil {
+		t.Fatal(err)
+	}
+	errNotYet := errors.New("not yet")
+	register := func(app *runtime.App) {
+		app.Register("tryThenPut", func(c *runtime.Ctx, _ runtime.Args) (any, error) {
+			err := c.Txn("try", func(tx *db.Tx) error {
+				if _, err := tx.Exec(`INSERT INTO kv VALUES ('a', 1)`); err != nil {
+					return err
+				}
+				return errNotYet
+			})
+			if !errors.Is(err, errNotYet) {
+				return nil, fmt.Errorf("try: %v", err)
+			}
+			if _, err := c.Exec("put", `INSERT INTO kv VALUES ('b', 2)`); err != nil {
+				return nil, err
+			}
+			return "put", nil
+		})
+	}
+	app := runtime.New(prod)
+	register(app)
+	tr, err := trace.Attach(app, prov, trace.Config{Tables: provenance.TableMap{"kv": "KvEvents"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	if _, err := app.InvokeWithReqID("R1", "tryThenPut", runtime.Args{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	report, err := New(prod, tr.Writer()).Replay("R1", register, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Diverged {
+		t.Fatalf("an unmodified handler diverged on replay: %v", report.Diffs)
+	}
+	if len(report.Steps) != 2 || report.Steps[0].Func != "try" || report.Steps[1].Func != "put" {
+		t.Fatalf("steps = %+v, want try then put", report.Steps)
+	}
+	for i, st := range report.Steps {
+		ex, err := tr.Writer().ExecutionByTxn(st.OriginalTxnID)
+		if err != nil || ex.Func != st.Func || ex.Committed != (i == 1) {
+			t.Errorf("step %d (%s) maps to %+v, %v; want its own block's attempt", i, st.Func, ex, err)
+		}
 	}
 }

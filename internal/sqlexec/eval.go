@@ -212,8 +212,14 @@ func evalBinary(e *env, x *sqlparse.BinaryExpr) (value.Value, error) {
 	}
 	switch x.Op {
 	case sqlparse.OpEq:
+		if eq, ok := plainEqual(lv, rv); ok {
+			return value.Bool(eq), nil
+		}
 		return triToValue(value.CompareSQL(lv, rv, func(c int) bool { return c == 0 })), nil
 	case sqlparse.OpNe:
+		if eq, ok := plainEqual(lv, rv); ok {
+			return value.Bool(!eq), nil
+		}
 		return triToValue(value.CompareSQL(lv, rv, func(c int) bool { return c != 0 })), nil
 	case sqlparse.OpLt:
 		return triToValue(value.CompareSQL(lv, rv, func(c int) bool { return c < 0 })), nil
@@ -246,6 +252,21 @@ func evalBinary(e *env, x *sqlparse.BinaryExpr) (value.Value, error) {
 	default:
 		return value.Null, fmt.Errorf("sql: unsupported binary operator")
 	}
+}
+
+// plainEqual decides whether two TEXT values, or two INTEGER values, are
+// equal, which is what Compare would say, without its three-way compare.
+// ok is false for any other pair of kinds, NULL included.
+func plainEqual(a, b value.Value) (eq, ok bool) {
+	switch k := a.Kind(); {
+	case k != b.Kind():
+		return false, false
+	case k == value.KindText:
+		return a.AsText() == b.AsText(), true
+	case k == value.KindInt:
+		return a.AsInt() == b.AsInt(), true
+	}
+	return false, false
 }
 
 func asString(v value.Value) string {

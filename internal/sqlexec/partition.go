@@ -213,9 +213,25 @@ func (p *selectPlan) project(e *env, sortKeys bool) (value.Row, error) {
 	return row, nil
 }
 
+// appendGroupKey appends v's key for GROUP BY, DISTINCT and COUNT(DISTINCT):
+// two values share a key when Compare calls them equal. An INTEGER whose
+// float image is exact is keyed by that image, as the hash join keys a
+// number (encodePairKey), so it meets the REAL of the same value. Compare
+// is not transitive past 2^53, where an INTEGER with no exact float image
+// keeps its exact key, so distinct integers never share a group.
+func appendGroupKey(buf []byte, v value.Value) []byte {
+	if v.Kind() == value.KindInt {
+		if f := float64(v.AsInt()); f < 1<<63 && int64(f) == v.AsInt() {
+			v = value.Float(f)
+		}
+	}
+	return value.EncodeKey(buf, v)
+}
+
 // groupSink folds tuples into groups of aggregate accumulators, keyed by
-// their encoded GROUP BY values. Groups keep the order they first appeared
-// in, and each keeps its earliest tuple for its non-aggregate columns.
+// their GROUP BY values (appendGroupKey). Groups keep the order they first
+// appeared in, and each keeps its earliest tuple for its non-aggregate
+// columns.
 type groupSink struct {
 	p      *selectPlan
 	index  map[string]*group
@@ -240,7 +256,7 @@ func (s *groupSink) add(e *env) error {
 		if err != nil {
 			return err
 		}
-		s.buf = value.EncodeKey(s.buf, v)
+		s.buf = appendGroupKey(s.buf, v)
 	}
 	grp, ok := s.index[string(s.buf)]
 	if !ok {
@@ -351,7 +367,7 @@ func (a *aggAccum) add(node *sqlparse.FuncCall, e *env) error {
 		if a.seen == nil {
 			a.seen = make(map[string]struct{})
 		}
-		k := string(value.EncodeKey(nil, v))
+		k := string(appendGroupKey(nil, v))
 		if _, dup := a.seen[k]; dup {
 			return nil
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -961,5 +962,72 @@ func TestNaNAgreesAcrossAccessPaths(t *testing.T) {
 				t.Errorf("%s: %s, want %s", q, got, c.want)
 			}
 		}
+	}
+}
+
+// TestNumericGroupKeysDifferential: GROUP BY, DISTINCT and COUNT(DISTINCT)
+// put two numbers in one group exactly when value.Compare calls them equal,
+// so the INTEGER 1 meets the REAL 1.0 as it does under = and in a join.
+// Over random rows where COALESCE(i, r) is NULL, 1, 1.0, 2, 2.0 or 2.5,
+// each query is checked against groups formed with Compare, in one
+// partition and in several. Integers past 2^53 stay exact: Compare keeps
+// 2^53 and 2^53+1 apart, and so must a group key, though the REAL image of
+// 2^53+1 is 2^53.
+func TestNumericGroupKeysDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	h := newHarness(t)
+	h.ddl(`CREATE TABLE n (id INTEGER PRIMARY KEY, i INTEGER, r REAL);
+	       CREATE TABLE big (id INTEGER PRIMARY KEY, i INTEGER)`)
+	choices := []value.Value{value.Null, value.Int(1), value.Float(1), value.Int(2), value.Float(2), value.Float(2.5)}
+	type group struct {
+		rep value.Value // the group's first value, which GROUP BY and DISTINCT show
+		n   int64
+	}
+	var groups []*group
+	for id := 0; id < 300; id++ {
+		v := choices[rng.Intn(len(choices))]
+		i, r := value.Null, value.Null
+		if v.Kind() == value.KindInt {
+			i = v
+		} else {
+			r = v
+		}
+		h.exec(`INSERT INTO n VALUES (?, ?, ?)`, id, i, r)
+		k := slices.IndexFunc(groups, func(g *group) bool { return value.Compare(g.rep, v) == 0 })
+		if k < 0 {
+			groups = append(groups, &group{rep: v})
+			k = len(groups) - 1
+		}
+		groups[k].n++
+	}
+	var byGroup, distinct []value.Row
+	nonNull := int64(0)
+	for _, g := range groups {
+		byGroup = append(byGroup, value.Row{g.rep, value.Int(g.n)})
+		distinct = append(distinct, value.Row{g.rep})
+		if !g.rep.IsNull() {
+			nonNull++
+		}
+	}
+	h.exec(`INSERT INTO big VALUES (1, ?), (2, ?), (3, ?)`, int64(1<<53), int64(1<<53+1), int64(1<<53))
+	for _, c := range []struct {
+		sql  string
+		want []value.Row
+	}{
+		{`SELECT COALESCE(i, r), COUNT(*) FROM n GROUP BY COALESCE(i, r)`, byGroup},
+		{`SELECT DISTINCT COALESCE(i, r) FROM n`, distinct},
+		{`SELECT COUNT(DISTINCT COALESCE(i, r)) FROM n`, []value.Row{{value.Int(nonNull)}}},
+		{`SELECT i, COUNT(*) FROM big GROUP BY i`, []value.Row{{value.Int(1 << 53), value.Int(2)}, {value.Int(1<<53 + 1), value.Int(1)}}},
+		{`SELECT DISTINCT i FROM big`, []value.Row{{value.Int(1 << 53)}, {value.Int(1<<53 + 1)}}},
+		{`SELECT COUNT(DISTINCT i) FROM big`, []value.Row{{value.Int(2)}}},
+	} {
+		tx := txn.BeginReadOnly(h.store)
+		for _, parts := range []int{1, 3} {
+			got, _ := runInParts(t, h.store, tx, nil, c.sql, parts)
+			if _, rendered, _ := strings.Cut(got, " → "); rendered != renderRows(c.want) {
+				t.Errorf("%s in %d partitions:\n got %s\nwant %s", c.sql, parts, got, renderRows(c.want))
+			}
+		}
+		tx.Abort()
 	}
 }

@@ -686,13 +686,16 @@ func collectAggregates(sel *sqlparse.Select, items []sqlparse.Expr) []*sqlparse.
 }
 
 // distinctRows keeps the first of the rows that agree on their first n
-// columns, the select items.
+// columns, the select items, keyed as GROUP BY keys them.
 func distinctRows(rows []value.Row, n int) []value.Row {
 	seen := make(map[string]struct{}, len(rows))
 	var buf []byte
 	out := rows[:0]
 	for _, r := range rows {
-		buf = value.EncodeKeyRow(buf[:0], r[:n])
+		buf = buf[:0]
+		for _, v := range r[:n] {
+			buf = appendGroupKey(buf, v)
+		}
 		if _, dup := seen[string(buf)]; dup {
 			continue
 		}

@@ -326,52 +326,61 @@ func (t *btree[V]) Range(lo, hi string, dir Direction, fn func(key string, val V
 	return t.root.ascend(lo, hi, fn)
 }
 
+// ascend visits the keys in [lo, hi) in order. It places both bounds once
+// per node: the keys between them are visited without a compare, and a
+// child between two of them holds only keys inside the range, so it is
+// walked unbounded.
 func (n *btreeNode[V]) ascend(lo, hi string, fn func(string, V) bool) bool {
-	start := 0
+	start, end := 0, len(n.keys)
 	if lo != "" {
 		start = sort.SearchStrings(n.keys, lo)
 	}
-	for i := start; i < len(n.keys); i++ {
-		if !n.leaf() {
-			if !n.children[i].ascend(lo, hi, fn) {
-				return false
-			}
+	if hi != "" {
+		end = start + sort.SearchStrings(n.keys[start:], hi)
+	}
+	for i := start; i < end; i++ {
+		if !n.leaf() && !n.children[i].ascend(lo, "", fn) {
+			return false
 		}
-		if hi != "" && n.keys[i] >= hi {
-			return true
-		}
-		if n.keys[i] >= lo {
-			if !fn(n.keys[i], n.vals[i]) {
-				return false
-			}
+		lo = "" // every later key and child lies above lo
+		if !fn(n.keys[i], n.vals[i]) {
+			return false
 		}
 	}
 	if !n.leaf() {
-		return n.children[len(n.keys)].ascend(lo, hi, fn)
+		return n.children[end].ascend(lo, hi, fn)
 	}
 	return true
 }
 
 // descend is ascend's mirror: keys in [lo, hi) from the largest down.
 func (n *btreeNode[V]) descend(lo, hi string, fn func(string, V) bool) bool {
-	end := len(n.keys)
+	start, end := 0, len(n.keys)
 	if hi != "" {
 		end = sort.SearchStrings(n.keys, hi)
 	}
+	if lo != "" {
+		start = sort.SearchStrings(n.keys[:end], lo)
+	}
 	if !n.leaf() {
-		if !n.children[end].descend(lo, hi, fn) {
+		clo := ""
+		if end == start {
+			clo = lo
+		}
+		if !n.children[end].descend(clo, hi, fn) {
 			return false
 		}
 	}
-	for i := end - 1; i >= 0; i-- {
-		if n.keys[i] < lo {
-			return true
-		}
+	for i := end - 1; i >= start; i-- {
 		if !fn(n.keys[i], n.vals[i]) {
 			return false
 		}
 		if !n.leaf() {
-			if !n.children[i].descend(lo, hi, fn) {
+			clo := ""
+			if i == start {
+				clo = lo
+			}
+			if !n.children[i].descend(clo, "", fn) {
 				return false
 			}
 		}

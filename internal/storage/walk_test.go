@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"maps"
 	"math/rand"
 	"slices"
@@ -67,6 +68,68 @@ func TestBTreeDescendMirrorsAscend(t *testing.T) {
 			if complete != (stop > len(asc)) {
 				t.Fatalf("round %d [%q, %q): descending walk reported complete=%v after %d of %d keys", round, lo, hi, complete, len(desc), len(asc))
 			}
+		}
+	}
+}
+
+// TestBTreeRangeBounds walks a three-level tree, in both directions, over
+// the bounds a per-node walk places by search: empty and inverted ranges,
+// bounds equal to separator keys at the root and below it, and bounds
+// inside the last child and past every key. Each walk must visit exactly
+// the sorted keys in [lo, hi).
+func TestBTreeRangeBounds(t *testing.T) {
+	tr := newBTree[int]()
+	var keys []string
+	for i := 0; i < 20000; i += 2 {
+		k := fmt.Sprintf("k%05d", i)
+		tr.Set(k, i)
+		keys = append(keys, k)
+	}
+	root := tr.root
+	if root.leaf() || root.children[0].leaf() {
+		t.Fatal("want a tree of at least three levels")
+	}
+	rootSep := root.keys[len(root.keys)/2]
+	innerSep := root.children[0].keys[1]
+	lastSep := root.keys[len(root.keys)-1]
+	lastChild := root.children[len(root.children)-1]
+	for !lastChild.leaf() {
+		lastChild = lastChild.children[len(lastChild.children)-1]
+	}
+	inLast := lastChild.keys[len(lastChild.keys)/2]
+	odd := func(k string) string { return k[:len(k)-1] + string(k[len(k)-1]+1) } // between two keys
+	cases := []struct{ name, lo, hi string }{
+		{"lo > hi", rootSep, innerSep},
+		{"lo > hi, neither a key", odd(rootSep), odd(innerSep)},
+		{"lo == hi at a separator", rootSep, rootSep},
+		{"lo == hi between keys", odd(innerSep), odd(innerSep)},
+		{"hi at the root separator", "", rootSep},
+		{"hi at an inner separator", innerSep, rootSep},
+		{"lo and hi at inner and root separators", innerSep, lastSep},
+		{"hi at the last root separator", odd(innerSep), lastSep},
+		{"hi inside the last child", rootSep, inLast},
+		{"hi between keys of the last child", odd(lastSep), odd(inLast)},
+		{"lo inside the last child", inLast, ""},
+		{"hi past every key", innerSep, "l"},
+		{"lo past every key", "l", ""},
+		{"unbounded", "", ""},
+	}
+	for _, c := range cases {
+		var want []string
+		for _, k := range keys {
+			if k >= c.lo && (c.hi == "" || k < c.hi) {
+				want = append(want, k)
+			}
+		}
+		var asc, desc []string
+		tr.Range(c.lo, c.hi, Ascending, func(k string, _ int) bool { asc = append(asc, k); return true })
+		tr.Range(c.lo, c.hi, Descending, func(k string, _ int) bool { desc = append(desc, k); return true })
+		if !slices.Equal(asc, want) {
+			t.Errorf("%s [%q, %q): ascending visited %d keys, want %d", c.name, c.lo, c.hi, len(asc), len(want))
+		}
+		slices.Reverse(desc)
+		if !slices.Equal(desc, want) {
+			t.Errorf("%s [%q, %q): descending visited %d keys, want %d", c.name, c.lo, c.hi, len(desc), len(want))
 		}
 	}
 }
