@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,26 +31,54 @@ func pipeSession(t *testing.T, srv *Server) net.Conn {
 	return clEnd
 }
 
+// readCounter counts the Read calls made on a connection.
+type readCounter struct {
+	net.Conn
+	calls atomic.Int32
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	c.calls.Add(1)
+	return c.Conn.Read(p)
+}
+
 // TestFrameLatencyStartsAtFirstByte: the session reads through a buffer, and
 // a request's latency still runs from its frame's first byte. The client
 // sends the header, stalls 30 ms, then sends the payload; the recorded ping
 // latency covers the stall.
+//
+// The stall starts once the session has stamped the frame's start: the
+// session stamps it in the Read that returns the header, before it calls
+// Read again for the payload, and over net.Pipe the header's Write returns
+// only once that first Read has taken it. A client that started its clock
+// when its Write returned on a TCP socket measured from before the session
+// was even scheduled to read; on a loaded machine the session stamped later
+// than that and recorded less than the stall.
 func TestFrameLatencyStartsAtFirstByte(t *testing.T) {
-	srv, addr := memServer(t, Config{})
+	srv, _ := memServer(t, Config{})
+	srvEnd, nc := net.Pipe()
+	rc := &readCounter{Conn: srvEnd}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.admit(rc)
+	}()
+	defer func() {
+		nc.Close()
+		<-done
+	}()
 	var frame bytes.Buffer
 	if err := protocol.WriteMessage(&frame, &protocol.Message{Type: protocol.MsgPing}); err != nil {
 		t.Fatal(err)
 	}
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
 	const stall = 30 * time.Millisecond
 	raw := frame.Bytes()
 	if _, err := nc.Write(raw[:8]); err != nil {
 		t.Fatal(err)
 	}
+	waitFor(t, "the session to read the frame's header and ask for more", func() bool {
+		return rc.calls.Load() >= 2
+	})
 	time.Sleep(stall)
 	if _, err := nc.Write(raw[8:]); err != nil {
 		t.Fatal(err)

@@ -5,10 +5,7 @@
 // commit log that the TROD tracer and replay engine consume.
 package storage
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // btree is an in-memory B-tree mapping string keys to values of type V. It
 // supports insert/replace, point lookup, ordered range scans, and key
@@ -29,17 +26,39 @@ type btree[V any] struct {
 	finger *btreeNode[V]
 }
 
-// btreeDegree is the minimum degree; a node holds at most maxKeys keys,
-// chosen so a node fills roughly one cache line's worth of string headers.
+// btreeDegree is the minimum degree; a node holds at most maxKeys keys. A
+// full node's key search touches its 63 × 8 B of prefixes (about eight
+// cache lines) and follows a string header (about 1 kB for the node) only
+// where a prefix ties.
 const (
 	btreeDegree = 32
 	maxKeys     = 2*btreeDegree - 1
 )
 
 type btreeNode[V any] struct {
-	keys     []string
+	keys []string
+	// pfx[i] is keyPrefix(keys[i]). Search compares these integers and
+	// reads a key's bytes only where its prefix equals the sought one's;
+	// the slice holds no pointers, so the collector never scans it.
+	pfx      []uint64
 	vals     []V
 	children []*btreeNode[V] // nil for leaves
+}
+
+// keyPrefix returns key's first 8 bytes as a big-endian integer, padded
+// with zero bytes. Prefixes order as the keys do wherever they differ:
+// keyPrefix(a) < keyPrefix(b) implies a < b. Equal prefixes say nothing
+// (the keys "a" and "a\x00" share one), so ties fall back to the keys.
+func keyPrefix(key string) uint64 {
+	if len(key) >= 8 {
+		return uint64(key[0])<<56 | uint64(key[1])<<48 | uint64(key[2])<<40 | uint64(key[3])<<32 |
+			uint64(key[4])<<24 | uint64(key[5])<<16 | uint64(key[6])<<8 | uint64(key[7])
+	}
+	var p uint64
+	for i := 0; i < len(key); i++ {
+		p |= uint64(key[i]) << (56 - 8*i)
+	}
+	return p
 }
 
 func newBTree[V any]() *btree[V] {
@@ -51,13 +70,27 @@ func (t *btree[V]) Len() int { return t.size }
 
 func (n *btreeNode[V]) leaf() bool { return n.children == nil }
 
+// search returns the first position in [lo, hi) whose key is at or after
+// key, or hi when there is none. It is one binary search ordered by prefix,
+// then by the whole key: probes that land in the run of prefixes equal to
+// key's compare strings, and every other probe compares two integers.
+func (n *btreeNode[V]) search(lo, hi int, key string) int {
+	p := keyPrefix(key)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if q := n.pfx[m]; q < p || q == p && n.keys[m] < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 // find returns the position of key in n.keys and whether it matched exactly.
 func (n *btreeNode[V]) find(key string) (int, bool) {
-	i := sort.SearchStrings(n.keys, key)
-	if i < len(n.keys) && n.keys[i] == key {
-		return i, true
-	}
-	return i, false
+	i := n.search(0, len(n.keys), key)
+	return i, i < len(n.keys) && n.keys[i] == key
 }
 
 // Get returns the value stored at key.
@@ -155,6 +188,7 @@ func (t *btree[V]) slot(key string) (p *V, inserted bool) {
 func (n *btreeNode[V]) insertAt(i int, key string) {
 	var zero V
 	n.keys = slices.Insert(n.keys, i, key)
+	n.pfx = slices.Insert(n.pfx, i, keyPrefix(key))
 	n.vals = slices.Insert(n.vals, i, zero)
 }
 
@@ -163,10 +197,11 @@ func (n *btreeNode[V]) insertAt(i int, key string) {
 // so it does not regrow on its way there.
 func (t *btree[V]) splitChild(n *btreeNode[V], i, mid int) {
 	child := n.children[i]
-	medianKey, medianVal := child.keys[mid], child.vals[mid]
+	medianKey, medianPfx, medianVal := child.keys[mid], child.pfx[mid], child.vals[mid]
 
 	right := &btreeNode[V]{
 		keys: append(make([]string, 0, maxKeys), child.keys[mid+1:]...),
+		pfx:  append(make([]uint64, 0, maxKeys), child.pfx[mid+1:]...),
 		vals: append(make([]V, 0, maxKeys), child.vals[mid+1:]...),
 	}
 	if !child.leaf() {
@@ -174,12 +209,14 @@ func (t *btree[V]) splitChild(n *btreeNode[V], i, mid int) {
 		child.children = child.children[:mid+1]
 	}
 	child.keys = child.keys[:mid]
+	child.pfx = child.pfx[:mid]
 	child.vals = child.vals[:mid]
 	if child == t.finger {
 		t.finger = right
 	}
 
 	n.keys = slices.Insert(n.keys, i, medianKey)
+	n.pfx = slices.Insert(n.pfx, i, medianPfx)
 	n.vals = slices.Insert(n.vals, i, medianVal)
 	n.children = slices.Insert(n.children, i+1, right)
 }
@@ -206,8 +243,7 @@ func (n *btreeNode[V]) remove(key string) bool {
 	i, ok := n.find(key)
 	if ok {
 		if n.leaf() {
-			n.keys = append(n.keys[:i], n.keys[i+1:]...)
-			n.vals = append(n.vals[:i], n.vals[i+1:]...)
+			n.deleteAt(i)
 			return true
 		}
 		// Internal hit: swap in the in-order predecessor (max of the left
@@ -216,17 +252,14 @@ func (n *btreeNode[V]) remove(key string) bool {
 		// back to the successor, and when both neighbours are empty the
 		// separator goes away along with the (empty) right subtree.
 		if pk, pv, found := n.children[i].maxEntry(); found {
-			n.keys[i] = pk
-			n.vals[i] = pv
+			n.keys[i], n.pfx[i], n.vals[i] = pk, keyPrefix(pk), pv
 			return n.children[i].remove(pk)
 		}
 		if sk, sv, found := n.children[i+1].minEntry(); found {
-			n.keys[i] = sk
-			n.vals[i] = sv
+			n.keys[i], n.pfx[i], n.vals[i] = sk, keyPrefix(sk), sv
 			return n.children[i+1].remove(sk)
 		}
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.vals = append(n.vals[:i], n.vals[i+1:]...)
+		n.deleteAt(i)
 		n.children = append(n.children[:i+1], n.children[i+2:]...)
 		return true
 	}
@@ -234,6 +267,13 @@ func (n *btreeNode[V]) remove(key string) bool {
 		return false
 	}
 	return n.children[i].remove(key)
+}
+
+// deleteAt removes entry i's key, prefix and value.
+func (n *btreeNode[V]) deleteAt(i int) {
+	n.keys = append(n.keys[:i], n.keys[i+1:]...)
+	n.pfx = append(n.pfx[:i], n.pfx[i+1:]...)
+	n.vals = append(n.vals[:i], n.vals[i+1:]...)
 }
 
 // maxEntry returns the largest key in the subtree, descending through empty
@@ -333,10 +373,10 @@ func (t *btree[V]) Range(lo, hi string, dir Direction, fn func(key string, val V
 func (n *btreeNode[V]) ascend(lo, hi string, fn func(string, V) bool) bool {
 	start, end := 0, len(n.keys)
 	if lo != "" {
-		start = sort.SearchStrings(n.keys, lo)
+		start = n.search(0, end, lo)
 	}
 	if hi != "" {
-		end = start + sort.SearchStrings(n.keys[start:], hi)
+		end = n.search(start, end, hi)
 	}
 	for i := start; i < end; i++ {
 		if !n.leaf() && !n.children[i].ascend(lo, "", fn) {
@@ -357,10 +397,10 @@ func (n *btreeNode[V]) ascend(lo, hi string, fn func(string, V) bool) bool {
 func (n *btreeNode[V]) descend(lo, hi string, fn func(string, V) bool) bool {
 	start, end := 0, len(n.keys)
 	if hi != "" {
-		end = sort.SearchStrings(n.keys, hi)
+		end = n.search(0, end, hi)
 	}
 	if lo != "" {
-		start = sort.SearchStrings(n.keys[:end], lo)
+		start = n.search(0, end, lo)
 	}
 	if !n.leaf() {
 		clo := ""

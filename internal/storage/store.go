@@ -213,19 +213,32 @@ type indexEntry struct {
 	versions []indexVersion
 }
 
+// indexVersion is one version of a posting. A present one names its row
+// twice: by primary key, and by row, the version chain stored at that key,
+// so that a scan resolves the row without descending the primary tree; a
+// tombstone has no row. The pointer stays good for as long as the posting
+// is visible: Vacuum compacts a chain in place and unlinks it only once the
+// whole chain is dead at the horizon, when every posting made for it is
+// tombstoned too; a key inserted again gets a new chain, and a new posting
+// version that points at it.
 type indexVersion struct {
-	seq     uint64
-	present bool
-	pk      string
+	seq uint64
+	pk  string
+	row *entry // nil means the posting was removed
 }
 
-func (e *indexEntry) visible(seq uint64) (string, bool) {
+// visible returns the posting version visible at seq, or nil when none is
+// or the visible one is a tombstone.
+func (e *indexEntry) visible(seq uint64) *indexVersion {
 	for i := len(e.versions) - 1; i >= 0; i-- {
-		if e.versions[i].seq <= seq {
-			return e.versions[i].pk, e.versions[i].present
+		if v := &e.versions[i]; v.seq <= seq {
+			if v.row == nil {
+				return nil
+			}
+			return v
 		}
 	}
-	return "", false
+	return nil
 }
 
 // tableData holds a table's rows and secondary indexes.
@@ -351,12 +364,11 @@ func (s *Store) CreateIndex(ix *schema.Index, log DDLStep) error {
 			return true
 		}
 		k := ix.EncodeIndexKey(tbl, row)
-		if existing, found := tree.Get(k); found && ix.Unique {
-			_ = existing
+		if _, found := tree.Get(k); found && ix.Unique {
 			backfillErr = fmt.Errorf("storage: unique index %q violated by existing data", ix.Name)
 			return false
 		}
-		tree.Set(k, &indexEntry{versions: []indexVersion{{seq: s.seq, present: true, pk: pk}}})
+		tree.Set(k, &indexEntry{versions: []indexVersion{{seq: s.seq, pk: pk, row: e}}})
 		return true
 	})
 	if backfillErr != nil {
@@ -512,21 +524,21 @@ func (s *Store) IndexScanRange(table, index, lo, hi string, seq uint64, fn func(
 		return fmt.Errorf("storage: unknown index %q on %q", index, table)
 	}
 	tree.Range(lo, hi, Ascending, func(k string, e *indexEntry) bool {
-		pk, present := e.visible(seq)
-		if !present {
+		v := e.visible(seq)
+		if v == nil {
 			return true
 		}
-		return fn(k, pk)
+		return fn(k, v.pk)
 	})
 	return nil
 }
 
 // IndexScanRows visits index postings with index keys in [lo, hi) visible at
-// seq and resolves each referenced row under the same lock, streaming
-// (indexKey, pk, row) to fn in dir's index order. This lets the transaction
-// layer merge committed postings with buffered writes without re-entering
-// the store per row (and lets LIMIT stop the scan early via fn returning
-// false).
+// seq and resolves each referenced row under the same lock, through the
+// posting's own pointer to the row, streaming (indexKey, pk, row) to fn in
+// dir's index order. This lets the transaction layer merge committed
+// postings with buffered writes without re-entering the store per row (and
+// lets LIMIT stop the scan early via fn returning false).
 func (s *Store) IndexScanRows(table, index, lo, hi string, seq uint64, dir Direction, fn func(indexKey, pk string, row value.Row) bool) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -539,19 +551,15 @@ func (s *Store) IndexScanRows(table, index, lo, hi string, seq uint64, dir Direc
 		return fmt.Errorf("storage: unknown index %q on %q", index, table)
 	}
 	tree.Range(lo, hi, dir, func(k string, e *indexEntry) bool {
-		pk, present := e.visible(seq)
-		if !present {
+		v := e.visible(seq)
+		if v == nil {
 			return true
 		}
-		re, ok := td.rows.Get(pk)
-		if !ok {
-			return true
-		}
-		row := re.visible(seq)
+		row := v.row.visible(seq)
 		if row == nil {
 			return true
 		}
-		return fn(k, pk, row)
+		return fn(k, v.pk, row)
 	})
 	return nil
 }
@@ -895,7 +903,7 @@ func (s *Store) applyIndexChanges(changes []Change, seq uint64) {
 		for k, ix := range t.defs {
 			c.keyBuf = ix.AppendIndexKey(c.keyBuf[:0], t.tbl, ch.Before)
 			ie, _ := t.trees[k].GetOrSet(string(c.keyBuf), func() *indexEntry { return &indexEntry{} })
-			ie.versions = append(ie.versions, indexVersion{seq: seq, present: false})
+			ie.versions = append(ie.versions, indexVersion{seq: seq})
 		}
 	}
 	// The new-image keys of the whole commit are encoded into one buffer and
@@ -929,7 +937,7 @@ func (s *Store) applyIndexChanges(changes []Change, seq uint64) {
 			start = c.keyEnd[n]
 			n++
 			ie, _ := tree.GetOrSet(key, func() *indexEntry { return &ents.one(remaining)[0] })
-			v := indexVersion{seq: seq, present: true, pk: ch.Key}
+			v := indexVersion{seq: seq, pk: ch.Key, row: c.at[i].e}
 			if ie.versions == nil {
 				ie.versions = vers.one(remaining)
 				ie.versions[0] = v
@@ -1045,7 +1053,7 @@ func (s *Store) validateUnique(changes []Change) error {
 				continue
 			}
 			if e, found := t.trees[k].Get(ikey); found {
-				if pk, present := e.visible(s.seq); present && pk != ch.Key {
+				if v := e.visible(s.seq); v != nil && v.pk != ch.Key {
 					return fmt.Errorf("storage: unique index %q violation on table %q", ix.Name, ch.Table)
 				}
 			}

@@ -152,7 +152,7 @@ func compactRowChain(vs []version, horizon uint64) ([]version, uint64) {
 func compactIndexChain(vs []indexVersion, horizon uint64) ([]indexVersion, uint64) {
 	j := sort.Search(len(vs), func(i int) bool { return vs[i].seq > horizon })
 	keep := j
-	if j > 0 && vs[j-1].present {
+	if j > 0 && vs[j-1].row != nil {
 		keep = j - 1
 	}
 	if keep == 0 {
